@@ -15,7 +15,10 @@
 //!   is orders of magnitude faster than register-level simulation).
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+use fidelity_obs::metrics::Counter;
 
 use crate::error::DnnError;
 use crate::layers::{for_each_window_row, Layer};
@@ -295,17 +298,17 @@ fn fnv_tensor(mut h: u64, t: &Tensor) -> u64 {
 }
 
 /// Spatial bounding box of a set of flat offsets into a rank-4 NCHW tensor
-/// (`Region::All` for other ranks — no spatial structure to exploit).
-fn sparse_region(shape: &[usize], neurons: &[usize]) -> Region {
+/// (`Region::All` for other ranks — no spatial structure to exploit), or
+/// `None` for an empty set.
+fn sparse_region(shape: &[usize], neurons: impl IntoIterator<Item = usize>) -> Option<Region> {
+    let mut neurons = neurons.into_iter().peekable();
+    neurons.peek()?;
     if shape.len() != 4 {
-        return Region::All;
+        return Some(Region::All);
     }
     let (hh, ww) = (shape[2], shape[3]);
-    if hh == 0 || ww == 0 {
-        return Region::All;
-    }
     let (mut h0, mut h1, mut w0, mut w1) = (usize::MAX, 0usize, usize::MAX, 0usize);
-    for &off in neurons {
+    for off in neurons {
         let r = (off / ww) % hh;
         let c = off % ww;
         h0 = h0.min(r);
@@ -313,31 +316,81 @@ fn sparse_region(shape: &[usize], neurons: &[usize]) -> Region {
         w0 = w0.min(c);
         w1 = w1.max(c + 1);
     }
-    if neurons.is_empty() {
-        // Empty patch: an empty window, which downstream unions ignore.
-        return Region::Window {
-            h: (0, 0),
-            w: (0, 0),
-        };
-    }
-    Region::Window {
+    Some(Region::Window {
         h: (h0, h1),
         w: (w0, w1),
-    }
+    })
 }
 
-/// `Some(region)` when the region covers at least one element, else `None`
-/// (so an empty patch marks the node clean and the walk short-circuits).
-fn nonempty_region(r: Region) -> Option<Region> {
-    match r {
-        Region::All => Some(Region::All),
-        Region::Window { h, w } => (h.0 < h.1 && w.0 < w.1).then_some(r),
+/// The exact divergence of a recomputed node output from golden: the
+/// bounding box (rank 4) of the elements of `within` whose bits differ from
+/// `gold`, `Region::All` for other ranks when any bit differs, and `None`
+/// when every bit matches — the fault is logically masked here. Elements
+/// outside `within` must already hold golden bits.
+fn diff_region(cur: &Tensor, gold: &Tensor, within: Region) -> Option<Region> {
+    let (cur, gold_d) = (cur.data(), gold.data());
+    let shape = gold.shape();
+    if shape.len() != 4 {
+        return bits_differ(cur, gold_d).then_some(Region::All);
     }
+    let (h, w) = match within {
+        Region::All => ((0, shape[2]), (0, shape[3])),
+        Region::Window { h, w } => (h, w),
+    };
+    let (hh, ww) = (shape[2], shape[3]);
+    let (mut h0, mut h1, mut w0, mut w1) = (usize::MAX, 0usize, usize::MAX, 0usize);
+    for_each_window_row(shape, h, w, |a, b| {
+        if !bits_differ(&cur[a..b], &gold_d[a..b]) {
+            return;
+        }
+        let differs = |i: &usize| cur[*i].to_bits() != gold_d[*i].to_bits();
+        let first = (a..b).find(differs).unwrap_or(a);
+        let last = (first..b).rfind(differs).unwrap_or(first);
+        let r = (a / ww) % hh;
+        h0 = h0.min(r);
+        h1 = h1.max(r + 1);
+        w0 = w0.min(first % ww);
+        w1 = w1.max(last % ww + 1);
+    });
+    (h0 < h1).then_some(Region::Window {
+        h: (h0, h1),
+        w: (w0, w1),
+    })
+}
+
+/// Whether two equal-length slices differ in any bit. Each chunk ORs the
+/// XOR of every pair without branching, so the compare vectorizes.
+fn bits_differ(a: &[f32], b: &[f32]) -> bool {
+    a.chunks(64).zip(b.chunks(64)).any(|(x, y)| {
+        x.iter()
+            .zip(y)
+            .fold(0u32, |acc, (p, q)| acc | (p.to_bits() ^ q.to_bits()))
+            != 0
+    })
+}
+
+/// Cached handles for the delta walk's always-on counters (one relaxed
+/// `fetch_add` per event), exported on `/metrics`.
+struct ConeMetrics {
+    /// Full recomputes on the walk: the layer gave no window (`region_map`
+    /// is `None`, or a source diverges everywhere).
+    dense_fallback: Arc<Counter>,
+    /// Recomputed nodes whose output matched golden bit for bit, so the
+    /// walk ends there.
+    masked: Arc<Counter>,
+}
+
+fn cone_metrics() -> &'static ConeMetrics {
+    static METRICS: OnceLock<ConeMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| ConeMetrics {
+        dense_fallback: fidelity_obs::metrics::counter("dnn.cone.dense_fallback"),
+        masked: fidelity_obs::metrics::counter("dnn.cone.masked"),
+    })
 }
 
 /// Unions two divergence regions: `All` absorbs everything, windows union to
-/// their bounding box (a conservative superset, which is all the delta path
-/// needs).
+/// their bounding box (a superset of the diverging elements, which is all
+/// the delta path needs).
 fn union_region(a: Option<Region>, b: Region) -> Region {
     match (a, b) {
         (None, r) => r,
@@ -480,6 +533,9 @@ impl Engine {
         }
 
         let downstream = build_downstream(&network);
+        // Register the delta walk's counters with the deployment, so a
+        // `/metrics` scrape lists them before the first fault is evaluated.
+        cone_metrics();
         Ok(Engine {
             network,
             precision,
@@ -795,18 +851,28 @@ impl Engine {
     /// `neurons`/`values` describe the corrupted output of node `node_idx`
     /// as "offset `neurons[i]` holds `values[i]` instead of its clean
     /// value". The engine patches the overlay's copy of that node, walks the
-    /// downstream cone recomputing each affected node — restricted to a
-    /// conservative spatial window wherever the layer's
-    /// [`Layer::region_map`] provides one, a full forward otherwise — calls
-    /// `judge` on the resulting network output, then repairs every touched
-    /// overlay region back to golden bits and returns the judge's verdict.
+    /// downstream cone recomputing each affected node — restricted to the
+    /// spatial window wherever the layer's [`Layer::region_map`] provides
+    /// one, a full forward otherwise — calls `judge` on the resulting
+    /// network output, then repairs every touched overlay region back to
+    /// golden bits and returns the judge's verdict.
+    ///
+    /// The dirty region of a node is an exact diff, not an estimate: after
+    /// every recompute, windowed or full, it is the bounding box (rank-4
+    /// outputs; the whole tensor otherwise) of the elements whose bits
+    /// differ from the golden trace, and no region at all when none do.
+    /// So a fault that ReLU, max-pool or quantization masks ends the walk
+    /// at that node, and a rank-4 node that fell back to a full forward
+    /// still hands only a window to its consumers.
     ///
     /// Results are bit-identical to building the dense replacement tensor
     /// and calling [`Engine::resume_pooled`]:
-    /// * windows are conservative supersets of the true fault cone, and
-    ///   recomputing a *clean* neuron reproduces its golden bits exactly
-    ///   (kernels are deterministic and quantization/bounding are idempotent
-    ///   on already-quantized, already-bounded values);
+    /// * every element outside a node's dirty region holds golden bits, by
+    ///   construction of the diff, and a layer's window is the image of
+    ///   its sources' dirty regions, so every neuron that can differ is
+    ///   recomputed; recomputing a *clean* neuron reproduces its golden
+    ///   bits exactly (kernels are deterministic and quantization/bounding
+    ///   are idempotent on already-quantized, already-bounded values);
     /// * each recomputed neuron sees the identical accumulation order
     ///   ([`MacSpec::forward_region_into_scratch`] only narrows loop
     ///   bounds);
@@ -879,7 +945,6 @@ impl Engine {
         let bound = self.node_bounds.as_ref().map(|b| b[node_idx]);
         {
             let slot = &mut overlay.slots[node_idx];
-            overlay.dirty[node_idx] = nonempty_region(sparse_region(slot.shape(), neurons));
             let data = slot.data_mut();
             for (&off, &v) in neurons.iter().zip(values) {
                 data[off] = match bound {
@@ -887,8 +952,19 @@ impl Engine {
                     None => v,
                 };
             }
+            // Only offsets whose bits really changed diverge: a patch that
+            // rewrites golden bits (or none at all) leaves the node clean.
+            let (data, gold) = (slot.data(), trace.node_outputs[node_idx].data());
+            overlay.dirty[node_idx] = sparse_region(
+                slot.shape(),
+                neurons
+                    .iter()
+                    .copied()
+                    .filter(|&off| data[off].to_bits() != gold[off].to_bits()),
+            );
         }
 
+        let metrics = cone_metrics();
         let down = &self.downstream[node_idx];
         let mut failure: Option<DnnError> = None;
         for idx in node_idx + 1..n {
@@ -905,8 +981,8 @@ impl Engine {
             let node = &self.network.nodes[idx];
 
             // Union of the regions in which this node's sources diverge
-            // from golden. All-clean sources can happen when an upstream
-            // window degenerated to empty; the node is then provably clean.
+            // from golden. All-clean sources mean the fault was masked
+            // upstream (or its window fell off the grid): the node is clean.
             let mut src_dirty: Option<Region> = None;
             for src in &node.sources {
                 if let Source::Node(j) = src {
@@ -947,6 +1023,11 @@ impl Engine {
                     }
                 }
             };
+            if let Region::Window { h, w } = out_region {
+                if h.0 >= h.1 || w.0 >= w.1 {
+                    continue; // window fell off the grid: provably clean
+                }
+            }
 
             let codec = self.node_codecs[idx];
             let on_grid = self.node_bounds.is_none()
@@ -957,83 +1038,64 @@ impl Engine {
                 });
             let needs_quant = codec.precision() != Precision::Fp32 && !on_grid;
 
-            let mut handled = false;
-            if let Region::Window { h, w } = out_region {
-                if h.0 >= h.1 || w.0 >= w.1 {
-                    continue; // window fell off the grid: provably clean
+            // Topological order guarantees every source index < idx, so the
+            // split cleanly separates inputs from the output slot.
+            let (head, tail) = overlay.slots.split_at_mut(idx);
+            let out_t = &mut tail[0];
+            let resolve = |src: &Source| -> &Tensor {
+                match src {
+                    Source::Input(i) => &trace.inputs[*i],
+                    Source::Node(j) => &head[*j],
                 }
-                // Topological order guarantees every source index < idx, so
-                // the split cleanly separates inputs from the output slot.
-                let (head, tail) = overlay.slots.split_at_mut(idx);
-                let out_t = &mut tail[0];
-                let resolve = |src: &Source| -> &Tensor {
-                    match src {
-                        Source::Input(i) => &trace.inputs[*i],
-                        Source::Node(j) => &head[*j],
-                    }
-                };
-                let mut ref_buf: [&Tensor; 8] = [&trace.output; 8];
-                let ref_vec: Vec<&Tensor>;
-                let in_refs: &[&Tensor] = if node.sources.len() <= ref_buf.len() {
-                    for (k, src) in node.sources.iter().enumerate() {
-                        ref_buf[k] = resolve(src);
-                    }
-                    &ref_buf[..node.sources.len()]
-                } else {
-                    ref_vec = node.sources.iter().map(resolve).collect();
-                    &ref_vec
-                };
-                match node.layer.forward_region(in_refs, h, w, out_t, ws) {
-                    Ok(true) => {
-                        let dims = {
-                            let s = out_t.shape();
-                            [s[0], s[1], s[2], s[3]]
-                        };
-                        let data = out_t.data_mut();
-                        if needs_quant {
-                            for_each_window_row(&dims, h, w, |a, b| {
-                                for v in &mut data[a..b] {
-                                    *v = codec.quantize(*v);
-                                }
-                            });
+            };
+            let mut ref_buf: [&Tensor; 8] = [&trace.output; 8];
+            let ref_vec: Vec<&Tensor>;
+            let in_refs: &[&Tensor] = if node.sources.len() <= ref_buf.len() {
+                for (k, src) in node.sources.iter().enumerate() {
+                    ref_buf[k] = resolve(src);
+                }
+                &ref_buf[..node.sources.len()]
+            } else {
+                ref_vec = node.sources.iter().map(resolve).collect();
+                &ref_vec
+            };
+
+            let window = match out_region {
+                Region::Window { h, w } => {
+                    match node.layer.forward_region(in_refs, h, w, out_t, ws) {
+                        Ok(true) => Some((h, w)),
+                        Ok(false) => None, // no windowed path: full forward
+                        Err(e) => {
+                            failure = Some(e);
+                            break;
                         }
-                        if let Some(bounds) = &self.node_bounds {
-                            let node_bound = bounds[idx];
-                            for_each_window_row(&dims, h, w, |a, b| {
-                                for v in &mut data[a..b] {
-                                    *v = clamp_to_bound(*v, node_bound);
-                                }
-                            });
-                        }
-                        overlay.dirty[idx] = Some(Region::Window { h, w });
-                        handled = true;
-                    }
-                    Ok(false) => {} // fall through to the full forward
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
                     }
                 }
-            }
-            if !handled {
-                let (head, tail) = overlay.slots.split_at_mut(idx);
-                let resolve = |src: &Source| -> &Tensor {
-                    match src {
-                        Source::Input(i) => &trace.inputs[*i],
-                        Source::Node(j) => &head[*j],
-                    }
+                Region::All => None,
+            };
+            let recomputed = if let Some((h, w)) = window {
+                let dims = {
+                    let s = out_t.shape();
+                    [s[0], s[1], s[2], s[3]]
                 };
-                let mut ref_buf: [&Tensor; 8] = [&trace.output; 8];
-                let ref_vec: Vec<&Tensor>;
-                let in_refs: &[&Tensor] = if node.sources.len() <= ref_buf.len() {
-                    for (k, src) in node.sources.iter().enumerate() {
-                        ref_buf[k] = resolve(src);
-                    }
-                    &ref_buf[..node.sources.len()]
-                } else {
-                    ref_vec = node.sources.iter().map(resolve).collect();
-                    &ref_vec
-                };
+                let data = out_t.data_mut();
+                if needs_quant {
+                    for_each_window_row(&dims, h, w, |a, b| {
+                        for v in &mut data[a..b] {
+                            *v = codec.quantize(*v);
+                        }
+                    });
+                }
+                if let Some(bounds) = &self.node_bounds {
+                    let node_bound = bounds[idx];
+                    for_each_window_row(&dims, h, w, |a, b| {
+                        for v in &mut data[a..b] {
+                            *v = clamp_to_bound(*v, node_bound);
+                        }
+                    });
+                }
+                Region::Window { h, w }
+            } else {
                 match node.layer.forward(in_refs, ws) {
                     Ok(mut raw) => {
                         if needs_quant {
@@ -1043,16 +1105,24 @@ impl Engine {
                             let node_bound = bounds[idx];
                             raw.map_inplace(|v| clamp_to_bound(v, node_bound));
                         }
-                        let old = std::mem::replace(&mut tail[0], raw);
+                        let old = std::mem::replace(out_t, raw);
                         ws.recycle(old);
-                        overlay.dirty[idx] = Some(Region::All);
+                        metrics.dense_fallback.inc();
+                        Region::All
                     }
                     Err(e) => {
                         failure = Some(e);
                         break;
                     }
                 }
+            };
+            // The node diverges exactly where its bits differ from golden;
+            // where none do, the fault is masked and the walk ends here.
+            let dirty = diff_region(out_t, &trace.node_outputs[idx], recomputed);
+            if dirty.is_none() {
+                metrics.masked.inc();
             }
+            overlay.dirty[idx] = dirty;
         }
 
         if let Some(e) = failure {
@@ -1617,11 +1687,15 @@ mod tests {
     }
 
     /// A little inception-style rank-4 network exercising every region-aware
-    /// layer (conv, pool, activation, concat, bias-add, scale) plus a
-    /// region-less tail (global-avg-pool → dense) that forces the delta walk
-    /// through its `All` fallback.
+    /// layer (conv, pool, activation, concat, bias-add, folded batch-norm,
+    /// scale) plus a region-less tail (global-avg-pools → concat → dense)
+    /// that forces the delta walk through its `All` fallback, with a
+    /// second global-avg-pool on the stem as an independent source of the
+    /// tail's concat.
     fn branchy_conv_net(seed: u64) -> Network {
-        use crate::layers::{BiasAdd, Concat, Conv2d, GlobalAvgPool, Pool2d, PoolKind, Scale};
+        use crate::layers::{
+            BiasAdd, Concat, Conv2d, GlobalAvgPool, Pool2d, PoolKind, Scale, ScaleShift,
+        };
         let mut s = seed;
         NetworkBuilder::new("branchy")
             .input("x")
@@ -1658,13 +1732,23 @@ mod tests {
                 &["cat"],
             )
             .unwrap()
-            .layer(Scale::new("scale", 0.75), &["bias"])
+            .layer(
+                ScaleShift::new("bn", lcg_fill(&mut s, vec![4]), lcg_fill(&mut s, vec![4]))
+                    .unwrap(),
+                &["bias"],
+            )
+            .unwrap()
+            .layer(Scale::new("scale", 0.75), &["bn"])
             .unwrap()
             .layer(GlobalAvgPool::new("gap"), &["scale"])
             .unwrap()
+            .layer(GlobalAvgPool::new("stem_gap"), &["relu"])
+            .unwrap()
+            .layer(Concat::new("gaps", 1), &["gap", "stem_gap"])
+            .unwrap()
             .layer(
-                Dense::new("head", lcg_fill(&mut s, vec![3, 4])).unwrap(),
-                &["gap"],
+                Dense::new("head", lcg_fill(&mut s, vec![3, 8])).unwrap(),
+                &["gaps"],
             )
             .unwrap()
             .build()
@@ -1708,9 +1792,38 @@ mod tests {
                 let mut ws = Workspace::new();
                 ws.install_golden(golden_key(&trace), &trace.node_outputs);
 
+                // A patch the ReLU after the stem fully masks: every stem
+                // output that is already negative made more negative still.
+                let stem = engine.network().node_index("stem").unwrap();
+                let negative: Vec<usize> = (trace.node_outputs[stem].data().iter())
+                    .enumerate()
+                    .filter(|(_, v)| **v < 0.0)
+                    .map(|(off, _)| off)
+                    .collect();
+                assert!(!negative.is_empty(), "fixture has no negative stem output");
+                let relu_masked = (negative.clone(), vec![-8.0; negative.len()]);
+                let masked = cone_metrics().masked.get();
+                let verdict = engine
+                    .resume_delta(
+                        &trace,
+                        stem,
+                        &relu_masked.0,
+                        &relu_masked.1,
+                        None,
+                        &mut ws,
+                        bits_of,
+                    )
+                    .unwrap();
+                assert_eq!(
+                    verdict,
+                    bits_of(&trace.output),
+                    "judge must see golden bits"
+                );
+                assert!(cone_metrics().masked.get() > masked, "masking not counted");
+
                 for node in 0..n {
                     let len = trace.node_outputs[node].len();
-                    let patches: Vec<(Vec<usize>, Vec<f32>)> = vec![
+                    let mut patches: Vec<(Vec<usize>, Vec<f32>)> = vec![
                         (vec![0], vec![64.0]),
                         (vec![len - 1], vec![-1.0e30]),
                         (
@@ -1718,6 +1831,9 @@ mod tests {
                             vec![f32::NAN, f32::INFINITY, 3.5],
                         ),
                     ];
+                    if node == stem {
+                        patches.push(relu_masked.clone());
+                    }
                     for (neurons, values) in patches {
                         let delta = engine
                             .resume_delta(&trace, node, &neurons, &values, None, &mut ws, bits_of)
@@ -1780,17 +1896,17 @@ mod tests {
     #[test]
     fn sparse_and_union_region_geometry() {
         // Bounding box over scattered rank-4 offsets.
-        let r = sparse_region(&[1, 2, 4, 5], &[7, 13]);
+        let r = sparse_region(&[1, 2, 4, 5], [7, 13]);
         // 7 -> (row 1, col 2); 13 -> (row 2, col 3).
         assert_eq!(
             r,
-            Region::Window {
+            Some(Region::Window {
                 h: (1, 3),
                 w: (2, 4)
-            }
+            })
         );
-        assert_eq!(sparse_region(&[2, 10], &[3]), Region::All);
-        assert_eq!(nonempty_region(sparse_region(&[1, 1, 4, 4], &[])), None);
+        assert_eq!(sparse_region(&[2, 10], [3]), Some(Region::All));
+        assert_eq!(sparse_region(&[1, 1, 4, 4], []), None);
 
         let w1 = Region::Window {
             h: (0, 2),

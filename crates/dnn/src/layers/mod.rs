@@ -151,16 +151,22 @@ pub trait Layer: Send + Sync {
         self.mac_spec(input_shapes).map_or(0, |s| s.macs())
     }
 
-    /// Maps a spatial window of the layer's inputs to the (conservative
-    /// superset) window of outputs that can depend on it, for layers whose
-    /// inputs and output are rank-4 NCHW and whose dataflow is spatially
-    /// local. `h`/`w` are half-open `[lo, hi)` row/column ranges shared by
-    /// every input (multi-input layers that support regions have equal
-    /// spatial dims across inputs).
+    /// Maps a spatial window of the layer's inputs to the window of outputs
+    /// that can depend on it, for layers whose inputs and output are rank-4
+    /// NCHW and whose dataflow is spatially local. `h`/`w` are half-open
+    /// `[lo, hi)` row/column ranges shared by every input (multi-input
+    /// layers that support regions have equal spatial dims across inputs).
+    ///
+    /// The input window the delta resume path passes in is exact: the
+    /// bounding box of the elements whose bits differ from golden (see
+    /// [`crate::graph::Engine::resume_delta`]). The returned window must
+    /// cover every output that reads any element of it; the walk then
+    /// narrows it again to the outputs whose bits actually changed.
     ///
     /// `None` (the default) means "no spatial locality": a changed input
     /// window may affect the whole output, and the delta resume path falls
-    /// back to a full recompute of this layer.
+    /// back to a full recompute of this layer (counted by the
+    /// `dnn.cone.dense_fallback` metric).
     fn region_map(
         &self,
         input_shapes: &[&[usize]],
@@ -178,7 +184,9 @@ pub trait Layer: Send + Sync {
     /// falls back to a full [`Layer::forward`].
     ///
     /// Implementations must produce values byte-identical to what
-    /// [`Layer::forward`] would place at the same offsets.
+    /// [`Layer::forward`] would place at the same offsets: the walk compares
+    /// the window bit for bit against golden to find where the fault still
+    /// diverges, so any drift would widen the cone, or hide it.
     ///
     /// # Errors
     ///

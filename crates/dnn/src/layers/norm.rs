@@ -103,6 +103,44 @@ impl Layer for ScaleShift {
         self.gamma.map_inplace(|v| codec.quantize(v));
         self.beta.map_inplace(|v| codec.quantize(v));
     }
+
+    fn region_map(
+        &self,
+        input_shapes: &[&[usize]],
+        h: (usize, usize),
+        w: (usize, usize),
+    ) -> Option<((usize, usize), (usize, usize))> {
+        (input_shapes.first()?.len() == 4).then_some((h, w))
+    }
+
+    fn forward_region(
+        &self,
+        inputs: &[&Tensor],
+        h: (usize, usize),
+        w: (usize, usize),
+        out: &mut Tensor,
+        ws: &mut Workspace,
+    ) -> Result<bool, DnnError> {
+        let _ = ws;
+        check_arity(&self.name, 1, inputs.len())?;
+        let x = inputs[0];
+        if x.rank() != 4 || out.shape() != x.shape() || x.shape()[1] != self.gamma.len() {
+            return Ok(false);
+        }
+        let hw = x.shape()[2] * x.shape()[3];
+        let c = x.shape()[1];
+        let src = x.data();
+        let (gamma, beta) = (self.gamma.data(), self.beta.data());
+        let dst = out.data_mut();
+        crate::layers::for_each_window_row(x.shape(), h, w, |a, b| {
+            let ch = (a / hw) % c;
+            let (g, bt) = (gamma[ch], beta[ch]);
+            for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
+                *d = g * *s + bt;
+            }
+        });
+        Ok(true)
+    }
 }
 
 /// Layer normalization over the last dimension (Transformer blocks).
@@ -200,6 +238,54 @@ mod tests {
         let y = ss.forward_alloc(&[&x]).unwrap();
         assert_eq!(y.at4(0, 0, 0, 0), 9.0);
         assert_eq!(y.at4(0, 1, 0, 0), 2.0);
+    }
+
+    /// A windowed recompute writes exactly what `forward` writes inside the
+    /// window and nothing outside it, for random windows including clipped
+    /// (past the edge) and empty ones; rank-2 input has no windowed path.
+    #[test]
+    fn scale_shift_forward_region_matches_forward() {
+        let (b, c, hh, ww) = (2, 3, 5, 4);
+        let ss = ScaleShift::new(
+            "bn",
+            crate::init::uniform_tensor(1, vec![c], 1.5),
+            crate::init::uniform_tensor(2, vec![c], 0.5),
+        )
+        .unwrap();
+        let x = crate::init::uniform_tensor(3, vec![b, c, hh, ww], 2.0);
+        let full = ss.forward_alloc(&[&x]).unwrap();
+        let mut rng = crate::init::SplitMix64::new(4);
+        let mut ws = Workspace::new();
+        for _ in 0..200 {
+            let mut pick = |n: usize| {
+                let lo = rng.next_below(n as u64 + 2) as usize;
+                (lo, lo + rng.next_below(n as u64 + 2) as usize)
+            };
+            let (h, w) = (pick(hh), pick(ww));
+            let sentinel = f32::from_bits(0x7FC0_1234);
+            let mut out = Tensor::full(vec![b, c, hh, ww], sentinel);
+            assert!(ss.forward_region(&[&x], h, w, &mut out, &mut ws).unwrap());
+            for (off, (got, want)) in out.data().iter().zip(full.data()).enumerate() {
+                let (r, col) = ((off / ww) % hh, off % ww);
+                let inside = h.0 <= r && r < h.1 && w.0 <= col && col < w.1;
+                let expect = if inside { *want } else { sentinel };
+                assert_eq!(
+                    got.to_bits(),
+                    expect.to_bits(),
+                    "window {h:?}×{w:?}, elem {off}"
+                );
+            }
+        }
+        let x2 = Tensor::full(vec![2, c], 1.0);
+        let mut out2 = ss.forward_alloc(&[&x2]).unwrap();
+        assert!(!ss
+            .forward_region(&[&x2], (0, 1), (0, 1), &mut out2, &mut ws)
+            .unwrap());
+        assert_eq!(ss.region_map(&[&[2, c]], (0, 1), (0, 1)), None);
+        assert_eq!(
+            ss.region_map(&[&[b, c, hh, ww]], (1, 2), (0, 3)),
+            Some(((1, 2), (0, 3)))
+        );
     }
 
     #[test]

@@ -406,6 +406,9 @@ impl MacSpec {
     /// kernels — reduces to this term order: gated (padding) steps are
     /// genuinely skipped, never accumulated as `+0.0`, and terms are added
     /// in ascending kernel-step order.
+    ///
+    /// The neuron's coordinates are decoded once; conv then walks
+    /// ic → kh → kw over the padding-valid kernel rows and columns only.
     fn accumulate(
         &self,
         operands: &Operands<'_>,
@@ -413,55 +416,38 @@ impl MacSpec {
         subst: Option<&Substitution>,
         flip: Option<AccFlip>,
     ) -> f32 {
-        let mut acc = 0.0f32;
-        let mut flipped = false;
-        let total = self.kernel_steps();
-        for step in 0..total {
-            if let Some(f) = flip {
-                if step == f.flip_before_step {
-                    acc = f32::from_bits(acc.to_bits() ^ (1 << f.bit));
-                    flipped = true;
-                }
-            }
-            if let Some((in_off, w_off)) = self.term_offsets(out_offset, step) {
-                let x = operands.fetch(OperandKind::Input, in_off, subst);
-                let w = operands.fetch(OperandKind::Weight, w_off, subst);
-                acc += x * w;
-            }
-        }
-        if let Some(f) = flip {
-            if !flipped {
-                acc = f32::from_bits(acc.to_bits() ^ (1 << f.bit));
-            }
-        }
-        acc
-    }
-
-    /// The (input, weight) flat offsets of kernel step `step` of the given
-    /// output neuron, or `None` when the step is gated (conv padding).
-    pub fn term_offsets(&self, out_offset: usize, step: usize) -> Option<(usize, usize)> {
+        let mut acc = Accumulator { acc: 0.0, flip };
+        let mut term = |step: usize, in_off: usize, w_off: usize| {
+            let x = operands.fetch(OperandKind::Input, in_off, subst);
+            let w = operands.fetch(OperandKind::Weight, w_off, subst);
+            acc.add(step, x * w);
+        };
         match self {
-            MacSpec::Conv(c) => conv_term_offsets(c, out_offset, step),
+            MacSpec::Conv(c) => conv_terms(c, out_offset, term),
             MacSpec::Dense(d) => {
-                let b = out_offset / d.out_features;
-                let o = out_offset % d.out_features;
-                Some((b * d.in_features + step, o * d.in_features + step))
+                let x_base = (out_offset / d.out_features) * d.in_features;
+                let w_base = (out_offset % d.out_features) * d.in_features;
+                for step in 0..d.in_features {
+                    term(step, x_base + step, w_base + step);
+                }
             }
             MacSpec::MatMul(m) => {
                 let per_batch = m.m * m.n;
                 let g = out_offset / per_batch;
                 let rem = out_offset % per_batch;
-                let r = rem / m.n;
-                let cc = rem % m.n;
-                let a_off = (g * m.m + r) * m.k + step;
-                let b_off = if m.transpose_b {
-                    (g * m.n + cc) * m.k + step
+                let (r, cc) = (rem / m.n, rem % m.n);
+                let a_base = (g * m.m + r) * m.k;
+                let (b_base, b_step) = if m.transpose_b {
+                    ((g * m.n + cc) * m.k, 1)
                 } else {
-                    (g * m.k + step) * m.n + cc
+                    (g * m.k * m.n + cc, m.n)
                 };
-                Some((a_off, b_off))
+                for step in 0..m.k {
+                    term(step, a_base + step, b_base + step * b_step);
+                }
             }
         }
+        acc.finish()
     }
 
     /// Computes the whole output tensor into `out` (flat row-major) with a
@@ -1147,6 +1133,90 @@ fn conv_window_narrow(
     }
 }
 
+/// A running accumulator with an optional pending [`AccFlip`].
+///
+/// The flip lands just before the first term of a step at or after
+/// `flip_before_step`, or after the last term when there is none. Gated
+/// steps add nothing, so this equals flipping exactly at
+/// `flip_before_step` of the step-indexed loop.
+struct Accumulator {
+    acc: f32,
+    flip: Option<AccFlip>,
+}
+
+impl Accumulator {
+    #[inline]
+    fn add(&mut self, step: usize, term: f32) {
+        if let Some(f) = self.flip {
+            if step >= f.flip_before_step {
+                self.acc = f32::from_bits(self.acc.to_bits() ^ (1 << f.bit));
+                self.flip = None;
+            }
+        }
+        self.acc += term;
+    }
+
+    fn finish(self) -> f32 {
+        match self.flip {
+            Some(f) => f32::from_bits(self.acc.to_bits() ^ (1 << f.bit)),
+            None => self.acc,
+        }
+    }
+}
+
+/// The `[lo, hi)` kernel taps `k` whose input coordinate
+/// `origin + k·dilation` lies in `[0, extent)` — contiguous, since the
+/// coordinate grows with `k`.
+fn valid_taps(origin: isize, dilation: usize, taps: usize, extent: usize) -> (usize, usize) {
+    let d = dilation as isize;
+    let lo = if origin >= 0 {
+        0
+    } else {
+        (-origin + d - 1) / d
+    };
+    let room = extent as isize - origin;
+    let hi = if room <= 0 { 0 } else { (room + d - 1) / d };
+    let hi = (hi as usize).min(taps);
+    ((lo as usize).min(hi), hi)
+}
+
+/// Calls `term(step, in_off, w_off)` for every non-gated kernel step of one
+/// conv output neuron, in ascending step order (ic, then kh, then kw — the
+/// order the register-level simulator sequences).
+#[inline]
+fn conv_terms(c: &ConvSpec, out_offset: usize, mut term: impl FnMut(usize, usize, usize)) {
+    let (oh_dim, ow_dim) = (c.out_h(), c.out_w());
+    let hw = oh_dim * ow_dim;
+    let b = out_offset / (c.out_c * hw);
+    let rem = out_offset % (c.out_c * hw);
+    let oc = rem / hw;
+    let (oh, ow) = ((rem % hw) / ow_dim, rem % ow_dim);
+    let gic = c.group_in_c();
+    let ic_base = (oc / c.group_out_c()) * gic;
+    let h_org = (oh * c.stride.0) as isize - c.padding.0 as isize;
+    let w_org = (ow * c.stride.1) as isize - c.padding.1 as isize;
+    let (kh_lo, kh_hi) = valid_taps(h_org, c.dilation.0, c.kh, c.in_h);
+    let (kw_lo, kw_hi) = valid_taps(w_org, c.dilation.1, c.kw, c.in_w);
+    for ic in 0..gic {
+        let in_plane = (b * c.in_c + ic_base + ic) * c.in_h;
+        let w_plane = (oc * gic + ic) * c.kh;
+        for kh_i in kh_lo..kh_hi {
+            let ih = (h_org + (kh_i * c.dilation.0) as isize) as usize;
+            let in_row = (in_plane + ih) * c.in_w;
+            let w_row = (w_plane + kh_i) * c.kw;
+            let step_row = (ic * c.kh + kh_i) * c.kw;
+            for kw_i in kw_lo..kw_hi {
+                let iw = (w_org + (kw_i * c.dilation.1) as isize) as usize;
+                term(step_row + kw_i, in_row + iw, w_row + kw_i);
+            }
+        }
+    }
+}
+
+/// The step-indexed reference for [`conv_terms`]: the (input, weight)
+/// offsets of kernel step `step` of one output neuron, or `None` when the
+/// step is gated (padding).
+#[cfg(test)]
 fn conv_term_offsets(c: &ConvSpec, out_offset: usize, step: usize) -> Option<(usize, usize)> {
     let (oh_dim, ow_dim) = (c.out_h(), c.out_w());
     let hw = oh_dim * ow_dim;
@@ -1230,6 +1300,7 @@ fn conv_uses(c: &ConvSpec, oh: usize, ow: usize, ih: usize, iw: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert_eq, proptest};
 
     fn small_conv() -> ConvSpec {
         ConvSpec {
@@ -1595,6 +1666,121 @@ mod tests {
             spec.forward_into_scratch(&ops, &mut pooled, &mut reused);
             for (off, (a, b)) in fresh.iter().zip(&pooled).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "spec {i}, neuron {off}");
+            }
+        }
+    }
+
+    /// The step-indexed loop [`MacSpec::accumulate`] replaced: every kernel
+    /// step decoded from the flat step index, the flip applied exactly at
+    /// `flip_before_step` whether or not that step is gated.
+    fn reference_accumulate(
+        c: &ConvSpec,
+        operands: &Operands<'_>,
+        out_offset: usize,
+        subst: Option<&Substitution>,
+        flip: Option<AccFlip>,
+    ) -> f32 {
+        let flip_at = |acc: f32, f: AccFlip| f32::from_bits(acc.to_bits() ^ (1 << f.bit));
+        let mut acc = 0.0f32;
+        let mut flipped = false;
+        for step in 0..c.group_in_c() * c.kh * c.kw {
+            if let Some(f) = flip.filter(|f| f.flip_before_step == step) {
+                acc = flip_at(acc, f);
+                flipped = true;
+            }
+            if let Some((in_off, w_off)) = conv_term_offsets(c, out_offset, step) {
+                let x = operands.fetch(OperandKind::Input, in_off, subst);
+                let w = operands.fetch(OperandKind::Weight, w_off, subst);
+                acc += x * w;
+            }
+        }
+        match flip {
+            Some(f) if !flipped => flip_at(acc, f),
+            _ => acc,
+        }
+    }
+
+    /// A random conv geometry: batch 1–2, grouped or depthwise, stride and
+    /// dilation 1–3, padding up to 4 (wider than a small kernel reaches, so
+    /// some neurons have every step gated). `None` when it has no output.
+    fn random_conv(rng: &mut crate::init::SplitMix64) -> Option<ConvSpec> {
+        let mut pick = |lo: usize, hi: usize| lo + rng.next_below((hi - lo + 1) as u64) as usize;
+        let groups = pick(1, 3);
+        let depthwise = pick(0, 2) == 0;
+        let gic = if depthwise { 1 } else { pick(1, 3) };
+        let goc = pick(1, 2);
+        let c = ConvSpec {
+            batch: pick(1, 2),
+            in_c: groups * gic,
+            in_h: pick(1, 6),
+            in_w: pick(1, 6),
+            out_c: groups * goc,
+            kh: pick(1, 3),
+            kw: pick(1, 3),
+            stride: (pick(1, 3), pick(1, 3)),
+            padding: (pick(0, 4), pick(0, 4)),
+            dilation: (pick(1, 3), pick(1, 3)),
+            groups,
+        };
+        (c.out_h() > 0 && c.out_w() > 0).then_some(c)
+    }
+
+    proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The decoded-once conv loop equals the step-indexed reference bit
+        /// for bit, with no substitution, an input or a weight substitution,
+        /// and an accumulator flip at every step `0..=kernel_steps`
+        /// (gated steps included).
+        #[test]
+        fn conv_accumulate_matches_step_indexed_reference(seed in 0u64..u64::MAX) {
+            use crate::init::{uniform_tensor, SplitMix64};
+            let mut rng = SplitMix64::new(seed);
+            let Some(c) = random_conv(&mut rng) else {
+                return Ok(());
+            };
+            let spec = MacSpec::Conv(c.clone());
+            let input = uniform_tensor(seed ^ 1, vec![c.batch, c.in_c, c.in_h, c.in_w], 2.0);
+            let weight = uniform_tensor(seed ^ 2, vec![c.out_c, c.group_in_c(), c.kh, c.kw], 2.0);
+            let ops = Operands { input: &input, weight: &weight };
+            let value = rng.next_symmetric(100.0);
+            let substs = [
+                None,
+                Some(Substitution {
+                    kind: OperandKind::Input,
+                    offset: rng.next_below(input.len() as u64) as usize,
+                    value,
+                }),
+                Some(Substitution {
+                    kind: OperandKind::Weight,
+                    offset: rng.next_below(weight.len() as u64) as usize,
+                    value,
+                }),
+            ];
+            let steps = spec.kernel_steps();
+            for subst in substs.iter().map(Option::as_ref) {
+                for off in 0..spec.out_len() {
+                    let want = reference_accumulate(&c, &ops, off, subst, None);
+                    let got = spec.accumulate(&ops, off, subst, None);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} neuron {}", c, off);
+                }
+                for _ in 0..4 {
+                    let off = rng.next_below(spec.out_len() as u64) as usize;
+                    let bit = rng.next_below(32) as u32;
+                    for step in 0..=steps {
+                        let flip = AccFlip::new(step, bit).unwrap();
+                        let want = reference_accumulate(&c, &ops, off, subst, Some(flip));
+                        let got = spec.accumulate(&ops, off, subst, Some(flip));
+                        prop_assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{:?} neuron {} flip {:?}",
+                            c,
+                            off,
+                            flip
+                        );
+                    }
+                }
             }
         }
     }

@@ -112,6 +112,10 @@ fn concurrent_metrics_scrapes_parse_and_stay_monotone() {
             .unwrap_or(0.0)
             >= 80.0
     );
+    // The fault-cone walk's counters are exported from the first
+    // deployment on, whether or not a job took the delta path yet.
+    assert!(dump.scalar("dnn_cone_dense_fallback").is_some());
+    assert!(dump.scalar("dnn_cone_masked").is_some());
     let _ = client.shutdown();
     handle.wait();
     let _ = std::fs::remove_dir_all(&state);
