@@ -4,6 +4,16 @@
 //! exact bit layout matters: a transient fault is a flip of one of these 16
 //! bits, and whether it hits the sign, exponent, or mantissa determines the
 //! perturbation magnitude (the paper's Key Result 5).
+//!
+//! Two entry points serve two jobs. [`F16`] is the bit-level codec: a fault
+//! is injected on its 16 bits ([`F16::with_bit_flipped`]) and decoded back.
+//! [`round_to_f16`] is the "fake quantization" every FP16 layer output,
+//! weight and recomputed cone node goes through, so it is the engine's
+//! hottest scalar function. It computes `F16::from_f32(v).to_f32()` without
+//! materializing the 16-bit form: integer and select arithmetic on the `f32`
+//! bits, with no branch that depends on the value, so a slice loop over it
+//! vectorizes. A test sweeps all 2³² `f32` bit patterns against the codec
+//! round trip, NaN payloads included.
 
 use std::fmt;
 
@@ -198,6 +208,27 @@ impl fmt::Display for F16 {
 /// Rounds an `f32` to the nearest representable binary16 value, returned as
 /// `f32`. This is the "fake quantization" step applied after FP16 layers.
 ///
+/// Bit-identical to `F16::from_f32(value).to_f32()` for every input (an
+/// exhaustive test sweeps all 2³² bit patterns), but branch-free. With
+/// `a` the magnitude bits of `value`, three candidates are computed and one
+/// is selected by range:
+///
+/// * **normal** (`2⁻¹⁴ ≤ |v|`): binary16 keeps the top 10 of the 23 `f32`
+///   mantissa bits, so round-to-nearest-even at bit 13 is
+///   `(a + 0xFFF + ((a >> 13) & 1)) & !0x1FFF`: adding just under half an
+///   ulp, plus one when the kept LSB is odd, carries into bit 13 exactly
+///   when RNE rounds up. A carry out of the mantissa bumps the exponent,
+///   which is the correct next binade. A result ≥ 65536 (`2¹⁶`) is beyond
+///   binary16's range and becomes ∞; so does an `f32` ∞.
+/// * **subnormal** (`|v| < 2⁻¹⁴`): binary16's subnormal spacing is `2⁻²⁴`,
+///   which is the `f32` ulp on `[0.5, 1)`. So `(|v| + 0.5) − 0.5` rounds
+///   to that grid with the FPU's own RNE, and the subtraction is exact.
+/// * **NaN** (`a > 0x7F80_0000`): binary16 keeps the top 10 payload bits
+///   and quiets the NaN, so it decodes to `0x7FC0_0000 | (a & 0x007F_E000)`.
+///
+/// The sign bit is ORed back in, so `-0.0`, negative subnormals that round
+/// to zero and negative NaNs keep it, as the codec does.
+///
 /// # Examples
 ///
 /// ```
@@ -206,8 +237,28 @@ impl fmt::Display for F16 {
 /// assert_eq!(round_to_f16(1.0009765625), 1.0009765625); // exactly representable
 /// assert_eq!(round_to_f16(100000.0), f32::INFINITY);    // overflows binary16
 /// ```
+#[inline]
 pub fn round_to_f16(value: f32) -> f32 {
-    F16::from_f32(value).to_f32()
+    const MIN_NORMAL: u32 = 0x3880_0000; // 2^-14
+    const OVERFLOW: u32 = 0x4780_0000; // 2^16
+    const INF: u32 = 0x7F80_0000;
+    let bits = value.to_bits();
+    let sign = bits & 0x8000_0000;
+    let a = bits & 0x7FFF_FFFF;
+
+    let rne = (a + 0xFFF + ((a >> 13) & 1)) & !0x1FFF;
+    let normal = if rne >= OVERFLOW { INF } else { rne };
+    let subnormal = ((f32::from_bits(a) + 0.5) - 0.5).to_bits();
+    let nan = 0x7FC0_0000 | (a & 0x007F_E000);
+
+    let magnitude = if a > INF {
+        nan
+    } else if a < MIN_NORMAL {
+        subnormal
+    } else {
+        normal
+    };
+    f32::from_bits(sign | magnitude)
 }
 
 #[cfg(test)]
@@ -286,6 +337,37 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bit_flip_rejects_out_of_range() {
         let _ = F16::ONE.with_bit_flipped(16);
+    }
+
+    /// `round_to_f16` is the codec round trip on every `f32` bit pattern,
+    /// NaN payloads and signed zeros included. The 2³² sweep is split
+    /// across all cores; it takes ~15 s on two.
+    #[test]
+    fn round_to_f16_matches_codec_on_all_f32() {
+        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get) as u64;
+        let total = 1u64 << 32;
+        let chunk = total.div_ceil(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (lo, hi) = (t * chunk, ((t + 1) * chunk).min(total));
+                scope.spawn(move || {
+                    for bits in lo..hi {
+                        let v = f32::from_bits(bits as u32);
+                        let want = F16::from_f32(v).to_f32().to_bits();
+                        let got = round_to_f16(v).to_bits();
+                        assert_eq!(got, want, "input 0x{bits:08X}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn round_to_f16_fixes_every_f16_value() {
+        for bits in 0u16..=0xFFFF {
+            let v = F16::from_bits(bits).to_f32();
+            assert_eq!(round_to_f16(v).to_bits(), v.to_bits(), "bits 0x{bits:04X}");
+        }
     }
 
     #[test]

@@ -804,17 +804,8 @@ impl Engine {
             match node.layer.forward(in_refs, ws) {
                 Ok(mut raw) => {
                     let codec = self.node_codecs[idx];
-                    // Same on-grid skip as the full executor: value-
-                    // preserving layers whose sources share this codec emit
-                    // values the quantizer maps to themselves.
-                    let on_grid = self.node_bounds.is_none()
-                        && node.layer.values_preserved()
-                        && node.sources.iter().all(|src| match src {
-                            Source::Input(i) => self.input_codecs[*i] == codec,
-                            Source::Node(j) => self.node_codecs[*j] == codec,
-                        });
-                    if codec.precision() != Precision::Fp32 && !on_grid {
-                        raw.map_inplace(|v| codec.quantize(v));
+                    if !self.on_grid(idx) {
+                        codec.quantize_slice(raw.data_mut());
                     }
                     if let Some(bounds) = &self.node_bounds {
                         let bound = bounds[idx];
@@ -842,6 +833,17 @@ impl Engine {
         };
         ws.put_slots(slots);
         Ok(out)
+    }
+
+    /// Whether node `idx`'s quantize pass is skipped (see [`on_grid`]).
+    fn on_grid(&self, idx: usize) -> bool {
+        self.node_bounds.is_none()
+            && on_grid(
+                &self.network.nodes[idx],
+                &self.input_codecs,
+                &self.node_codecs,
+                self.node_codecs[idx],
+            )
     }
 
     /// The batched-injection hot path: evaluates one sparse fault as a pure
@@ -1030,13 +1032,7 @@ impl Engine {
             }
 
             let codec = self.node_codecs[idx];
-            let on_grid = self.node_bounds.is_none()
-                && node.layer.values_preserved()
-                && node.sources.iter().all(|src| match src {
-                    Source::Input(i) => self.input_codecs[*i] == codec,
-                    Source::Node(j) => self.node_codecs[*j] == codec,
-                });
-            let needs_quant = codec.precision() != Precision::Fp32 && !on_grid;
+            let needs_quant = !self.on_grid(idx);
 
             // Topological order guarantees every source index < idx, so the
             // split cleanly separates inputs from the output slot.
@@ -1081,9 +1077,7 @@ impl Engine {
                 let data = out_t.data_mut();
                 if needs_quant {
                     for_each_window_row(&dims, h, w, |a, b| {
-                        for v in &mut data[a..b] {
-                            *v = codec.quantize(*v);
-                        }
+                        codec.quantize_slice(&mut data[a..b]);
                     });
                 }
                 if let Some(bounds) = &self.node_bounds {
@@ -1099,7 +1093,7 @@ impl Engine {
                 match node.layer.forward(in_refs, ws) {
                     Ok(mut raw) => {
                         if needs_quant {
-                            raw.map_inplace(|v| codec.quantize(v));
+                            codec.quantize_slice(raw.data_mut());
                         }
                         if let Some(bounds) = &self.node_bounds {
                             let node_bound = bounds[idx];
@@ -1328,6 +1322,29 @@ fn clamp_to_bound(v: f32, bound: f32) -> f32 {
     v.clamp(-bound, bound)
 }
 
+/// Whether `node`, fed by sources on the given codecs, emits values already
+/// on `codec`'s grid, so its quantize pass is skipped: the layer only moves
+/// or selects values ([`Layer::values_preserved`]) and every source carries
+/// `codec`. Callers skip only unbounded, since a bounding clamp can move
+/// values off the grid.
+///
+/// The skip is not only a speed-up. On the integer grids a fault can write
+/// the code −qmax−1 (INT8 `0x80`), which the symmetric clamp of
+/// [`ValueCodec::quantize`] would move to −qmax; a skipped node carries it
+/// on unchanged. Always quantizing would change INT8/INT16 results.
+fn on_grid(
+    node: &Node,
+    input_codecs: &[ValueCodec],
+    node_codecs: &[ValueCodec],
+    codec: ValueCodec,
+) -> bool {
+    node.layer.values_preserved()
+        && node.sources.iter().all(|src| match src {
+            Source::Input(i) => input_codecs[*i] == codec,
+            Source::Node(j) => node_codecs[*j] == codec,
+        })
+}
+
 /// Core executor shared by calibration (no codecs) and engine runs. The
 /// deadline, when set, is checked at every node boundary.
 #[allow(clippy::too_many_arguments)]
@@ -1349,17 +1366,16 @@ fn run(
         });
     }
 
-    let quantize = |t: &Tensor, codec: Option<&ValueCodec>| -> Tensor {
-        match codec {
-            Some(c) if c.precision() != Precision::Fp32 => t.map(|v| c.quantize(v)),
-            _ => t.clone(),
-        }
-    };
-
     let q_inputs: Vec<Tensor> = inputs
         .iter()
         .enumerate()
-        .map(|(i, t)| quantize(t, input_codecs.map(|c| &c[i])))
+        .map(|(i, t)| {
+            let mut q = t.clone();
+            if let Some(c) = input_codecs {
+                c[i].quantize_slice(q.data_mut());
+            }
+            q
+        })
         .collect();
 
     // When resuming, mark which nodes must be recomputed: the replaced node's
@@ -1416,20 +1432,9 @@ fn run(
             })
             .collect();
         let mut raw = node.layer.forward(&in_refs, ws)?;
-        if let Some(c) = node_codecs.map(|cs| &cs[idx]) {
-            // Value-preserving layers (concat, reshape, max-pool, ReLU) fed
-            // exclusively by sources already on this codec's grid emit
-            // values the quantizer would map to themselves — skip the
-            // per-element pass. Bounding clamps can move values off-grid, so
-            // the skip only applies unbounded.
-            let on_grid = bounds.is_none()
-                && node.layer.values_preserved()
-                && node.sources.iter().all(|src| match src {
-                    Source::Input(i) => input_codecs.is_some_and(|ic| ic[*i] == *c),
-                    Source::Node(j) => node_codecs.is_some_and(|nc| nc[*j] == *c),
-                });
-            if c.precision() != Precision::Fp32 && !on_grid {
-                raw.map_inplace(|v| c.quantize(v));
+        if let (Some(ic), Some(nc)) = (input_codecs, node_codecs) {
+            if bounds.is_some() || !on_grid(node, ic, nc, nc[idx]) {
+                nc[idx].quantize_slice(raw.data_mut());
             }
         }
         outputs.push(apply_bound(idx, raw));
@@ -1565,6 +1570,9 @@ mod tests {
     /// including those of skipped layers (ReLU, max-pool, concat, flatten) —
     /// must already sit on its codec's grid, i.e. re-quantization is a
     /// bitwise no-op. Runs both precisions the executors skip under.
+    ///
+    /// Fault-free values only: a fault can write the INT8 code `0x80`,
+    /// which quantizing clamps (`on_grid_skip_carries_int8_code_0x80`).
     #[test]
     fn trace_outputs_are_quantize_idempotent() {
         use crate::layers::{Concat, Conv2d, Flatten, Pool2d, PoolKind};
@@ -1610,6 +1618,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A fault that writes INT8 code `0x80` (−128, outside the symmetric
+    /// clamp) at a conv output reaches the dense layer unchanged through
+    /// flatten, whose quantize pass the on-grid skip omits. Quantizing it
+    /// would clamp the value to −127 and change the result.
+    #[test]
+    fn on_grid_skip_carries_int8_code_0x80() {
+        use crate::layers::{Conv2d, Flatten};
+
+        let conv_w = crate::init::uniform_tensor(11, vec![2, 1, 3, 3], 0.6);
+        let fc_w = crate::init::uniform_tensor(12, vec![3, 32], 0.6);
+        let net = NetworkBuilder::new("code80")
+            .input("x")
+            .layer(
+                Conv2d::new("conv", conv_w).unwrap().with_padding(1, 1),
+                &["x"],
+            )
+            .unwrap()
+            .layer(Flatten::new("flat"), &["conv"])
+            .unwrap()
+            .layer(Dense::new("fc", fc_w).unwrap(), &["flat"])
+            .unwrap()
+            .build()
+            .unwrap();
+        let x = crate::init::uniform_tensor(13, vec![1, 1, 4, 4], 1.0);
+        let engine = Engine::new(net, Precision::Int8, &[vec![x.clone()]]).unwrap();
+        assert_eq!(engine.node_codec(0), engine.node_codec(1));
+        let trace = engine.trace(std::slice::from_ref(&x)).unwrap();
+        let codec = engine.node_codec(0);
+
+        let at = |node: usize, v: f32| {
+            let mut t = trace.node_outputs[node].clone();
+            t.data_mut()[0] = v;
+            engine.resume(&trace, node, t).unwrap()
+        };
+        let from_conv = at(0, codec.decode(0x80));
+        assert_eq!(from_conv, at(1, codec.decode(0x80)));
+        assert_ne!(from_conv, at(1, codec.quantize(codec.decode(0x80))));
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl Layer for Conv2d {
     }
 
     fn quantize_weights(&mut self, codec: &ValueCodec) {
-        self.weight.map_inplace(|v| codec.quantize(v));
+        codec.quantize_slice(self.weight.data_mut());
     }
 }
 

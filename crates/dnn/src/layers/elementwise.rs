@@ -108,7 +108,7 @@ impl Layer for BiasAdd {
     }
 
     fn quantize_weights(&mut self, codec: &ValueCodec) {
-        self.bias.map_inplace(|v| codec.quantize(v));
+        codec.quantize_slice(self.bias.data_mut());
     }
 
     fn region_map(

@@ -86,7 +86,7 @@ impl Layer for Embedding {
     }
 
     fn quantize_weights(&mut self, codec: &ValueCodec) {
-        self.table.map_inplace(|v| codec.quantize(v));
+        codec.quantize_slice(self.table.data_mut());
     }
 }
 

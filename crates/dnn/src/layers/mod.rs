@@ -127,7 +127,10 @@ pub trait Layer: Send + Sync {
     /// grids are closed under round-to-grid, and `+0.0` quantizes to itself
     /// under every codec. The engine uses this to skip the per-element
     /// quantize pass on data-movement and selection layers (concat, reshape,
-    /// max-pool, ReLU) when producer and consumer codecs are equal.
+    /// max-pool, ReLU) when producer and consumer codecs are equal. One
+    /// faulty value is off its grid: the integer code −qmax−1 (INT8 `0x80`),
+    /// which quantizing would clamp and the skip carries on unchanged, so
+    /// the skip also fixes INT8/INT16 results.
     ///
     /// Only return `true` when the property holds for *all* inputs, including
     /// non-finite values: a max-pool window of NaNs yields `-inf`, which is

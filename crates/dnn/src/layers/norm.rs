@@ -100,8 +100,8 @@ impl Layer for ScaleShift {
     }
 
     fn quantize_weights(&mut self, codec: &ValueCodec) {
-        self.gamma.map_inplace(|v| codec.quantize(v));
-        self.beta.map_inplace(|v| codec.quantize(v));
+        codec.quantize_slice(self.gamma.data_mut());
+        codec.quantize_slice(self.beta.data_mut());
     }
 
     fn region_map(
@@ -217,8 +217,8 @@ impl Layer for LayerNorm {
     }
 
     fn quantize_weights(&mut self, codec: &ValueCodec) {
-        self.gamma.map_inplace(|v| codec.quantize(v));
-        self.beta.map_inplace(|v| codec.quantize(v));
+        codec.quantize_slice(self.gamma.data_mut());
+        codec.quantize_slice(self.beta.data_mut());
     }
 }
 

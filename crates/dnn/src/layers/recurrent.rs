@@ -131,9 +131,9 @@ impl Layer for Lstm {
     }
 
     fn quantize_weights(&mut self, codec: &ValueCodec) {
-        self.w_ih.map_inplace(|v| codec.quantize(v));
-        self.w_hh.map_inplace(|v| codec.quantize(v));
-        self.bias.map_inplace(|v| codec.quantize(v));
+        codec.quantize_slice(self.w_ih.data_mut());
+        codec.quantize_slice(self.w_hh.data_mut());
+        codec.quantize_slice(self.bias.data_mut());
     }
 }
 

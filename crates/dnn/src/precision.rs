@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::f16::F16;
+use crate::f16::{round_to_f16, F16};
 
 /// Data precision of an accelerator datapath / DNN deployment.
 ///
@@ -174,11 +174,33 @@ impl ValueCodec {
     }
 
     /// Rounds a working value onto this precision's representable grid
-    /// ("fake quantization"). Identity for FP32.
+    /// ("fake quantization"), equal to `decode(encode(value))`. Identity for
+    /// FP32.
+    #[inline]
     pub fn quantize(&self, value: f32) -> f32 {
+        let mut v = [value];
+        self.quantize_slice(&mut v);
+        v[0]
+    }
+
+    /// [`ValueCodec::quantize`] applied to every element of `values` in
+    /// place, bit-identical to the scalar form. The precision is matched
+    /// once, outside the loop, so the FP16 loop (branch-free
+    /// [`round_to_f16`]) vectorizes. The engine routes every bulk quantize
+    /// through this pass.
+    pub fn quantize_slice(&self, values: &mut [f32]) {
         match self.precision {
-            Precision::Fp32 => value,
-            _ => self.decode(self.encode(value)),
+            Precision::Fp32 => {}
+            Precision::Fp16 => {
+                for v in values {
+                    *v = round_to_f16(*v);
+                }
+            }
+            Precision::Int16 | Precision::Int8 => {
+                for v in values {
+                    *v = self.quantize_int(*v) as f32 * self.scale;
+                }
+            }
         }
     }
 
@@ -242,6 +264,7 @@ pub fn calibrate_scale(precision: Precision, max_abs: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn int8_round_trip_on_grid() {
@@ -293,6 +316,48 @@ mod tests {
     fn nan_quantizes_to_zero_for_int() {
         let codec = ValueCodec::new(Precision::Int8, 0.5);
         assert_eq!(codec.quantize(f32::NAN), 0.0);
+    }
+
+    const SPECIAL: [f32; 9] = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE / 8.0,
+        -f32::MIN_POSITIVE / 3.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MAX,
+        f32::MIN,
+    ];
+
+    proptest! {
+        /// The slice pass is the per-element codec round trip on integer
+        /// grids, at random calibrated scales, over signed zeros,
+        /// subnormals, infinities, NaN and values far beyond ±qmax.
+        #[test]
+        fn int_quantize_slice_matches_codec_round_trip(
+            int16 in 0u8..2,
+            max_abs in 1e-3f32..1e4,
+            values in prop::collection::vec(
+                prop_oneof![
+                    (0..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+                    -2e4f32..2e4,
+                    (0u32..=u32::MAX).prop_map(f32::from_bits),
+                ],
+                0..64,
+            ),
+        ) {
+            let precision = if int16 == 1 { Precision::Int16 } else { Precision::Int8 };
+            let codec = ValueCodec::new(precision, calibrate_scale(precision, max_abs));
+            let want: Vec<u32> = values
+                .iter()
+                .map(|&v| codec.decode(codec.encode(v)).to_bits())
+                .collect();
+            let mut got = values.clone();
+            codec.quantize_slice(&mut got);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

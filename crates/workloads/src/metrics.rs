@@ -107,6 +107,13 @@ impl CorrectnessMetric for BleuThreshold {
     fn is_correct(&self, golden: &Tensor, observed: &Tensor) -> bool {
         let reference = decode_tokens(golden);
         let hypothesis = decode_tokens(observed);
+        // Identical decodes of length ≥ 4 score exactly 1: every n-gram
+        // precision is 1, ln 1 = 0, exp 0 = 1 and there is no brevity
+        // penalty. Shorter ones take the full path, where a missing n-gram
+        // order floors its precision.
+        if reference == hypothesis && reference.len() >= 4 {
+            return true;
+        }
         // Fault-free score is BLEU(ref, ref) = 1; the difference is 1 − BLEU.
         1.0 - bleu4(&reference, &hypothesis) <= self.threshold
     }
@@ -320,6 +327,47 @@ mod tests {
         let m20 = BleuThreshold::twenty_percent();
         if m10.is_correct(&golden, &bad) {
             assert!(m20.is_correct(&golden, &bad));
+        }
+    }
+
+    /// The identical-decode fast path in `BleuThreshold::is_correct` gives
+    /// the verdict of the full BLEU computation, on identical and random
+    /// decodes of every length from 0 to 12.
+    #[test]
+    fn bleu_fast_path_matches_full_verdict() {
+        let vocab = 3;
+        let logits = |tokens: &[usize]| {
+            let mut data = vec![0.0; tokens.len() * vocab];
+            for (t, &tok) in tokens.iter().enumerate() {
+                data[t * vocab + tok] = 1.0;
+            }
+            Tensor::from_vec(vec![tokens.len(), vocab], data).unwrap()
+        };
+        let mut rng = fidelity_dnn::init::SplitMix64::new(0xB1E0);
+        for metric in [
+            BleuThreshold::ten_percent(),
+            BleuThreshold::twenty_percent(),
+        ] {
+            for len in 0..=12 {
+                for _ in 0..50 {
+                    let reference: Vec<usize> = (0..len)
+                        .map(|_| rng.next_below(vocab as u64) as usize)
+                        .collect();
+                    let mut hypothesis = reference.clone();
+                    if len > 0 && rng.next_below(2) == 0 {
+                        let t = rng.next_below(len as u64) as usize;
+                        hypothesis[t] = rng.next_below(vocab as u64) as usize;
+                    }
+                    for hyp in [&reference, &hypothesis] {
+                        let full = 1.0 - bleu4(&reference, hyp) <= metric.threshold;
+                        assert_eq!(
+                            metric.is_correct(&logits(&reference), &logits(hyp)),
+                            full,
+                            "{reference:?} vs {hyp:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 
