@@ -1,10 +1,11 @@
 //! Criterion bench: whole-campaign throughput, fixed vs. adaptive sampling.
 //!
-//! Adaptive sampling (stop a cell once its 95% CI is tight) is the knob that
-//! turns "statistically significant number of samples" from a guess into a
-//! budget; this bench quantifies what it saves.
+//! Adaptive sampling (waves until the Eq.-2 FIT bound holds at ±ε) is the
+//! knob that turns "statistically significant number of samples" from a
+//! guess into a budget; this bench quantifies what it saves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fidelity_core::adaptive::AdaptivePlan;
 use fidelity_core::campaign::{run_campaign, CampaignSpec, MacTier};
 use fidelity_core::outcome::TopOneMatch;
 use fidelity_dnn::precision::Precision;
@@ -23,7 +24,6 @@ fn bench_campaign(c: &mut Criterion) {
         seed: 1,
         threads: 4,
         record_events: false,
-        target_ci_halfwidth: None,
         resilience: Default::default(),
         progress: None,
         batch: 0,
@@ -35,10 +35,10 @@ fn bench_campaign(c: &mut Criterion) {
     });
 
     let adaptive = CampaignSpec {
-        target_ci_halfwidth: Some(0.05),
+        adaptive: Some(AdaptivePlan::new(0.05)),
         ..fixed.clone()
     };
-    group.bench_function("adaptive_ci_0.05", |b| {
+    group.bench_function("adaptive_eps_0.05", |b| {
         b.iter(|| run_campaign(&engine, &trace, &accel, &TopOneMatch, &adaptive).expect("runs"));
     });
 

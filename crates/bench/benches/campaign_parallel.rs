@@ -23,7 +23,6 @@ fn bench_campaign_parallel(c: &mut Criterion) {
         seed: 1,
         threads,
         record_events: false,
-        target_ci_halfwidth: None,
         resilience: Default::default(),
         progress: None,
         batch: 0,

@@ -94,7 +94,6 @@ pub fn campaign_spec(seed: u64, record_events: bool) -> CampaignSpec {
         seed,
         threads: jobs(),
         record_events,
-        target_ci_halfwidth: None,
         resilience: Default::default(),
         progress: progress_requested().then(fidelity_obs::progress::ProgressSpec::default),
         batch: batch(),

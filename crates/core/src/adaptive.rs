@@ -33,11 +33,12 @@
 //! **Determinism and resume.** Each stratum owns the same SplitMix64 stream
 //! it would own in a fixed-count campaign (so the first k adaptive samples
 //! of a stratum are bit-identical to the fixed path's first k), and the
-//! stream's state is persisted after every wave in a `fidelity-ackpt v1`
-//! checkpoint. A killed campaign loses at most the wave in flight; resuming
-//! replays the allocator from the recorded tallies and continues the exact
-//! streams mid-way (via [`SplitMix64::state`]), producing byte-identical
-//! results and checkpoint files.
+//! stream's state is persisted in every row of the campaign's wave log
+//! ([`crate::resilience`]). A killed campaign loses at most the strata in
+//! flight; resuming replays the allocator from the recorded tallies (the
+//! quotas are a pure function of them) and continues the exact streams
+//! mid-way (via [`SplitMix64::state`]), producing byte-identical results
+//! and checkpoint files.
 //!
 //! **Certificate.** A finished campaign emits a [`ConfidenceCertificate`]:
 //! per-stratum n, p̂, CI half-width, FIT contribution ± bound, the total ε
@@ -46,7 +47,7 @@
 //! offline and cross-checks the stored totals bit-for-bit, which is what
 //! `fidelity statcheck --cert` runs.
 
-use std::io::{self, BufRead, Write};
+use std::io::BufRead;
 
 use fidelity_accel::arch::AcceleratorConfig;
 use fidelity_accel::ff::FfCategory;
@@ -58,8 +59,7 @@ use fidelity_obs::stats::{wilson, z_for_confidence};
 
 use crate::activeness::prob_inactive;
 use crate::fit::PAPER_RAW_FIT_PER_MB;
-use crate::models::SoftwareFaultModel;
-use crate::resilience::{cat_code, model_code, parse_cat, parse_model};
+use crate::resilience::{cat_code, fold_wave, parse_log, LogPlan, StratumMeta, StratumRow};
 
 /// Sampling floor laid by wave 0: every sampled stratum gets this many
 /// injections before any adaptive decision, so a lucky early streak cannot
@@ -129,60 +129,6 @@ impl AdaptivePlan {
                 self.confidence
             ))
         })
-    }
-}
-
-/// One stratum of the adaptive plan, as pinned in the checkpoint header.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StratumMeta {
-    /// Target node index.
-    pub node: usize,
-    /// FF category.
-    pub category: FfCategory,
-    /// Software fault model applied.
-    pub model: SoftwareFaultModel,
-    /// Eq.-2 identity weight `C_h` (at [`PAPER_RAW_FIT_PER_MB`]).
-    pub weight: f64,
-    /// Layer name (reporting only).
-    pub layer: String,
-}
-
-impl StratumMeta {
-    /// Whether the stratum is sampled at all (global control never is).
-    pub fn sampled(&self) -> bool {
-        self.category != FfCategory::GlobalControl
-    }
-}
-
-/// The running tally of one stratum, including its RNG stream position.
-#[derive(Debug, Clone)]
-pub(crate) struct StratumTally {
-    /// Injections run.
-    pub samples: usize,
-    /// Masked outcomes.
-    pub masked: usize,
-    /// Application output errors.
-    pub output_error: usize,
-    /// System anomalies.
-    pub anomaly: usize,
-    /// SplitMix64 state the stream continues from.
-    pub rng_state: u64,
-    /// A frozen stratum exhausted its retries; it keeps its last committed
-    /// tally and receives no further allocation.
-    pub frozen: bool,
-}
-
-impl StratumTally {
-    /// A fresh tally at the start of the stratum's derived RNG stream.
-    pub fn fresh(rng_state: u64) -> Self {
-        StratumTally {
-            samples: 0,
-            masked: 0,
-            output_error: 0,
-            anomaly: 0,
-            rng_state,
-            frozen: false,
-        }
     }
 }
 
@@ -347,395 +293,6 @@ pub(crate) fn allocate_neyman(
         .collect();
     out.sort_unstable_by_key(|&(s, _)| s);
     out
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint encoding (fidelity-ackpt v1)
-// ---------------------------------------------------------------------------
-
-/// Adaptive checkpoint magic + version line. Distinct from the fixed-count
-/// `fidelity-ckpt v1` format: the two record different state (cumulative
-/// wave tallies + RNG stream positions vs completed cells) and are not
-/// interchangeable.
-const ACKPT_HEADER: &str = "fidelity-ackpt v1";
-
-/// One stratum's cumulative tally as recorded at a wave boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct StratumRow {
-    /// Injections run so far (absolute, not per-wave).
-    pub samples: usize,
-    /// Masked outcomes so far.
-    pub masked: usize,
-    /// Application output errors so far.
-    pub output_error: usize,
-    /// System anomalies so far.
-    pub anomaly: usize,
-    /// SplitMix64 state the stream continues from.
-    pub rng_state: u64,
-}
-
-/// A stratum that exhausted its retries during a wave.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WaveFail {
-    /// Stratum index.
-    pub stratum: usize,
-    /// Attempts made (first run + retries).
-    pub attempts: usize,
-    /// Failure kind tag (`panic` or `error`).
-    pub kind: String,
-    /// Full failure message (newlines flattened to spaces).
-    pub message: String,
-}
-
-/// One committed wave: the cumulative tallies of every stratum that received
-/// allocation, plus any strata frozen by failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WaveBlock {
-    /// Wave index (0-based, contiguous).
-    pub index: usize,
-    /// `(stratum index, cumulative tally)` rows, sorted by stratum index.
-    pub rows: Vec<(usize, StratumRow)>,
-    /// Strata frozen during this wave, sorted by stratum index.
-    pub fails: Vec<WaveFail>,
-}
-
-/// The certificate totals pinned in the checkpoint footer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CertFooter {
-    /// Achieved total uncertainty bound (`Σ_h C_h · hw_h`), exact bits.
-    pub total_bound: f64,
-    /// Total injections across all strata.
-    pub total_injections: usize,
-    /// Waves run.
-    pub waves: usize,
-    /// Whether the bound met the plan's ε.
-    pub converged: bool,
-}
-
-/// A parsed `fidelity-ackpt v1` checkpoint.
-#[derive(Debug, Clone)]
-pub(crate) struct AdaptiveCheckpoint {
-    /// Campaign fingerprint the checkpoint was written for.
-    pub fingerprint: u64,
-    /// Plan identity, exact bits.
-    pub epsilon_bits: u64,
-    /// Confidence level, exact bits.
-    pub confidence_bits: u64,
-    /// Injection cap.
-    pub max_injections: usize,
-    /// Wave-0 floor the schedule was derived with.
-    pub floor: usize,
-    /// Stratum metadata in plan order (weights as exact bits).
-    pub strata: Vec<(StratumMeta, u64)>,
-    /// Committed waves, in order.
-    pub waves: Vec<WaveBlock>,
-    /// The certificate footer, present once the campaign finished.
-    pub footer: Option<CertFooter>,
-}
-
-/// Writes the checkpoint preamble: header, fingerprint, plan identity, and
-/// the stratum table.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub(crate) fn write_adaptive_header<W: Write>(
-    w: &mut W,
-    fingerprint: u64,
-    plan: &AdaptivePlan,
-    floor: usize,
-    strata: &[StratumMeta],
-) -> io::Result<()> {
-    writeln!(w, "{ACKPT_HEADER}")?;
-    writeln!(w, "fingerprint {fingerprint:016x}")?;
-    writeln!(
-        w,
-        "plan {:016x} {:016x} {} {} {}",
-        plan.epsilon.to_bits(),
-        plan.confidence.to_bits(),
-        plan.max_injections,
-        floor,
-        strata.len(),
-    )?;
-    for (idx, s) in strata.iter().enumerate() {
-        writeln!(
-            w,
-            "stratum {idx} {} {} {} {:016x} {}",
-            s.node,
-            cat_code(s.category),
-            model_code(&s.model),
-            s.weight.to_bits(),
-            s.layer,
-        )?;
-    }
-    Ok(())
-}
-
-/// Appends one committed wave block, terminated by its `wdone` marker. A
-/// block cut short by a kill lacks the marker and is dropped on parse.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub(crate) fn write_wave<W: Write>(w: &mut W, wave: &WaveBlock) -> io::Result<()> {
-    writeln!(w, "wave {}", wave.index)?;
-    for (idx, row) in &wave.rows {
-        writeln!(
-            w,
-            "w {idx} {} {} {} {} {:016x}",
-            row.samples, row.masked, row.output_error, row.anomaly, row.rng_state,
-        )?;
-    }
-    for f in &wave.fails {
-        writeln!(
-            w,
-            "wfail {} {} {} {}",
-            f.stratum,
-            f.attempts,
-            f.kind,
-            f.message.replace('\n', " "),
-        )?;
-    }
-    writeln!(w, "wdone {}", wave.index)
-}
-
-/// Appends the certificate footer, terminated by its `done cert` marker.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub(crate) fn write_cert_footer<W: Write>(w: &mut W, footer: &CertFooter) -> io::Result<()> {
-    writeln!(
-        w,
-        "cert {:016x} {} {} {}",
-        footer.total_bound.to_bits(),
-        footer.total_injections,
-        footer.waves,
-        u8::from(footer.converged),
-    )?;
-    writeln!(w, "done cert")
-}
-
-/// A heuristic for the final, torn line of a killed writer: any prefix of a
-/// valid record keyword. Full garbage elsewhere in the file still errors.
-fn line_is_torn_tail(line: &str) -> bool {
-    [
-        "plan", "stratum", "wave", "w", "wfail", "wdone", "cert", "done",
-    ]
-    .iter()
-    .any(|kw| kw.starts_with(line.split_whitespace().next().unwrap_or("")))
-}
-
-/// Parses a `fidelity-ackpt v1` checkpoint, keeping only wave blocks whose
-/// `wdone` marker made it to disk (a torn tail from a killed process is
-/// silently dropped — the campaign simply re-runs the lost wave).
-///
-/// # Errors
-///
-/// Returns [`DnnError::Campaign`] on I/O errors, a bad header, or a
-/// structurally malformed record (corruption rather than a torn tail).
-pub(crate) fn parse_adaptive_checkpoint<R: BufRead>(r: R) -> Result<AdaptiveCheckpoint, DnnError> {
-    let corrupt = |what: &str| DnnError::Campaign {
-        message: format!("corrupt adaptive checkpoint: {what}"),
-    };
-    let mut lines = r.lines();
-    let mut next_line = || -> Result<Option<String>, DnnError> {
-        lines
-            .next()
-            .transpose()
-            .map_err(|e| corrupt(&format!("read failed: {e}")))
-    };
-    let header = next_line()?.ok_or_else(|| corrupt("empty file"))?;
-    if header != ACKPT_HEADER {
-        return Err(corrupt(&format!("bad header `{header}`")));
-    }
-    let fp_line = next_line()?.ok_or_else(|| corrupt("missing fingerprint"))?;
-    let fingerprint = fp_line
-        .strip_prefix("fingerprint ")
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| corrupt(&format!("bad fingerprint line `{fp_line}`")))?;
-    let plan_line = next_line()?.ok_or_else(|| corrupt("missing plan line"))?;
-    let (epsilon_bits, confidence_bits, max_injections, floor, nstrata) = plan_line
-        .strip_prefix("plan ")
-        .and_then(|rest| {
-            let mut it = rest.split(' ');
-            let eps = u64::from_str_radix(it.next()?, 16).ok()?;
-            let conf = u64::from_str_radix(it.next()?, 16).ok()?;
-            let max: usize = it.next()?.parse().ok()?;
-            let floor: usize = it.next()?.parse().ok()?;
-            let n: usize = it.next()?.parse().ok()?;
-            it.next().is_none().then_some((eps, conf, max, floor, n))
-        })
-        .ok_or_else(|| corrupt(&format!("bad plan line `{plan_line}`")))?;
-
-    let mut strata = Vec::with_capacity(nstrata.min(4096));
-    for expect in 0..nstrata {
-        let line = next_line()?.ok_or_else(|| corrupt("truncated stratum table"))?;
-        let parsed = line.strip_prefix("stratum ").and_then(|rest| {
-            // stratum <idx> <node> <cat> <model> <weight_bits> <layer...>
-            let mut it = rest.splitn(6, ' ');
-            let idx: usize = it.next()?.parse().ok()?;
-            let node: usize = it.next()?.parse().ok()?;
-            let category = parse_cat(it.next()?)?;
-            let model = parse_model(it.next()?)?;
-            let weight_bits = u64::from_str_radix(it.next()?, 16).ok()?;
-            let layer = it.next()?.to_owned();
-            Some((idx, node, category, model, weight_bits, layer))
-        });
-        let Some((idx, node, category, model, weight_bits, layer)) = parsed else {
-            return Err(corrupt(&format!("bad stratum line `{line}`")));
-        };
-        if idx != expect {
-            return Err(corrupt(&format!(
-                "stratum table out of order (index {idx}, expected {expect})"
-            )));
-        }
-        strata.push((
-            StratumMeta {
-                node,
-                category,
-                model,
-                weight: f64::from_bits(weight_bits),
-                layer,
-            },
-            weight_bits,
-        ));
-    }
-
-    let mut waves: Vec<WaveBlock> = Vec::new();
-    let mut pending: Option<WaveBlock> = None;
-    let mut pending_footer: Option<CertFooter> = None;
-    let mut footer = None;
-    while let Some(line) = next_line().unwrap_or(None) {
-        if let Some(rest) = line.strip_prefix("wave ") {
-            // A new wave while one is pending means the previous block never
-            // completed; a kill can only tear the *last* block, so anything
-            // after a torn block is corruption.
-            if pending.is_some() {
-                return Err(corrupt(&format!(
-                    "wave block without wdone before `{line}`"
-                )));
-            }
-            let Some(index) = rest.trim().parse::<usize>().ok() else {
-                if line_is_torn_tail(&line) {
-                    break;
-                }
-                return Err(corrupt(&format!("bad wave line `{line}`")));
-            };
-            if index != waves.len() {
-                return Err(corrupt(&format!(
-                    "wave {index} out of order (expected {})",
-                    waves.len()
-                )));
-            }
-            pending = Some(WaveBlock {
-                index,
-                rows: Vec::new(),
-                fails: Vec::new(),
-            });
-        } else if let Some(rest) = line.strip_prefix("wfail ") {
-            let parsed = (|| {
-                let mut it = rest.splitn(4, ' ');
-                let stratum: usize = it.next()?.parse().ok()?;
-                let attempts: usize = it.next()?.parse().ok()?;
-                let kind = it.next()?.to_owned();
-                let message = it.next().unwrap_or("").to_owned();
-                Some(WaveFail {
-                    stratum,
-                    attempts,
-                    kind,
-                    message,
-                })
-            })();
-            match (pending.as_mut(), parsed) {
-                (Some(block), Some(f)) => block.fails.push(f),
-                // Torn mid-block, or a stray row whose `wave` header was
-                // lost: drop the open block (if any) and stop.
-                (Some(_), None) | (None, _) => break,
-            }
-        } else if let Some(rest) = line.strip_prefix("wdone ") {
-            match pending.take() {
-                Some(block) if rest.trim().parse::<usize>().ok() == Some(block.index) => {
-                    waves.push(block);
-                }
-                // Mismatched marker: drop the block (torn), stop.
-                _ => break,
-            }
-        } else if let Some(rest) = line.strip_prefix("w ") {
-            let parsed = (|| {
-                let mut it = rest.split(' ');
-                let idx: usize = it.next()?.parse().ok()?;
-                let samples: usize = it.next()?.parse().ok()?;
-                let masked: usize = it.next()?.parse().ok()?;
-                let output_error: usize = it.next()?.parse().ok()?;
-                let anomaly: usize = it.next()?.parse().ok()?;
-                let rng_state = u64::from_str_radix(it.next()?, 16).ok()?;
-                it.next().is_none().then_some((
-                    idx,
-                    StratumRow {
-                        samples,
-                        masked,
-                        output_error,
-                        anomaly,
-                        rng_state,
-                    },
-                ))
-            })();
-            match (pending.as_mut(), parsed) {
-                (Some(block), Some((idx, row))) => block.rows.push((idx, row)),
-                // Torn mid-block, or a stray row whose `wave` header was
-                // lost: drop the open block (if any) and stop.
-                (Some(_), None) | (None, _) => break,
-            }
-        } else if let Some(rest) = line.strip_prefix("cert ") {
-            if pending.is_some() {
-                return Err(corrupt("cert line inside an open wave block"));
-            }
-            pending_footer = rest
-                .split(' ')
-                .collect::<Vec<_>>()
-                .as_slice()
-                .try_into()
-                .ok()
-                .and_then(|[b, inj, wv, conv]: [&str; 4]| {
-                    Some(CertFooter {
-                        total_bound: f64::from_bits(u64::from_str_radix(b, 16).ok()?),
-                        total_injections: inj.parse().ok()?,
-                        waves: wv.parse().ok()?,
-                        converged: match conv {
-                            "0" => false,
-                            "1" => true,
-                            _ => return None,
-                        },
-                    })
-                });
-            if pending_footer.is_none() {
-                if line_is_torn_tail(&line) {
-                    break;
-                }
-                return Err(corrupt(&format!("bad cert line `{line}`")));
-            }
-        } else if line == "done cert" {
-            footer = pending_footer.take();
-        } else if line.trim().is_empty() {
-            // Blank line: ignore.
-        } else if line_is_torn_tail(&line) {
-            break;
-        } else {
-            return Err(corrupt(&format!("unrecognized line `{line}`")));
-        }
-    }
-
-    Ok(AdaptiveCheckpoint {
-        fingerprint,
-        epsilon_bits,
-        confidence_bits,
-        max_injections,
-        floor,
-        strata,
-        waves,
-        footer,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -942,98 +499,35 @@ pub(crate) fn build_certificate(
 /// Returns [`DnnError::Campaign`] describing the first violated invariant,
 /// or a parse error for a structurally corrupt file.
 pub fn verify_checkpoint<R: BufRead>(r: R) -> Result<ConfidenceCertificate, DnnError> {
-    let ckpt = parse_adaptive_checkpoint(r)?;
     let fail = |message: String| DnnError::Campaign {
         message: format!("certificate verification failed: {message}"),
     };
-    let plan = AdaptivePlan {
-        epsilon: f64::from_bits(ckpt.epsilon_bits),
-        confidence: f64::from_bits(ckpt.confidence_bits),
-        max_injections: ckpt.max_injections,
+    let log = parse_log(r)?.ok_or_else(|| fail("checkpoint ends inside its header".into()))?;
+    let LogPlan::Adaptive { plan, .. } = &log.plan else {
+        return Err(fail(
+            "checkpoint was written by a fixed-count plan, which carries no certificate".into(),
+        ));
     };
     let z = plan.validated_z().map_err(|e| fail(e.to_string()))?;
-    let footer = ckpt
+    let footer = log
         .footer
         .ok_or_else(|| fail("checkpoint has no certificate footer (campaign unfinished)".into()))?;
 
-    // Replay the wave blocks, checking monotonicity and freeze discipline.
-    let n = ckpt.strata.len();
-    let mut tallies: Vec<(usize, usize)> = vec![(0, 0); n]; // (samples, masked)
-    let mut outcome_sum: Vec<(usize, usize)> = vec![(0, 0); n]; // (output_error, anomaly)
+    // Replay the wave blocks under the invariants resume also enforces.
+    let n = log.strata.len();
+    let mut rows = vec![StratumRow::default(); n];
     let mut frozen = vec![false; n];
-    for block in &ckpt.waves {
-        let mut prev_idx = None;
-        for (idx, row) in &block.rows {
-            if *idx >= n {
-                return Err(fail(format!(
-                    "wave {}: stratum {idx} out of range",
-                    block.index
-                )));
-            }
-            if prev_idx.is_some_and(|p| p >= *idx) {
-                return Err(fail(format!(
-                    "wave {}: rows not in stratum order",
-                    block.index
-                )));
-            }
-            prev_idx = Some(*idx);
-            let meta = &ckpt.strata[*idx].0;
-            if !meta.sampled() {
-                return Err(fail(format!(
-                    "wave {}: unsampled (global-control) stratum {idx} was allocated",
-                    block.index
-                )));
-            }
-            if frozen[*idx] {
-                return Err(fail(format!(
-                    "wave {}: frozen stratum {idx} was re-allocated",
-                    block.index
-                )));
-            }
-            if row.masked + row.output_error + row.anomaly != row.samples {
-                return Err(fail(format!(
-                    "wave {}: stratum {idx} outcomes do not sum to its samples",
-                    block.index
-                )));
-            }
-            let (prev_samples, prev_masked) = tallies[*idx];
-            if row.samples <= prev_samples && !(row.samples == 0 && prev_samples == 0) {
-                return Err(fail(format!(
-                    "wave {}: stratum {idx} samples not increasing ({prev_samples} -> {})",
-                    block.index, row.samples
-                )));
-            }
-            if row.masked < prev_masked {
-                return Err(fail(format!(
-                    "wave {}: stratum {idx} masked count decreased",
-                    block.index
-                )));
-            }
-            tallies[*idx] = (row.samples, row.masked);
-            outcome_sum[*idx] = (row.output_error, row.anomaly);
-        }
-        for f in &block.fails {
-            if f.stratum >= n {
-                return Err(fail(format!(
-                    "wave {}: failed stratum {} out of range",
-                    block.index, f.stratum
-                )));
-            }
-            frozen[f.stratum] = true;
-        }
+    for block in &log.waves {
+        fold_wave(block, &log.plan, &log.strata, &mut rows, &mut frozen).map_err(fail)?;
     }
-
+    let tallies: Vec<(usize, usize)> = rows.iter().map(|r| (r.samples, r.masked)).collect();
     let cert = build_certificate(
-        ckpt.fingerprint,
-        &plan,
+        log.fingerprint,
+        plan,
         z,
-        &ckpt
-            .strata
-            .iter()
-            .map(|(m, _)| m.clone())
-            .collect::<Vec<_>>(),
+        &log.strata,
         &tallies,
-        ckpt.waves.len(),
+        log.waves.len(),
     );
     if cert.total_bound.to_bits() != footer.total_bound.to_bits() {
         return Err(fail(format!(
@@ -1047,10 +541,10 @@ pub fn verify_checkpoint<R: BufRead>(r: R) -> Result<ConfidenceCertificate, DnnE
             cert.total_injections, footer.total_injections
         )));
     }
-    if ckpt.waves.len() != footer.waves {
+    if log.waves.len() != footer.waves {
         return Err(fail(format!(
             "checkpoint has {} waves but footer claims {}",
-            ckpt.waves.len(),
+            log.waves.len(),
             footer.waves
         )));
     }
@@ -1084,7 +578,18 @@ pub fn verify_checkpoint_file(path: &std::path::Path) -> Result<ConfidenceCertif
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::SoftwareFaultModel;
+    use crate::resilience::{
+        write_cert_footer, write_header, write_wave, CertFooter, FailureReason, WaveBlock, WaveFail,
+    };
     use fidelity_accel::ff::{PipelineStage, VarType};
+
+    fn adaptive(plan: &AdaptivePlan) -> LogPlan {
+        LogPlan::Adaptive {
+            plan: plan.clone(),
+            floor: WAVE_FLOOR,
+        }
+    }
 
     fn meta(node: usize, category: FfCategory, weight: f64) -> StratumMeta {
         StratumMeta {
@@ -1162,7 +667,7 @@ mod tests {
         let plan = AdaptivePlan::new(0.005);
         let strata = vec![meta(0, dp(), 1.5), meta(0, FfCategory::GlobalControl, 0.25)];
         let mut buf = Vec::new();
-        write_adaptive_header(&mut buf, 0xABCD, &plan, WAVE_FLOOR, &strata).unwrap();
+        write_header(&mut buf, 0xABCD, &adaptive(&plan), &strata).unwrap();
         let wave = WaveBlock {
             index: 0,
             rows: vec![(
@@ -1173,13 +678,13 @@ mod tests {
                     output_error: 2,
                     anomaly: 0,
                     rng_state: 0xDEAD_BEEF,
+                    ..StratumRow::default()
                 },
             )],
             fails: vec![WaveFail {
                 stratum: 0,
                 attempts: 2,
-                kind: "panic".into(),
-                message: "chaos: deliberate panic".into(),
+                reason: FailureReason::Panic("chaos: deliberate panic".into()),
             }],
         };
         write_wave(&mut buf, &wave).unwrap();
@@ -1190,14 +695,10 @@ mod tests {
             converged: false,
         };
         write_cert_footer(&mut buf, &footer).unwrap();
-        let parsed = parse_adaptive_checkpoint(&buf[..]).unwrap();
+        let parsed = parse_log(&buf[..]).unwrap().unwrap();
         assert_eq!(parsed.fingerprint, 0xABCD);
-        assert_eq!(parsed.epsilon_bits, plan.epsilon.to_bits());
-        assert_eq!(parsed.confidence_bits, plan.confidence.to_bits());
-        assert_eq!(parsed.max_injections, plan.max_injections);
-        assert_eq!(parsed.floor, WAVE_FLOOR);
-        assert_eq!(parsed.strata.len(), 2);
-        assert_eq!(parsed.strata[0].0, strata[0]);
+        assert_eq!(parsed.plan, adaptive(&plan));
+        assert_eq!(parsed.strata, strata);
         assert_eq!(parsed.waves.len(), 1);
         assert_eq!(parsed.waves[0], wave);
         assert_eq!(parsed.footer, Some(footer));
@@ -1208,13 +709,14 @@ mod tests {
         let plan = AdaptivePlan::new(0.01);
         let strata = vec![meta(0, dp(), 1.0)];
         let mut buf = Vec::new();
-        write_adaptive_header(&mut buf, 1, &plan, WAVE_FLOOR, &strata).unwrap();
+        write_header(&mut buf, 1, &adaptive(&plan), &strata).unwrap();
         let row = StratumRow {
             samples: 32,
             masked: 16,
             output_error: 16,
             anomaly: 0,
             rng_state: 7,
+            ..StratumRow::default()
         };
         write_wave(
             &mut buf,
@@ -1229,14 +731,19 @@ mod tests {
         // Kill mid-write of a second wave: header + partial tally row.
         for torn_tail in ["wave 1\n", "wave 1\nw 0 64 3", "wav", "w 0 64 32 3"] {
             let torn = format!("{full}{torn_tail}");
-            let parsed = parse_adaptive_checkpoint(torn.as_bytes()).unwrap();
+            let parsed = parse_log(torn.as_bytes()).unwrap().unwrap();
             assert_eq!(parsed.waves.len(), 1, "tail {torn_tail:?}");
             assert_eq!(parsed.waves[0].rows[0].1, row);
             assert!(parsed.footer.is_none());
+            // The torn row is dropped; the wave it opened stays open.
+            assert!(
+                parsed.open.is_none_or(|b| b.rows.is_empty()),
+                "tail {torn_tail:?}"
+            );
         }
         // Genuine garbage still errors.
         let garbage = format!("{full}lorem ipsum\n");
-        assert!(parse_adaptive_checkpoint(garbage.as_bytes()).is_err());
+        assert!(parse_log(garbage.as_bytes()).is_err());
     }
 
     #[test]
@@ -1248,7 +755,7 @@ mod tests {
         let cert = build_certificate(9, &plan, z, &strata, &tallies, 1);
         assert!(cert.converged);
         let mut buf = Vec::new();
-        write_adaptive_header(&mut buf, 9, &plan, WAVE_FLOOR, &strata).unwrap();
+        write_header(&mut buf, 9, &adaptive(&plan), &strata).unwrap();
         write_wave(
             &mut buf,
             &WaveBlock {
@@ -1261,6 +768,7 @@ mod tests {
                         output_error: 10,
                         anomaly: 0,
                         rng_state: 1,
+                        ..StratumRow::default()
                     },
                 )],
                 fails: vec![],
@@ -1312,13 +820,14 @@ mod tests {
         let plan = AdaptivePlan::new(0.001);
         let strata = vec![meta(0, dp(), 2.0), meta(0, FfCategory::GlobalControl, 0.5)];
         let mut buf = Vec::new();
-        write_adaptive_header(&mut buf, 9, &plan, WAVE_FLOOR, &strata).unwrap();
+        write_header(&mut buf, 9, &adaptive(&plan), &strata).unwrap();
         let row = |samples, masked| StratumRow {
             samples,
             masked,
             output_error: samples - masked,
             anomaly: 0,
             rng_state: 1,
+            ..StratumRow::default()
         };
         // Global-control stratum allocated: invalid.
         let mut bad = buf.clone();
@@ -1354,8 +863,7 @@ mod tests {
                 fails: vec![WaveFail {
                     stratum: 0,
                     attempts: 2,
-                    kind: "panic".into(),
-                    message: "boom".into(),
+                    reason: FailureReason::Panic("boom".into()),
                 }],
             },
         )

@@ -255,7 +255,6 @@ mod tests {
             seed: 9,
             threads: 2,
             record_events: false,
-            target_ci_halfwidth: None,
             resilience: Default::default(),
             progress: None,
             batch: 0,
@@ -311,7 +310,6 @@ mod tests {
             seed: 5,
             threads: 2,
             record_events: false,
-            target_ci_halfwidth: None,
             resilience: Default::default(),
             progress: None,
             batch: 0,

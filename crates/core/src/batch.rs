@@ -12,17 +12,17 @@
 //! offsets are patched, only the dirty regions of downstream tensors are
 //! recomputed, and the snapshot is repaired bit-exactly afterwards.
 //!
-//! [`BatchedInjectionRunner`] is the serial entry point for that policy.
-//! It groups injection requests by their trace's *golden key* (a
+//! [`BatchedInjectionRunner`] is the one implementation of that policy: every
+//! campaign worker evaluates its injections through one (the cadence is
+//! [`crate::campaign::CampaignSpec::batch`]), and so do callers that drive
+//! injections directly — differential test sweeps, validation harnesses,
+//! custom samplers. It keys the snapshot by the trace's *golden key* (a
 //! process-local fingerprint of the baseline tensors, see
 //! [`fidelity_dnn::graph::golden_key`]), pays one snapshot installation per
 //! group switch, and re-ensures the snapshot on a configurable cadence so a
 //! panic that lost the loaned overlay degrades to at most `batch - 1` dense
-//! fallback resumes. Campaigns get the same policy internally via
-//! [`crate::campaign::CampaignSpec::batch`]; this type exists for callers
-//! that drive injections directly — differential test sweeps, validation
-//! harnesses, custom samplers — and for observing the batching machinery
-//! (group switches, delta hits, dense fallbacks) in tests.
+//! fallback resumes. Its counters expose the batching machinery (group
+//! switches, delta hits, dense fallbacks) to tests.
 //!
 //! Determinism contract: batching is pure evaluation policy. The runner
 //! never touches the caller's RNG, and the delta path produces bit-identical
@@ -127,36 +127,6 @@ impl BatchedInjectionRunner {
         self.stats
     }
 
-    /// The configured re-ensure cadence.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Orders request indices so that requests sharing a golden key run
-    /// back to back, preserving first-appearance order of groups and the
-    /// caller's order within each group. Use this to schedule cells from
-    /// several (network, input) pairs with one snapshot install per group
-    /// instead of one per alternation.
-    pub fn group_order(traces: &[&Trace]) -> Vec<usize> {
-        let keys: Vec<u64> = traces.iter().map(|t| golden_key(t)).collect();
-        let mut seen: Vec<u64> = Vec::new();
-        for &k in &keys {
-            if !seen.contains(&k) {
-                seen.push(k);
-            }
-        }
-        let mut order = Vec::with_capacity(traces.len());
-        for &group in &seen {
-            order.extend(
-                keys.iter()
-                    .enumerate()
-                    .filter(|&(_, &k)| k == group)
-                    .map(|(i, _)| i),
-            );
-        }
-        order
-    }
-
     /// Runs one injection, installing or re-ensuring the golden snapshot for
     /// `trace`'s group as needed. Outcomes, RNG consumption, and statistics
     /// are bit-identical to [`inject_once_pooled`] on a fresh workspace.
@@ -176,8 +146,27 @@ impl BatchedInjectionRunner {
         rng: &mut SplitMix64,
         deadline: Option<Instant>,
     ) -> Result<Injection, DnnError> {
-        if self.batch > 0 {
-            let key = golden_key(trace);
+        let key = (self.batch > 0).then(|| golden_key(trace));
+        self.run_keyed(key, engine, trace, node, model, metric, rng, deadline)
+    }
+
+    /// [`BatchedInjectionRunner::run`] with `trace`'s golden key (`None`
+    /// when batching is off) supplied by a caller that holds one trace for
+    /// many injections: hashing the trace costs 0.3–0.8 µs, a few percent
+    /// of an injection.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_keyed(
+        &mut self,
+        key: Option<u64>,
+        engine: &Engine,
+        trace: &Trace,
+        node: usize,
+        model: SoftwareFaultModel,
+        metric: &dyn CorrectnessMetric,
+        rng: &mut SplitMix64,
+        deadline: Option<Instant>,
+    ) -> Result<Injection, DnnError> {
+        if let Some(key) = key {
             if self.current != Some(key) {
                 self.ws.install_golden(key, &trace.node_outputs);
                 self.current = Some(key);
@@ -207,14 +196,6 @@ impl BatchedInjectionRunner {
             deadline,
             &mut self.ws,
         )
-    }
-
-    /// Drops the installed snapshot and recycles its buffers. The next `run`
-    /// reinstalls for whatever group it sees.
-    pub fn flush(&mut self) {
-        self.ws.flush_golden();
-        self.current = None;
-        self.in_group = 0;
     }
 }
 
@@ -304,18 +285,6 @@ mod tests {
         let stats = runner.stats();
         assert!(stats.groups >= 2, "two traces → at least two groups");
         assert_eq!(stats.delta_eligible, stats.injections);
-    }
-
-    /// `group_order` brings same-key requests together while preserving
-    /// first-appearance and intra-group order.
-    #[test]
-    fn group_order_clusters_by_golden_key() {
-        let (engine, a) = tiny(5);
-        let b = engine
-            .trace(&[uniform_tensor(77, vec![1, 2, 6, 6], 1.0)])
-            .unwrap();
-        let order = BatchedInjectionRunner::group_order(&[&a, &b, &a, &b, &a]);
-        assert_eq!(order, vec![0, 2, 4, 1, 3]);
     }
 
     /// `batch == 0` disables the snapshot entirely: every injection takes

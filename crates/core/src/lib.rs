@@ -66,9 +66,7 @@ pub(crate) mod rtl_addr {
 pub use adaptive::{AdaptivePlan, ConfidenceCertificate, StratumCert};
 pub use analysis::{analyze, ResilienceAnalysis};
 pub use batch::{BatchStats, BatchedInjectionRunner};
-pub use campaign::{
-    run_campaign, CampaignResult, CampaignRunner, CampaignSpec, MacTier, ParallelCampaignRunner,
-};
+pub use campaign::{run_campaign, CampaignResult, CampaignRunner, CampaignSpec, MacTier};
 pub use fit::{accelerator_fit_rate, FitBreakdown, PAPER_RAW_FIT_PER_MB};
 pub use models::{model_for, SoftwareFaultModel};
 pub use outcome::{CorrectnessMetric, Outcome, TopOneMatch};

@@ -4,7 +4,9 @@
 //! this module renders them consistently (fixed-width columns, Wilson 95%
 //! CIs on masking probabilities).
 
-use crate::campaign::{wilson_interval, CampaignResult};
+use fidelity_obs::stats::wilson95;
+
+use crate::campaign::CampaignResult;
 use crate::fit::FitBreakdown;
 use crate::validate::ValidationReport;
 
@@ -47,7 +49,7 @@ pub fn campaign_table(result: &CampaignResult) -> String {
         "layer", "category", "samples", "masked", "Prob_SWmask (95% CI)"
     ));
     for cell in &result.cells {
-        let (lo, hi) = wilson_interval(cell.masked, cell.samples.max(1));
+        let (lo, hi) = wilson95(cell.masked, cell.samples.max(1));
         out.push_str(&format!(
             "{:<24} {:<34} {:>8} {:>8}   {:.3} ({:.3}-{:.3})\n",
             cell.layer,

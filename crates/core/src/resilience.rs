@@ -7,33 +7,54 @@
 //! done. [`ResilienceSpec`] configures three independent defense layers that
 //! [`crate::campaign::CampaignRunner`] enforces:
 //!
-//! * **Panic isolation** — every cell runs under `catch_unwind` with bounded
-//!   retries; an unrecoverable cell degrades to its partial [`CellStats`]
-//!   (fewer samples → a wider Wilson interval) and is reported as a
-//!   [`CellFailure`] instead of aborting the campaign, until the campaign's
-//!   failure budget is exhausted.
+//! * **Panic isolation** — every stratum's wave task runs under
+//!   `catch_unwind` with bounded retries; an unrecoverable stratum freezes,
+//!   reports its partial [`CellStats`] (fewer samples → a wider Wilson
+//!   interval) and a [`CellFailure`] instead of aborting the campaign, until
+//!   the campaign's failure budget is exhausted.
 //! * **Per-injection watchdog** — a wall-clock deadline on each injection;
 //!   overruns classify as [`crate::outcome::Outcome::SystemAnomaly`], the
 //!   same verdict the hardware watchdog would deliver.
-//! * **Checkpoint/resume** — completed cells are persisted to a line-oriented
-//!   checkpoint file; a restarted campaign replays only the missing cells.
-//!   Because every cell owns a deterministic RNG stream, a resumed campaign
-//!   is bit-identical to an uninterrupted one.
+//! * **Checkpoint/resume** — every campaign, fixed-count or adaptive, writes
+//!   one format: the `fidelity-ackpt v1` wave log. A wave's rows commit per
+//!   stratum, in stratum order; a restarted campaign replays the closed
+//!   waves, keeps the rows of the wave in flight, and reruns only the
+//!   strata without one. Every row carries its stratum's RNG stream
+//!   position, so a resumed campaign is bit-identical to an uninterrupted
+//!   one.
 //!
-//! The checkpoint format is hand-rolled (one record per line, `done <idx>`
-//! completeness markers, f32 fields as exact bit patterns) so torn writes
-//! from a killed process are detected and discarded on resume.
+//! The log is hand-rolled and line-oriented (floats as exact bit patterns,
+//! fixed-width RNG states, `wdone` and `done cert` markers), so the torn
+//! tail a killed process leaves is detected and dropped on resume, while
+//! corruption anywhere else is a named error.
+//!
+//! ```text
+//! fidelity-ackpt v1
+//! fingerprint <hex>
+//! plan fixed <samples_per_cell> <strata>              (fixed-count plan)
+//! plan <ε> <confidence> <max> <floor> <strata>        (adaptive plan, bits)
+//! stratum <idx> <node> <cat> <model> <weight bits> <layer>
+//! wave <k>
+//! ev <faulty> <perturbation bits> <outcome>           (recorded events)
+//! w <idx> <samples> <masked> <output_error> <anomaly> <rng state>
+//! wfail <idx> <attempts> <kind> <message>
+//! wdone <k>
+//! cert <bound bits> <injections> <waves> <converged>  (adaptive, finished)
+//! done cert
+//! ```
 
-use std::io::{self, BufRead, Write};
-use std::path::PathBuf;
+use std::io::{self, BufRead, Read, Write};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use fidelity_accel::ff::{FfCategory, PipelineStage, VarType};
 use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::macspec::OperandKind;
 use fidelity_dnn::DnnError;
+use fidelity_obs::fnv::Fnv64;
 use fidelity_par::CancelToken;
 
+use crate::adaptive::AdaptivePlan;
 use crate::campaign::{CampaignSpec, CellStats, InjectionEvent};
 use crate::models::{OperandWindow, SoftwareFaultModel};
 use crate::outcome::Outcome;
@@ -47,9 +68,9 @@ pub struct ResilienceSpec {
     /// bit — reproducible, since classification depends on host timing.
     /// `None` (the default) disables the watchdog.
     pub injection_deadline: Option<Duration>,
-    /// Retries after a cell's first failed attempt. A retried cell restarts
-    /// its RNG stream from scratch, so a successful retry is bit-identical
-    /// to a run that never failed.
+    /// Retries after a stratum's first failed attempt in a wave. A retry
+    /// restarts from the stratum's committed tally and RNG position, so a
+    /// successful retry is bit-identical to a run that never failed.
     pub max_retries_per_cell: usize,
     /// Wait schedule between retry attempts. See [`RetryBackoff`]; the
     /// default backs off exponentially with seeded jitter. Use
@@ -61,8 +82,8 @@ pub struct ResilienceSpec {
     pub failure_budget: usize,
     /// Checkpoint persistence; `None` disables it.
     pub checkpoint: Option<CheckpointSpec>,
-    /// Cooperative cancellation. When the token fires, queued cells are
-    /// skipped, cells mid-flight run to completion and commit to the
+    /// Cooperative cancellation. When the token fires, queued strata are
+    /// skipped, strata mid-flight run to completion and commit to the
     /// checkpoint, and the campaign returns a "cancelled" error — leaving a
     /// resumable checkpoint behind. `None` (the default) disables it.
     pub cancel: Option<CancelToken>,
@@ -86,26 +107,24 @@ impl Default for ResilienceSpec {
     }
 }
 
-/// Where and how often a campaign persists completed cells.
+/// Where a campaign persists its wave log. Every committed row is flushed
+/// to disk before the next one is written.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Checkpoint file path (conventionally `results/<campaign>.ckpt`).
     pub path: PathBuf,
-    /// Flush to disk every N completed cells (min 1).
-    pub interval_cells: usize,
     /// When set, an existing compatible checkpoint at `path` is loaded
-    /// before running and only missing cells are executed. A missing file
+    /// before running and only the missing work is executed. A missing file
     /// starts fresh; a checkpoint written for a different campaign
     /// (fingerprint mismatch) is an error.
     pub resume: bool,
 }
 
 impl CheckpointSpec {
-    /// A write-only checkpoint at `path`, flushed after every cell.
+    /// A write-only checkpoint at `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
         CheckpointSpec {
             path: path.into(),
-            interval_cells: 1,
             resume: false,
         }
     }
@@ -226,12 +245,22 @@ pub enum ChaosMode {
 }
 
 /// Why a cell failed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailureReason {
     /// The injection code panicked; the payload rendered as text.
     Panic(String),
     /// The injection returned an error.
     Error(String),
+}
+
+impl FailureReason {
+    /// Short tag for trace events and the checkpoint (`panic` or `error`).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            FailureReason::Panic(_) => "panic",
+            FailureReason::Error(_) => "error",
+        }
+    }
 }
 
 impl std::fmt::Display for FailureReason {
@@ -262,11 +291,25 @@ pub struct CellFailure {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint encoding
+// Checkpoint encoding: the wave log
 // ---------------------------------------------------------------------------
 
-/// Checkpoint format magic + version line.
-const HEADER: &str = "fidelity-ckpt v1";
+/// Magic + version line of the wave log.
+const HEADER: &str = "fidelity-ackpt v1";
+
+/// Header of the retired per-cell format. Its files are rejected by name:
+/// they record neither RNG stream positions nor wave structure, so nothing
+/// in them can be resumed.
+const RETIRED_HEADER: &str = "fidelity-ckpt v1";
+
+/// Whether the file at `path` is a checkpoint in the retired per-cell
+/// format. A missing or unreadable file is not.
+pub fn is_retired_checkpoint(path: &Path) -> bool {
+    let mut head = Vec::new();
+    let limit = RETIRED_HEADER.len() as u64 + 1;
+    let read = std::fs::File::open(path).and_then(|f| f.take(limit).read_to_end(&mut head));
+    read.is_ok() && head.strip_suffix(b"\n") == Some(RETIRED_HEADER.as_bytes())
+}
 
 /// FNV-1a over the campaign identity: everything that determines the cell
 /// plan and each cell's RNG stream. Two specs with the same fingerprint
@@ -281,70 +324,229 @@ pub fn campaign_fingerprint(
     network: &str,
     plan: &[(usize, FfCategory)],
 ) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(network.as_bytes());
-    eat(&spec.seed.to_le_bytes());
-    eat(&(spec.samples_per_cell as u64).to_le_bytes());
-    eat(&[u8::from(spec.record_events)]);
-    eat(&spec
-        .target_ci_halfwidth
-        .map_or(u64::MAX, f64::to_bits)
-        .to_le_bytes());
-    eat(spec.mac_tier.as_str().as_bytes());
+    let mut h = Fnv64::new();
+    h.bytes(network.as_bytes())
+        .bytes(&spec.seed.to_le_bytes())
+        .bytes(&(spec.samples_per_cell as u64).to_le_bytes())
+        .bytes(&[u8::from(spec.record_events)])
+        // The slot of the retired per-cell CI target, always unset: keeps
+        // every fingerprint (and so every certificate) stable.
+        .bytes(&u64::MAX.to_le_bytes())
+        .bytes(spec.mac_tier.as_str().as_bytes());
     // Adaptive plan parameters are identity: epsilon/confidence/max decide
     // which injections run, so adaptive checkpoints only interchange between
-    // equal plans. Eaten only when present, preserving every pre-adaptive
+    // equal plans. Eaten only when present, preserving every fixed-count
     // fingerprint byte-for-byte.
     if let Some(a) = &spec.adaptive {
-        eat(&[1u8]);
-        eat(&a.epsilon.to_bits().to_le_bytes());
-        eat(&a.confidence.to_bits().to_le_bytes());
-        eat(&(a.max_injections as u64).to_le_bytes());
+        h.bytes(&[1u8])
+            .bytes(&a.epsilon.to_bits().to_le_bytes())
+            .bytes(&a.confidence.to_bits().to_le_bytes())
+            .bytes(&(a.max_injections as u64).to_le_bytes());
     }
     for &(node, cat) in plan {
-        eat(&(node as u64).to_le_bytes());
-        eat(cat_code(cat).as_bytes());
+        h.bytes(&(node as u64).to_le_bytes())
+            .bytes(cat_code(cat).as_bytes());
     }
-    h
+    h.finish()
 }
 
-/// Writes the checkpoint header.
+/// The sampling plan a log was written for, as pinned in its `plan` line.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LogPlan {
+    /// One wave of `samples_per_cell` injections per stratum, no stop rule.
+    Fixed {
+        /// Injections per stratum.
+        samples_per_cell: usize,
+    },
+    /// Confidence-driven waves (see [`crate::adaptive`]).
+    Adaptive {
+        /// The ε plan.
+        plan: AdaptivePlan,
+        /// Per-stratum sample floor of wave 0.
+        floor: usize,
+    },
+}
+
+/// One stratum — a (MAC node × FF category) cell — as pinned in the log
+/// header.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StratumMeta {
+    /// Target node index.
+    pub node: usize,
+    /// FF category.
+    pub category: FfCategory,
+    /// Software fault model applied.
+    pub model: SoftwareFaultModel,
+    /// Eq.-2 identity weight `C_h` (at the paper's raw FIT rate).
+    pub weight: f64,
+    /// Layer name (reporting only).
+    pub layer: String,
+}
+
+impl StratumMeta {
+    /// Whether the stratum is simulated at all (global control never is:
+    /// its `Prob_SWmask` is 0 by definition).
+    pub fn sampled(&self) -> bool {
+        self.category != FfCategory::GlobalControl
+    }
+
+    /// The record of this stratum failing after `attempts`, with
+    /// `samples` in its reported tally.
+    pub fn failure(&self, attempts: usize, samples: usize, reason: FailureReason) -> CellFailure {
+        CellFailure {
+            node: self.node,
+            layer: self.layer.clone(),
+            category: self.category,
+            attempts,
+            samples_completed: samples,
+            reason,
+        }
+    }
+
+    /// The stratum's statistics at `row`.
+    pub fn cell(&self, row: &StratumRow) -> CellStats {
+        CellStats {
+            node: self.node,
+            layer: self.layer.clone(),
+            category: self.category,
+            model: self.model,
+            samples: row.samples,
+            masked: row.masked,
+            output_error: row.output_error,
+            anomaly: row.anomaly,
+            events: row.events.clone(),
+        }
+    }
+}
+
+/// A stratum's cumulative tally, as committed in one row of the log.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StratumRow {
+    /// Injections run so far (absolute, not per wave).
+    pub samples: usize,
+    /// Masked outcomes so far.
+    pub masked: usize,
+    /// Application output errors so far.
+    pub output_error: usize,
+    /// System anomalies so far.
+    pub anomaly: usize,
+    /// SplitMix64 state the stratum's stream continues from.
+    pub rng_state: u64,
+    /// Per-injection events (fixed-count plans with `record_events` only).
+    pub events: Vec<InjectionEvent>,
+}
+
+/// A stratum that exhausted its retries during a wave.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct WaveFail {
+    /// Stratum index.
+    pub stratum: usize,
+    /// Attempts made (first run + retries).
+    pub attempts: usize,
+    /// Why the last attempt failed (newlines flattened to spaces on disk).
+    pub reason: FailureReason,
+}
+
+/// One wave: the cumulative tallies of the strata that received
+/// allocation, plus the strata frozen by failures.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct WaveBlock {
+    /// Wave index (0-based, contiguous).
+    pub index: usize,
+    /// `(stratum index, cumulative tally)` rows, in stratum order.
+    pub rows: Vec<(usize, StratumRow)>,
+    /// Strata frozen during this wave, in stratum order.
+    pub fails: Vec<WaveFail>,
+}
+
+/// The certificate totals pinned in the footer of a finished adaptive log.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CertFooter {
+    /// Achieved total uncertainty bound (`Σ_h C_h · hw_h`), exact bits.
+    pub total_bound: f64,
+    /// Total injections across all strata.
+    pub total_injections: usize,
+    /// Waves run.
+    pub waves: usize,
+    /// Whether the bound met the plan's ε.
+    pub converged: bool,
+}
+
+/// A parsed wave log.
+#[derive(Debug, Clone)]
+pub(crate) struct WaveLog {
+    /// Campaign fingerprint the log was written for.
+    pub fingerprint: u64,
+    /// The plan that wrote it.
+    pub plan: LogPlan,
+    /// Stratum table, in plan order.
+    pub strata: Vec<StratumMeta>,
+    /// Waves closed by their `wdone` marker, in order.
+    pub waves: Vec<WaveBlock>,
+    /// The wave in flight when the writer stopped: the rows it committed.
+    pub open: Option<WaveBlock>,
+    /// The certificate footer, present once an adaptive campaign finished.
+    pub footer: Option<CertFooter>,
+}
+
+/// Writes the log preamble: header, fingerprint, plan, and stratum table.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_header<W: Write>(w: &mut W, fingerprint: u64) -> io::Result<()> {
+pub fn write_header<W: Write>(
+    w: &mut W,
+    fingerprint: u64,
+    plan: &LogPlan,
+    strata: &[StratumMeta],
+) -> io::Result<()> {
     writeln!(w, "{HEADER}")?;
-    writeln!(w, "fingerprint {fingerprint:016x}")
+    writeln!(w, "fingerprint {fingerprint:016x}")?;
+    match plan {
+        LogPlan::Fixed { samples_per_cell } => {
+            writeln!(w, "plan fixed {samples_per_cell} {}", strata.len())?;
+        }
+        LogPlan::Adaptive { plan, floor } => writeln!(
+            w,
+            "plan {:016x} {:016x} {} {floor} {}",
+            plan.epsilon.to_bits(),
+            plan.confidence.to_bits(),
+            plan.max_injections,
+            strata.len(),
+        )?,
+    }
+    for (idx, s) in strata.iter().enumerate() {
+        writeln!(
+            w,
+            "stratum {idx} {} {} {} {:016x} {}",
+            s.node,
+            cat_code(s.category),
+            model_code(&s.model),
+            s.weight.to_bits(),
+            s.layer,
+        )?;
+    }
+    Ok(())
 }
 
-/// Appends one completed cell, terminated by its `done` marker. A record cut
-/// short by a kill lacks the marker and is discarded on parse.
+/// Opens wave `index`. Its rows follow as strata commit.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_cell<W: Write>(w: &mut W, idx: usize, cell: &CellStats) -> io::Result<()> {
-    writeln!(
-        w,
-        "cell {idx} {} {} {} {} {} {} {} {} {}",
-        cell.node,
-        cat_code(cell.category),
-        model_code(&cell.model),
-        cell.samples,
-        cell.masked,
-        cell.output_error,
-        cell.anomaly,
-        cell.events.len(),
-        cell.layer,
-    )?;
-    for ev in &cell.events {
+pub fn write_wave_start<W: Write>(w: &mut W, index: usize) -> io::Result<()> {
+    writeln!(w, "wave {index}")
+}
+
+/// Appends one committed row: the stratum's events (when recorded), then
+/// its tally line, which commits them. Events cut off by a kill have no
+/// tally line and are dropped on parse.
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub fn write_row<W: Write>(w: &mut W, idx: usize, row: &StratumRow) -> io::Result<()> {
+    for ev in &row.events {
         writeln!(
             w,
             "ev {} {:08x} {}",
@@ -353,106 +555,229 @@ pub fn write_cell<W: Write>(w: &mut W, idx: usize, cell: &CellStats) -> io::Resu
             outcome_code(ev.outcome),
         )?;
     }
-    writeln!(w, "done {idx}")
+    writeln!(
+        w,
+        "w {idx} {} {} {} {} {:016x}",
+        row.samples, row.masked, row.output_error, row.anomaly, row.rng_state,
+    )
 }
 
-/// A parsed checkpoint: the campaign fingerprint plus every complete cell
-/// record, keyed by plan index.
-#[derive(Debug, Clone)]
-pub struct ParsedCheckpoint {
-    /// Fingerprint the checkpoint was written for.
-    pub fingerprint: u64,
-    /// Complete `(plan index, statistics)` records, in file order.
-    pub cells: Vec<(usize, CellStats)>,
+/// Closes wave `index` at its barrier: the strata it froze, then the
+/// `wdone` marker.
+pub(crate) fn write_wave_end<W: Write>(
+    w: &mut W,
+    index: usize,
+    fails: &[WaveFail],
+) -> io::Result<()> {
+    for f in fails {
+        let (FailureReason::Panic(message) | FailureReason::Error(message)) = &f.reason;
+        let message = message.replace('\n', " ");
+        writeln!(
+            w,
+            "wfail {} {} {} {message}",
+            f.stratum,
+            f.attempts,
+            f.reason.kind()
+        )?;
+    }
+    writeln!(w, "wdone {index}")
 }
 
-/// Parses a checkpoint, keeping only records whose `done` marker made it to
-/// disk (a torn tail from a killed process is silently dropped — those cells
-/// simply rerun).
+/// Writes one whole wave block (the canonical rewrite on resume).
+pub(crate) fn write_wave<W: Write>(w: &mut W, wave: &WaveBlock) -> io::Result<()> {
+    write_wave_start(w, wave.index)?;
+    for (idx, row) in &wave.rows {
+        write_row(w, *idx, row)?;
+    }
+    write_wave_end(w, wave.index, &wave.fails)
+}
+
+/// Appends the certificate footer, terminated by its `done cert` marker.
+pub(crate) fn write_cert_footer<W: Write>(w: &mut W, footer: &CertFooter) -> io::Result<()> {
+    writeln!(
+        w,
+        "cert {:016x} {} {} {}",
+        footer.total_bound.to_bits(),
+        footer.total_injections,
+        footer.waves,
+        u8::from(footer.converged),
+    )?;
+    writeln!(w, "done cert")
+}
+
+/// A heuristic for the final, torn line of a killed writer: any prefix of a
+/// valid record keyword. Full garbage elsewhere in the file still errors.
+fn line_is_torn_tail(line: &str) -> bool {
+    [
+        "fingerprint",
+        "plan",
+        "stratum",
+        "wave",
+        "w",
+        "ev",
+        "wfail",
+        "wdone",
+        "cert",
+        "done",
+    ]
+    .iter()
+    .any(|kw| kw.starts_with(line.split_whitespace().next().unwrap_or("")))
+}
+
+/// Parses a wave log. A torn tail from a killed writer is dropped: the
+/// rows a wave committed before the kill survive in [`WaveLog::open`], so
+/// a resumed campaign reruns only the strata without a row. `None` means
+/// the file ends inside its preamble: the writer was killed before it
+/// committed anything.
 ///
 /// # Errors
 ///
-/// Returns [`DnnError::Campaign`] on I/O errors, a bad header, or a
-/// structurally malformed record (which indicates corruption rather than a
+/// Returns [`DnnError::Campaign`] on I/O errors, a retired or unknown
+/// header, or a structurally malformed record (corruption rather than a
 /// torn tail).
-pub fn parse_checkpoint<R: BufRead>(r: R) -> Result<ParsedCheckpoint, DnnError> {
+pub(crate) fn parse_log<R: BufRead>(r: R) -> Result<Option<WaveLog>, DnnError> {
     let corrupt = |what: &str| DnnError::Campaign {
         message: format!("corrupt checkpoint: {what}"),
     };
-    let mut lines = r.lines();
-    let header = lines
-        .next()
-        .transpose()
-        .map_err(|e| corrupt(&format!("read failed: {e}")))?
-        .ok_or_else(|| corrupt("empty file"))?;
-    if header != HEADER {
-        return Err(corrupt(&format!("bad header `{header}`")));
+    let mut lines = r.lines().peekable();
+    // The next preamble line and whether it is the file's last; the end of
+    // the file reads as an empty last line.
+    let mut preamble_line = || -> Result<(String, bool), DnnError> {
+        let line = lines.next().transpose();
+        let line = line.map_err(|e| corrupt(&format!("read failed: {e}")))?;
+        Ok((line.unwrap_or_default(), lines.peek().is_none()))
+    };
+    // A writer killed before its preamble was whole committed nothing: a
+    // file that ends inside the preamble, perhaps mid-line, is no log yet.
+    let torn_or_bad = |what: &str, line: &str, torn: bool| {
+        if torn {
+            Ok(None)
+        } else {
+            Err(corrupt(&format!("bad {what} `{line}`")))
+        }
+    };
+    let (header, last) = preamble_line()?;
+    if header == RETIRED_HEADER {
+        return Err(DnnError::Campaign {
+            message: format!(
+                "unsupported checkpoint format `{RETIRED_HEADER}`: per-cell checkpoints \
+                 cannot be resumed by the wave executor; delete the file and rerun"
+            ),
+        });
     }
-    let fp_line = lines
-        .next()
-        .transpose()
-        .map_err(|e| corrupt(&format!("read failed: {e}")))?
-        .ok_or_else(|| corrupt("missing fingerprint"))?;
-    let fingerprint = fp_line
-        .strip_prefix("fingerprint ")
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| corrupt(&format!("bad fingerprint line `{fp_line}`")))?;
+    if header != HEADER {
+        return torn_or_bad("header", &header, last && HEADER.starts_with(&header));
+    }
+    let (line, last) = preamble_line()?;
+    let fingerprint = line.strip_prefix("fingerprint ");
+    let Some(fingerprint) = fingerprint.and_then(|s| u64::from_str_radix(s, 16).ok()) else {
+        return torn_or_bad("fingerprint line", &line, last && line_is_torn_tail(&line));
+    };
+    let (line, last) = preamble_line()?;
+    let Some((plan, nstrata)) = line.strip_prefix("plan ").and_then(parse_plan) else {
+        return torn_or_bad("plan line", &line, last && line_is_torn_tail(&line));
+    };
+    let mut strata = Vec::with_capacity(nstrata.min(4096));
+    for expect in 0..nstrata {
+        let (line, last) = preamble_line()?;
+        let parsed = line.strip_prefix("stratum ").and_then(|rest| {
+            // stratum <idx> <node> <cat> <model> <weight_bits> <layer...>
+            let mut it = rest.splitn(6, ' ');
+            let idx: usize = it.next()?.parse().ok()?;
+            let meta = StratumMeta {
+                node: it.next()?.parse().ok()?,
+                category: parse_cat(it.next()?)?,
+                model: parse_model(it.next()?)?,
+                weight: f64::from_bits(u64::from_str_radix(it.next()?, 16).ok()?),
+                layer: it.next()?.to_owned(),
+            };
+            (idx == expect).then_some(meta)
+        });
+        let Some(meta) = parsed else {
+            return torn_or_bad("stratum line", &line, last && line_is_torn_tail(&line));
+        };
+        strata.push(meta);
+    }
 
-    let mut cells = Vec::new();
-    let mut committed = std::collections::HashSet::new();
-    // The record being accumulated: (idx, stats, events still expected).
-    let mut pending: Option<(usize, CellStats, usize)> = None;
-    for (off, line) in lines.enumerate() {
-        // Header and fingerprint occupy lines 1-2; data starts at line 3.
-        let lineno = off + 3;
-        // A torn final line can be unreadable; everything after it is
-        // lost anyway, so stop at the last complete record.
-        let Ok(line) = line else { break };
-        if let Some(rest) = line.strip_prefix("cell ") {
-            // A new cell while one is pending means the previous record
-            // never completed; drop it.
-            pending = parse_cell_line(rest);
-            match &pending {
-                // A second record for an already-committed cell cannot come
-                // from a torn tail (the writer commits each index once);
-                // it means a concurrent writer or silent corruption, and
-                // last-write-wins would mask it.
-                Some((idx, ..)) if committed.contains(idx) => {
-                    return Err(corrupt(&format!(
-                        "duplicate record for cell {idx} at line {lineno}"
-                    )));
-                }
-                None if !line_is_torn_tail(&line) => {
-                    return Err(corrupt(&format!("bad cell line `{line}`")));
-                }
-                _ => {}
+    let mut next_line = || lines.next().and_then(Result::ok);
+    let mut waves: Vec<WaveBlock> = Vec::new();
+    let mut open: Option<WaveBlock> = None;
+    // Events parsed since the last row: committed by the next `w` line.
+    let mut events: Vec<InjectionEvent> = Vec::new();
+    let mut pending_footer: Option<CertFooter> = None;
+    let mut footer = None;
+    while let Some(line) = next_line() {
+        // A malformed record inside an open wave is the torn tail of a
+        // killed writer; it and everything after it are dropped.
+        if let Some(rest) = line.strip_prefix("wave ") {
+            // A kill can only leave the *last* wave open, so a new wave
+            // while one is open is corruption.
+            if open.is_some() {
+                return Err(corrupt(&format!(
+                    "wave block without wdone before `{line}`"
+                )));
             }
+            let Some(index) = rest.trim().parse::<usize>().ok() else {
+                if line_is_torn_tail(&line) {
+                    break;
+                }
+                return Err(corrupt(&format!("bad wave line `{line}`")));
+            };
+            if index != waves.len() {
+                return Err(corrupt(&format!(
+                    "wave {index} out of order (expected {})",
+                    waves.len()
+                )));
+            }
+            open = Some(WaveBlock {
+                index,
+                ..WaveBlock::default()
+            });
         } else if let Some(rest) = line.strip_prefix("ev ") {
-            if let Some((_, stats, expected)) = pending.as_mut() {
-                if *expected == 0 {
-                    return Err(corrupt("more events than declared"));
+            match (&open, parse_event_line(rest)) {
+                (Some(_), Some(ev)) => events.push(ev),
+                _ => break,
+            }
+        } else if let Some(rest) = line.strip_prefix("w ") {
+            match (open.as_mut(), parse_row_line(rest)) {
+                (Some(block), Some((idx, mut row))) => {
+                    row.events = std::mem::take(&mut events);
+                    block.rows.push((idx, row));
                 }
-                match parse_event_line(rest) {
-                    Some(ev) => {
-                        stats.events.push(ev);
-                        *expected -= 1;
-                    }
-                    None => {
-                        // Torn mid-event: discard the pending record.
-                        pending = None;
-                    }
+                _ => break,
+            }
+        } else if let Some(rest) = line.strip_prefix("wfail ") {
+            match (open.as_mut(), parse_fail_line(rest)) {
+                (Some(block), Some(f)) => block.fails.push(f),
+                _ => break,
+            }
+        } else if let Some(rest) = line.strip_prefix("wdone ") {
+            match open.take() {
+                Some(block)
+                    if events.is_empty()
+                        && rest.trim().parse::<usize>().ok() == Some(block.index) =>
+                {
+                    waves.push(block);
+                }
+                // A torn marker: the wave stays open.
+                block => {
+                    open = block;
+                    break;
                 }
             }
-            // An `ev` with no pending cell: remnant of a dropped record.
-        } else if let Some(rest) = line.strip_prefix("done ") {
-            if let Some((idx, stats, expected)) = pending.take() {
-                let done_idx: Option<usize> = rest.trim().parse().ok();
-                if done_idx == Some(idx) && expected == 0 {
-                    committed.insert(idx);
-                    cells.push((idx, stats));
-                }
-                // Mismatched or short record: drop it, keep parsing.
+        } else if let Some(rest) = line.strip_prefix("cert ") {
+            if open.is_some() {
+                return Err(corrupt("cert line inside an open wave block"));
             }
+            pending_footer = parse_footer_line(rest);
+            if pending_footer.is_none() {
+                if line_is_torn_tail(&line) {
+                    break;
+                }
+                return Err(corrupt(&format!("bad cert line `{line}`")));
+            }
+        } else if line == "done cert" {
+            footer = pending_footer.take();
         } else if line.trim().is_empty() {
             // Blank line: ignore.
         } else if line_is_torn_tail(&line) {
@@ -461,45 +786,94 @@ pub fn parse_checkpoint<R: BufRead>(r: R) -> Result<ParsedCheckpoint, DnnError> 
             return Err(corrupt(&format!("unrecognized line `{line}`")));
         }
     }
-    Ok(ParsedCheckpoint { fingerprint, cells })
+    Ok(Some(WaveLog {
+        fingerprint,
+        plan,
+        strata,
+        waves,
+        open,
+        footer,
+    }))
 }
 
-/// A heuristic for the final, torn line of a killed writer: any prefix of a
-/// valid record keyword. Full garbage elsewhere in the file still errors.
-fn line_is_torn_tail(line: &str) -> bool {
-    ["cell", "ev", "done"]
-        .iter()
-        .any(|kw| kw.starts_with(line.split_whitespace().next().unwrap_or("")))
+fn parse_plan(rest: &str) -> Option<(LogPlan, usize)> {
+    let fields: Vec<&str> = rest.split(' ').collect();
+    match fields.as_slice() {
+        ["fixed", n, strata] => Some((
+            LogPlan::Fixed {
+                samples_per_cell: n.parse().ok()?,
+            },
+            strata.parse().ok()?,
+        )),
+        [eps, conf, max, floor, strata] => Some((
+            LogPlan::Adaptive {
+                plan: AdaptivePlan {
+                    epsilon: f64::from_bits(u64::from_str_radix(eps, 16).ok()?),
+                    confidence: f64::from_bits(u64::from_str_radix(conf, 16).ok()?),
+                    max_injections: max.parse().ok()?,
+                },
+                floor: floor.parse().ok()?,
+            },
+            strata.parse().ok()?,
+        )),
+        _ => None,
+    }
 }
 
-fn parse_cell_line(rest: &str) -> Option<(usize, CellStats, usize)> {
-    // cell <idx> <node> <cat> <model> <samples> <masked> <oe> <an> <nev> <layer...>
-    let mut it = rest.splitn(10, ' ');
+fn parse_row_line(rest: &str) -> Option<(usize, StratumRow)> {
+    // w <idx> <samples> <masked> <oe> <an> <rng_state: 16 hex digits>
+    let mut it = rest.split(' ');
     let idx: usize = it.next()?.parse().ok()?;
-    let node: usize = it.next()?.parse().ok()?;
-    let category = parse_cat(it.next()?)?;
-    let model = parse_model(it.next()?)?;
-    let samples: usize = it.next()?.parse().ok()?;
-    let masked: usize = it.next()?.parse().ok()?;
-    let output_error: usize = it.next()?.parse().ok()?;
-    let anomaly: usize = it.next()?.parse().ok()?;
-    let nevents: usize = it.next()?.parse().ok()?;
-    let layer = it.next()?.to_owned();
-    Some((
+    let samples = it.next()?.parse().ok()?;
+    let masked = it.next()?.parse().ok()?;
+    let output_error = it.next()?.parse().ok()?;
+    let anomaly = it.next()?.parse().ok()?;
+    // Fixed width: a row cut short inside its last field never parses.
+    let rng = it.next().filter(|s| s.len() == 16)?;
+    let rng_state = u64::from_str_radix(rng, 16).ok()?;
+    it.next().is_none().then_some((
         idx,
-        CellStats {
-            node,
-            layer,
-            category,
-            model,
+        StratumRow {
             samples,
             masked,
             output_error,
             anomaly,
-            events: Vec::with_capacity(nevents.min(4096)),
+            rng_state,
+            events: Vec::new(),
         },
-        nevents,
     ))
+}
+
+fn parse_fail_line(rest: &str) -> Option<WaveFail> {
+    let mut it = rest.splitn(4, ' ');
+    let stratum = it.next()?.parse().ok()?;
+    let attempts = it.next()?.parse().ok()?;
+    let kind = it.next()?;
+    let message = it.next().unwrap_or("").to_owned();
+    let reason = match kind {
+        "panic" => FailureReason::Panic(message),
+        _ => FailureReason::Error(message),
+    };
+    Some(WaveFail {
+        stratum,
+        attempts,
+        reason,
+    })
+}
+
+fn parse_footer_line(rest: &str) -> Option<CertFooter> {
+    let [bound, injections, waves, converged]: [&str; 4] =
+        rest.split(' ').collect::<Vec<_>>().try_into().ok()?;
+    Some(CertFooter {
+        total_bound: f64::from_bits(u64::from_str_radix(bound, 16).ok()?),
+        total_injections: injections.parse().ok()?,
+        waves: waves.parse().ok()?,
+        converged: match converged {
+            "0" => false,
+            "1" => true,
+            _ => return None,
+        },
+    })
 }
 
 fn parse_event_line(rest: &str) -> Option<InjectionEvent> {
@@ -514,6 +888,112 @@ fn parse_event_line(rest: &str) -> Option<InjectionEvent> {
         faulty_neurons,
         max_perturbation: f32::from_bits(bits),
         outcome,
+    })
+}
+
+/// Folds one wave's rows and failures into per-stratum state, checking the
+/// invariants every writer keeps — the one definition behind both resume
+/// and the offline certificate verifier:
+///
+/// - rows are in stratum order;
+/// - a row's outcomes sum to its samples;
+/// - a stratum's samples strictly increase and its masked count never
+///   decreases;
+/// - no row belongs to a frozen stratum, nor (under an adaptive plan) to an
+///   unsampled one.
+///
+/// # Errors
+///
+/// Describes the first violated invariant.
+pub(crate) fn fold_wave(
+    block: &WaveBlock,
+    plan: &LogPlan,
+    strata: &[StratumMeta],
+    tallies: &mut [StratumRow],
+    frozen: &mut [bool],
+) -> Result<(), String> {
+    let wave = block.index;
+    let mut prev = None;
+    for (idx, row) in &block.rows {
+        let idx = *idx;
+        let (Some(meta), Some(tally)) = (strata.get(idx), tallies.get_mut(idx)) else {
+            return Err(format!("wave {wave}: stratum {idx} out of range"));
+        };
+        if prev.is_some_and(|p| p >= idx) {
+            return Err(format!("wave {wave}: rows not in stratum order"));
+        }
+        prev = Some(idx);
+        if !meta.sampled() && matches!(plan, LogPlan::Adaptive { .. }) {
+            return Err(format!(
+                "wave {wave}: unsampled (global-control) stratum {idx} was allocated"
+            ));
+        }
+        if frozen[idx] {
+            return Err(format!(
+                "wave {wave}: frozen stratum {idx} was re-allocated"
+            ));
+        }
+        if row.masked + row.output_error + row.anomaly != row.samples {
+            return Err(format!(
+                "wave {wave}: stratum {idx} outcomes do not sum to its samples"
+            ));
+        }
+        if row.samples <= tally.samples {
+            return Err(format!(
+                "wave {wave}: stratum {idx} samples not increasing ({} -> {})",
+                tally.samples, row.samples
+            ));
+        }
+        if row.masked < tally.masked {
+            return Err(format!("wave {wave}: stratum {idx} masked count decreased"));
+        }
+        *tally = row.clone();
+    }
+    for f in &block.fails {
+        let slot = frozen
+            .get_mut(f.stratum)
+            .ok_or_else(|| format!("wave {wave}: failed stratum {} out of range", f.stratum))?;
+        *slot = true;
+    }
+    Ok(())
+}
+
+/// A checkpoint's per-cell view: the campaign fingerprint plus the last
+/// committed tally of every stratum with a row.
+#[derive(Debug, Clone)]
+pub struct ParsedCheckpoint {
+    /// Fingerprint the checkpoint was written for.
+    pub fingerprint: u64,
+    /// `(stratum index, statistics)`, one per stratum, in order of first
+    /// commit.
+    pub cells: Vec<(usize, CellStats)>,
+}
+
+/// Parses a checkpoint into its per-cell view. Structural only: the row
+/// invariants are checked where a log is resumed or verified.
+///
+/// # Errors
+///
+/// Returns [`DnnError::Campaign`] on I/O errors, a bad or retired header, a
+/// row for a stratum missing from the table, or a structurally malformed
+/// record.
+pub fn parse_checkpoint<R: BufRead>(r: R) -> Result<ParsedCheckpoint, DnnError> {
+    let log = parse_log(r)?.ok_or_else(|| DnnError::Campaign {
+        message: "corrupt checkpoint: file ends inside its header".into(),
+    })?;
+    let mut cells: Vec<(usize, CellStats)> = Vec::new();
+    for (idx, row) in log.waves.iter().chain(&log.open).flat_map(|b| &b.rows) {
+        let meta = log.strata.get(*idx).ok_or_else(|| DnnError::Campaign {
+            message: format!("corrupt checkpoint: row for unknown stratum {idx}"),
+        })?;
+        match cells.iter_mut().find(|(i, _)| i == idx) {
+            Some((_, cell)) => *cell = meta.cell(row),
+            None => cells.push((*idx, meta.cell(row))),
+        }
+    }
+    Ok(ParsedCheckpoint {
+        fingerprint: log.fingerprint,
+        cells,
     })
 }
 
@@ -711,72 +1191,177 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cell_round_trips_including_nan_events() {
+    fn meta_of(cell: &CellStats) -> StratumMeta {
+        StratumMeta {
+            node: cell.node,
+            category: cell.category,
+            model: cell.model,
+            weight: 0.5,
+            layer: cell.layer.clone(),
+        }
+    }
+
+    fn row_of(cell: &CellStats, rng_state: u64) -> StratumRow {
+        StratumRow {
+            samples: cell.samples,
+            masked: cell.masked,
+            output_error: cell.output_error,
+            anomaly: cell.anomaly,
+            rng_state,
+            events: cell.events.clone(),
+        }
+    }
+
+    /// Row equality with events compared by exact bits (NaN included).
+    fn assert_rows_eq(a: &StratumRow, b: &StratumRow) {
+        let key = |r: &StratumRow| {
+            let events: Vec<(usize, u32, Outcome)> = r
+                .events
+                .iter()
+                .map(|e| (e.faulty_neurons, e.max_perturbation.to_bits(), e.outcome))
+                .collect();
+            (
+                r.samples,
+                r.masked,
+                r.output_error,
+                r.anomaly,
+                r.rng_state,
+                events,
+            )
+        };
+        assert_eq!(key(a), key(b));
+    }
+
+    /// A fixed-plan log of two strata (both `sample_cell`), wave 0 open
+    /// with both rows committed.
+    fn two_row_log() -> Vec<u8> {
         let cell = sample_cell();
         let mut buf = Vec::new();
-        write_header(&mut buf, 0xDEAD_BEEF).unwrap();
-        write_cell(&mut buf, 7, &cell).unwrap();
-        let parsed = parse_checkpoint(&buf[..]).unwrap();
+        let plan = LogPlan::Fixed {
+            samples_per_cell: 100,
+        };
+        write_header(
+            &mut buf,
+            0xDEAD_BEEF,
+            &plan,
+            &[meta_of(&cell), meta_of(&cell)],
+        )
+        .unwrap();
+        write_wave_start(&mut buf, 0).unwrap();
+        write_row(&mut buf, 0, &row_of(&cell, 0xAB)).unwrap();
+        write_row(&mut buf, 1, &row_of(&cell, 0xCD)).unwrap();
+        buf
+    }
+
+    #[test]
+    fn row_round_trips_including_nan_events() {
+        let parsed = parse_checkpoint(&two_row_log()[..]).unwrap();
         assert_eq!(parsed.fingerprint, 0xDEAD_BEEF);
-        assert_eq!(parsed.cells.len(), 1);
-        assert_eq!(parsed.cells[0].0, 7);
-        assert_cells_eq(&parsed.cells[0].1, &cell);
+        assert_eq!(parsed.cells.len(), 2);
+        assert_eq!(parsed.cells[1].0, 1);
+        assert_cells_eq(&parsed.cells[1].1, &sample_cell());
+        let log = parse_log(&two_row_log()[..]).unwrap().unwrap();
+        assert!(log.waves.is_empty(), "wave 0 never closed");
+        let open = log.open.unwrap();
+        assert_rows_eq(&open.rows[1].1, &row_of(&sample_cell(), 0xCD));
+    }
+
+    /// A log cut at any byte parses: rows whose tally line is whole are
+    /// kept exactly, a row cut anywhere (events included) is dropped.
+    #[test]
+    fn log_cut_at_any_byte_keeps_whole_rows_only() {
+        let full = two_row_log();
+        let header_end = String::from_utf8(full.clone())
+            .unwrap()
+            .find("wave 0")
+            .unwrap();
+        for cut in header_end..=full.len() {
+            let log = parse_log(&full[..cut]).unwrap().unwrap();
+            let rows = log.open.map(|b| b.rows).unwrap_or_default();
+            let whole = String::from_utf8(full[..cut].to_vec())
+                .unwrap()
+                .lines()
+                .filter(|l| {
+                    l.starts_with("w ") && l.len() == "w 0 100 60 30 10 00000000000000ab".len()
+                })
+                .count();
+            assert_eq!(rows.len(), whole, "cut {cut}");
+            for (idx, row) in &rows {
+                let rng = if *idx == 0 { 0xAB } else { 0xCD };
+                assert_rows_eq(row, &row_of(&sample_cell(), rng));
+            }
+        }
     }
 
     #[test]
-    fn torn_tail_is_dropped_not_fatal() {
-        let cell = sample_cell();
-        let mut buf = Vec::new();
-        write_header(&mut buf, 1).unwrap();
-        write_cell(&mut buf, 0, &cell).unwrap();
-        write_cell(&mut buf, 1, &cell).unwrap();
-        // Kill mid-write: truncate inside the second record.
-        let s = String::from_utf8(buf).unwrap();
-        let second = s.match_indices("cell 1 ").next().unwrap().0;
-        let torn = &s[..second + 20];
-        let parsed = parse_checkpoint(torn.as_bytes()).unwrap();
-        assert_eq!(parsed.cells.len(), 1);
-        assert_eq!(parsed.cells[0].0, 0);
-    }
-
-    #[test]
-    fn record_without_done_marker_is_dropped() {
-        let cell = sample_cell();
-        let mut buf = Vec::new();
-        write_header(&mut buf, 1).unwrap();
-        write_cell(&mut buf, 0, &cell).unwrap();
-        let mut s = String::from_utf8(buf).unwrap();
-        s = s.replace("done 0\n", "");
-        let parsed = parse_checkpoint(s.as_bytes()).unwrap();
-        assert!(parsed.cells.is_empty());
-    }
-
-    #[test]
-    fn duplicate_cell_record_is_rejected_with_line_number() {
-        let cell = sample_cell();
-        let mut buf = Vec::new();
-        write_header(&mut buf, 1).unwrap();
-        write_cell(&mut buf, 0, &cell).unwrap();
-        write_cell(&mut buf, 0, &cell).unwrap();
-        let err = parse_checkpoint(&buf[..]).unwrap_err().to_string();
-        // Record 0 spans lines 3-6 (cell + 2 events + done); the duplicate
-        // `cell` line lands on line 7.
+    fn retired_per_cell_format_is_rejected_by_name() {
+        let old = b"fidelity-ckpt v1\nfingerprint 00000000deadbeef\n";
+        let err = parse_checkpoint(&old[..]).unwrap_err().to_string();
         assert!(
-            err.contains("duplicate record for cell 0 at line 7"),
-            "unexpected error: {err}"
+            err.contains("unsupported checkpoint format `fidelity-ckpt v1`"),
+            "{err}"
         );
     }
 
     #[test]
-    fn distinct_cells_still_parse_after_duplicate_check() {
+    fn view_keeps_the_last_tally_of_each_stratum_in_commit_order() {
         let cell = sample_cell();
         let mut buf = Vec::new();
-        write_header(&mut buf, 1).unwrap();
-        write_cell(&mut buf, 0, &cell).unwrap();
-        write_cell(&mut buf, 1, &cell).unwrap();
+        let plan = LogPlan::Adaptive {
+            plan: AdaptivePlan::new(0.5),
+            floor: 32,
+        };
+        write_header(&mut buf, 1, &plan, &[meta_of(&cell), meta_of(&cell)]).unwrap();
+        let row = |samples: usize| StratumRow {
+            samples,
+            masked: samples,
+            ..StratumRow::default()
+        };
+        let wave = |index, rows: Vec<(usize, StratumRow)>| WaveBlock {
+            index,
+            rows,
+            fails: Vec::new(),
+        };
+        write_wave(&mut buf, &wave(0, vec![(1, row(4))])).unwrap();
+        write_wave(&mut buf, &wave(1, vec![(0, row(2)), (1, row(9))])).unwrap();
         let parsed = parse_checkpoint(&buf[..]).unwrap();
-        assert_eq!(parsed.cells.len(), 2);
+        let view: Vec<(usize, usize)> = parsed.cells.iter().map(|(i, c)| (*i, c.samples)).collect();
+        assert_eq!(view, vec![(1, 9), (0, 2)]);
+    }
+
+    /// Each row invariant is named when violated.
+    #[test]
+    fn fold_wave_names_each_violated_invariant() {
+        let cell = sample_cell();
+        let strata = [meta_of(&cell), meta_of(&cell)];
+        let plan = LogPlan::Fixed {
+            samples_per_cell: 4,
+        };
+        let row = |samples, masked, output_error| StratumRow {
+            samples,
+            masked,
+            output_error,
+            ..StratumRow::default()
+        };
+        let fold = |rows: Vec<(usize, StratumRow)>, prior: StratumRow| {
+            let mut tallies = [prior.clone(), prior];
+            let mut frozen = [false, false];
+            let block = WaveBlock {
+                index: 3,
+                rows,
+                fails: Vec::new(),
+            };
+            fold_wave(&block, &plan, &strata, &mut tallies, &mut frozen).unwrap_err()
+        };
+        let base = StratumRow::default();
+        assert!(fold(vec![(0, row(4, 1, 2))], base.clone()).contains("do not sum"));
+        assert!(
+            fold(vec![(1, row(4, 4, 0)), (0, row(4, 4, 0))], base.clone())
+                .contains("not in stratum order")
+        );
+        assert!(fold(vec![(2, row(4, 4, 0))], base).contains("out of range"));
+        assert!(fold(vec![(0, row(4, 1, 3))], row(2, 2, 0)).contains("masked count decreased"));
+        assert!(fold(vec![(0, row(2, 2, 0))], row(2, 2, 0)).contains("not increasing"));
     }
 
     #[test]
@@ -826,7 +1411,10 @@ mod tests {
     fn bad_header_is_an_error() {
         assert!(parse_checkpoint(&b"not a checkpoint\n"[..]).is_err());
         assert!(parse_checkpoint(&b""[..]).is_err());
-        assert!(parse_checkpoint(&b"fidelity-ckpt v1\nfingerprint zz\n"[..]).is_err());
+        assert!(parse_checkpoint(&b"fidelity-ackpt v1\nfingerprint zz\n"[..]).is_err());
+        assert!(
+            parse_checkpoint(&b"fidelity-ackpt v1\nfingerprint 01\nplan fixed x 1\n"[..]).is_err()
+        );
     }
 
     #[test]
@@ -888,6 +1476,33 @@ mod tests {
         assert_ne!(
             fp,
             campaign_fingerprint(&base, "net", &[(1, FfCategory::LocalControl)])
+        );
+    }
+
+    /// Certificates embed the fingerprint and checkpoints are keyed by it,
+    /// so the value for one fixed and one adaptive spec is pinned.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let fixed = CampaignSpec {
+            samples_per_cell: 20,
+            seed: 7,
+            ..CampaignSpec::default()
+        };
+        let plan = [
+            (0usize, FfCategory::LocalControl),
+            (2, FfCategory::GlobalControl),
+        ];
+        assert_eq!(
+            campaign_fingerprint(&fixed, "lstm", &plan),
+            0x3797_d775_d5bf_6f02
+        );
+        let adaptive = CampaignSpec {
+            adaptive: Some(crate::adaptive::AdaptivePlan::new(0.05)),
+            ..fixed
+        };
+        assert_eq!(
+            campaign_fingerprint(&adaptive, "lstm", &plan),
+            0xf659_84cf_d647_73f8
         );
     }
 

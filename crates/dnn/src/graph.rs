@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use fidelity_obs::fnv::Fnv64;
 use fidelity_obs::metrics::Counter;
 
 use crate::error::DnnError;
@@ -268,33 +269,28 @@ pub struct Trace {
 /// discipline needed: an overlay is a copy of one concrete trace's buffers.
 /// Never persist this value (addresses are not stable across runs).
 pub fn golden_key(trace: &Trace) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv_step(h, trace.inputs.len() as u64);
+    let mut h = Fnv64::new();
+    h.word(trace.inputs.len() as u64);
     for t in &trace.inputs {
-        h = fnv_tensor(h, t);
+        fnv_tensor(&mut h, t);
     }
-    h = fnv_step(h, trace.node_outputs.len() as u64);
+    h.word(trace.node_outputs.len() as u64);
     for t in &trace.node_outputs {
-        h = fnv_tensor(h, t);
+        fnv_tensor(&mut h, t);
     }
-    fnv_tensor(h, &trace.output)
+    fnv_tensor(&mut h, &trace.output);
+    h.finish()
 }
 
-fn fnv_step(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-fn fnv_tensor(mut h: u64, t: &Tensor) -> u64 {
-    h = fnv_step(h, t.data().as_ptr() as usize as u64);
-    h = fnv_step(h, t.len() as u64);
+fn fnv_tensor(h: &mut Fnv64, t: &Tensor) {
+    h.word(t.data().as_ptr() as usize as u64)
+        .word(t.len() as u64);
     for &d in t.shape() {
-        h = fnv_step(h, d as u64);
+        h.word(d as u64);
     }
     if let (Some(f), Some(l)) = (t.data().first(), t.data().last()) {
-        h = fnv_step(h, u64::from(f.to_bits()));
-        h = fnv_step(h, u64::from(l.to_bits()));
+        h.word(u64::from(f.to_bits())).word(u64::from(l.to_bits()));
     }
-    h
 }
 
 /// Spatial bounding box of a set of flat offsets into a rank-4 NCHW tensor

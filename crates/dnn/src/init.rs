@@ -6,6 +6,8 @@
 //! small SplitMix64 generator keeps every experiment bit-reproducible across
 //! runs and platforms without threading an RNG through every builder.
 
+use fidelity_obs::fnv::Fnv64;
+
 use crate::tensor::Tensor;
 
 /// A tiny deterministic SplitMix64 stream.
@@ -89,12 +91,11 @@ pub fn kaiming_tensor(seed: u64, shape: Vec<usize>, fan_in: usize) -> Tensor {
 }
 
 fn mix_shape(shape: &[usize]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv64::new();
     for &d in shape {
-        h ^= d as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h.word(d as u64);
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -26,8 +26,10 @@
 //!   (flamegraph) export.
 //! - [`report`] — trace summarization for `fidelity report --trace`.
 //! - [`stats`] — the canonical Wilson-interval implementation.
+//! - [`fnv`] — the workspace's one FNV-1a hasher.
 
 pub mod clock;
+pub mod fnv;
 pub mod json;
 pub mod metrics;
 #[cfg(feature = "loom_model")]

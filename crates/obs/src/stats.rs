@@ -3,9 +3,9 @@
 
 /// 95% Wilson score interval for a binomial proportion.
 ///
-/// This is the canonical implementation for the workspace —
-/// `fidelity_core::campaign::wilson_interval` delegates here, the live
-/// progress line uses it for its running masking-probability bounds, and the
+/// This is the canonical implementation for the workspace — campaign
+/// reports and the live progress line use it for their masking-probability
+/// bounds, and the
 /// adaptive campaign planner's per-stratum termination rule leans on it (the
 /// paper sizes campaigns for a 95% confidence target).
 pub fn wilson95(successes: usize, n: usize) -> (f64, f64) {

@@ -9,6 +9,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A cloneable cancellation flag. All clones observe the same state; once
 /// cancelled, a token never resets.
@@ -33,6 +34,23 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
+}
+
+/// Sleeps for `total`, polling `interrupted` in short slices so a
+/// cancellation cuts a long wait (a retry backoff) short. Returns `false`
+/// when the wait was interrupted.
+pub fn sleep_unless(total: Duration, interrupted: impl Fn() -> bool) -> bool {
+    const SLICE: Duration = Duration::from_millis(5);
+    let mut remaining = total;
+    while !remaining.is_zero() {
+        if interrupted() {
+            return false;
+        }
+        let step = remaining.min(SLICE);
+        std::thread::sleep(step);
+        remaining -= step;
+    }
+    !interrupted()
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ mod cancel;
 pub mod modelcheck;
 mod pool;
 
-pub use cancel::CancelToken;
+pub use cancel::{sleep_unless, CancelToken};
 pub use pool::{run_indexed, PoolSpec, RunStats, ShardPlan, WorkStealPool};
 
 /// Minimal xorshift64* generator for victim selection. Scheduling noise must

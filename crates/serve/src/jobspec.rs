@@ -1,7 +1,7 @@
 //! Job specifications: the JSON body of `POST /campaigns`.
 //!
 //! A [`JobSpec`] names everything that identifies a campaign — network,
-//! precision, sample count, seed, adaptive-CI target, range bounding — plus
+//! precision, sample count, seed, adaptive plan, range bounding — plus
 //! service-side policy that does *not* affect results (priority, deadline,
 //! retries, thread count). The split matters: the identity fields feed the
 //! job fingerprint, which keys single-flight deduplication and the on-disk
@@ -18,6 +18,7 @@ use fidelity_core::campaign::{CampaignSpec, MacTier};
 use fidelity_core::outcome::{CorrectnessMetric, TopOneMatch};
 use fidelity_dnn::graph::{Engine, Trace};
 use fidelity_dnn::precision::Precision;
+use fidelity_obs::fnv::Fnv64;
 use fidelity_obs::json::{escape_into, number_into, Json};
 use fidelity_workloads::{
     classification_suite, lstm_workload, transformer_workload, yolo_workload, BleuThreshold,
@@ -44,8 +45,6 @@ pub struct JobSpec {
     pub seed: Option<u64>,
     /// Keep per-injection events (costs memory and checkpoint bytes).
     pub record_events: bool,
-    /// Adaptive sampling target (95% Wilson half-width).
-    pub target_ci: Option<f64>,
     /// Range-bounding slack, when range detectors are deployed.
     pub bounding: Option<f32>,
     /// Campaign worker threads; `0` takes the server default. Results are
@@ -89,7 +88,6 @@ impl Default for JobSpec {
             samples: 200,
             seed: None,
             record_events: false,
-            target_ci: None,
             bounding: None,
             threads: 0,
             priority: 0,
@@ -113,6 +111,10 @@ const NETWORKS: &[&str] = &[
     "lstm",
 ];
 const PRECISIONS: &[&str] = &["fp16", "fp32", "int16", "int8"];
+
+/// Fields earlier versions accepted and this one no longer does: the
+/// per-cell CI target (`target_ci`) went with the per-cell executor.
+const RETIRED_FIELDS: &[&str] = &["target_ci"];
 
 /// Upper bound on `deadline_ms`: ten years. Rules out timer-arithmetic
 /// overflow in the supervisor and keeps the canonical-JSON `f64` encoding
@@ -148,9 +150,6 @@ impl JobSpec {
                 "samples" => spec.samples = usize_field(val, key)?,
                 "seed" => spec.seed = Some(u64_field(val, key)?),
                 "record_events" => spec.record_events = bool_field(val, key)?,
-                "target_ci" => {
-                    spec.target_ci = Some(val.as_f64().ok_or_else(|| bad(key, "a number"))?);
-                }
                 "bounding" => {
                     spec.bounding = Some(val.as_f64().ok_or_else(|| bad(key, "a number"))? as f32);
                 }
@@ -195,6 +194,28 @@ impl JobSpec {
         JobSpec::from_json(&fidelity_obs::json::parse(s)?)
     }
 
+    /// Parses a spec read back from the job journal. Unlike a submission,
+    /// a field that an earlier version accepted and this one retired is
+    /// dropped rather than rejected, so a state directory written by that
+    /// version still recovers; the dropped field is returned so the caller
+    /// can refuse to *run* the job under changed semantics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates JSON and field errors other than retired fields.
+    pub fn from_journal_str(s: &str) -> Result<(JobSpec, Option<&'static str>), String> {
+        let mut v = fidelity_obs::json::parse(s)?;
+        let mut retired = None;
+        if let Json::Obj(map) = &mut v {
+            for &field in RETIRED_FIELDS {
+                if map.remove(field).is_some() {
+                    retired = Some(field);
+                }
+            }
+        }
+        Ok((JobSpec::from_json(&v)?, retired))
+    }
+
     fn validate(&self) -> Result<(), String> {
         if self.network.is_empty() {
             return Err("`network` is required".to_owned());
@@ -229,9 +250,6 @@ impl JobSpec {
             if self.record_events {
                 return Err("`epsilon` (adaptive) excludes `record_events`".to_owned());
             }
-            if self.target_ci.is_some() {
-                return Err("`epsilon` (adaptive) excludes `target_ci`".to_owned());
-            }
         }
         Ok(())
     }
@@ -264,9 +282,6 @@ impl JobSpec {
         }
         s.push_str(",\"record_events\":");
         s.push_str(if self.record_events { "true" } else { "false" });
-        if let Some(ci) = self.target_ci {
-            push_num(&mut s, "target_ci", ci);
-        }
         if let Some(b) = self.bounding {
             push_num(&mut s, "bounding", f64::from(b));
         }
@@ -297,31 +312,28 @@ impl JobSpec {
     /// (single-flight); policy fields (priority, deadline, retries,
     /// threads) are deliberately excluded.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(self.network.as_bytes());
-        eat(self.precision.as_bytes());
-        eat(&(self.samples as u64).to_le_bytes());
-        eat(&self.seed.unwrap_or(u64::MAX).to_le_bytes());
-        eat(&[u8::from(self.record_events), u8::from(self.seed.is_some())]);
-        eat(&self.target_ci.map_or(u64::MAX, f64::to_bits).to_le_bytes());
-        eat(&self.bounding.map_or(u32::MAX, f32::to_bits).to_le_bytes());
-        // The MAC tier is identity (Fast may change bits); `batch` is policy
-        // (bit-identical by construction) and deliberately excluded.
-        eat(self.mac_tier.as_str().as_bytes());
+        let mut h = Fnv64::new();
+        h.bytes(self.network.as_bytes())
+            .bytes(self.precision.as_bytes())
+            .bytes(&(self.samples as u64).to_le_bytes())
+            .bytes(&self.seed.unwrap_or(u64::MAX).to_le_bytes())
+            .bytes(&[u8::from(self.record_events), u8::from(self.seed.is_some())])
+            // The slot of the retired per-cell CI target, always unset:
+            // keeps every job id stable across versions.
+            .bytes(&u64::MAX.to_le_bytes())
+            .bytes(&self.bounding.map_or(u32::MAX, f32::to_bits).to_le_bytes())
+            // The MAC tier is identity (Fast may change bits); `batch` is
+            // policy (bit-identical by construction) and deliberately
+            // excluded.
+            .bytes(self.mac_tier.as_str().as_bytes());
         // Adaptive plan is identity: it decides which injections run.
         if let Some(plan) = self.adaptive_plan() {
-            eat(&[1u8]);
-            eat(&plan.epsilon.to_bits().to_le_bytes());
-            eat(&plan.confidence.to_bits().to_le_bytes());
-            eat(&(plan.max_injections as u64).to_le_bytes());
+            h.bytes(&[1u8])
+                .bytes(&plan.epsilon.to_bits().to_le_bytes())
+                .bytes(&plan.confidence.to_bits().to_le_bytes())
+                .bytes(&(plan.max_injections as u64).to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// The job id: the fingerprint in hex. Doubles as the checkpoint file
@@ -398,7 +410,6 @@ impl JobSpec {
                 self.threads
             },
             record_events: self.record_events,
-            target_ci_halfwidth: self.target_ci,
             resilience: Default::default(),
             progress: None,
             batch: self.batch,
@@ -469,7 +480,6 @@ mod tests {
                 samples: 11,
                 seed: None,
                 record_events: true,
-                target_ci: Some(0.05),
                 bounding: Some(1.5),
                 threads: 3,
                 priority: -2,
@@ -504,12 +514,25 @@ mod tests {
             r#"{"network":"lstm","samples":0}"#, // zero samples
             r#"{"network":"lstm","precision":"bf16"}"#,
             r#"{"network":"lstm","mac_tier":"turbo"}"#, // unknown tier
+            r#"{"network":"lstm","target_ci":0.05}"#,   // retired field
             r#"{"samples":4}"#,                         // missing network
             r#"[1,2,3]"#,                               // not an object
         ] {
             let v = parse(body).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "accepted: {body}");
         }
+    }
+
+    #[test]
+    fn journal_replay_drops_retired_fields_only() {
+        let (spec, retired) =
+            JobSpec::from_journal_str(r#"{"network":"lstm","samples":4,"target_ci":0.05}"#)
+                .unwrap();
+        assert_eq!(retired, Some("target_ci"));
+        assert_eq!((spec.network.as_str(), spec.samples), ("lstm", 4));
+        let (_, retired) = JobSpec::from_journal_str(r#"{"network":"lstm"}"#).unwrap();
+        assert_eq!(retired, None);
+        assert!(JobSpec::from_journal_str(r#"{"network":"lstm","sample":4}"#).is_err());
     }
 
     #[test]
@@ -553,6 +576,18 @@ mod tests {
         assert_ne!(adaptive.fingerprint(), tighter.fingerprint());
     }
 
+    /// Job ids key checkpoints and the journal across daemon versions, so
+    /// the fingerprint of a fixed and an adaptive spec is pinned.
+    #[test]
+    fn fingerprints_are_pinned() {
+        assert_eq!(tiny().fingerprint(), 0x4cd1_760d_16d0_f639);
+        let adaptive = JobSpec {
+            epsilon: Some(0.01),
+            ..tiny()
+        };
+        assert_eq!(adaptive.fingerprint(), 0x5914_5845_1eb0_4470);
+    }
+
     #[test]
     fn adaptive_validation_rejects_conflicts() {
         for body in [
@@ -560,7 +595,6 @@ mod tests {
             r#"{"network":"lstm","epsilon":0.0}"#,     // non-positive epsilon
             r#"{"network":"lstm","epsilon":0.01,"confidence":0.8}"#, // unsupported level
             r#"{"network":"lstm","epsilon":0.01,"record_events":true}"#,
-            r#"{"network":"lstm","epsilon":0.01,"target_ci":0.05}"#,
         ] {
             let v = parse(body).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "accepted: {body}");

@@ -18,10 +18,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 
+use fidelity_obs::fnv::fnv64;
 use fidelity_obs::trace::{Field, JsonlSink, TraceEvent, TraceSink, Value};
 use fidelity_obs::{clock, metrics};
-
-use crate::journal::fnv64;
 
 /// Rotation threshold for one job trace file.
 pub const ROTATE_BYTES: u64 = 4 * 1024 * 1024;

@@ -32,6 +32,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
+use fidelity_obs::fnv::fnv64;
+
 /// Journal format magic + version line.
 pub const HEADER: &str = "fidelity-journal v1";
 
@@ -165,18 +167,6 @@ fn word_only(rest: &str) -> Option<String> {
     } else {
         Some(rest.to_owned())
     }
-}
-
-/// FNV-1a over a line payload (the same hash family the checkpoint
-/// fingerprint uses; collisions against random corruption are what matter,
-/// not adversaries). Also derives trace ids in [`crate::jobtrace`].
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Append-only journal writer. Every append flushes, so an accepted job's

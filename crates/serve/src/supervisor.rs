@@ -32,12 +32,12 @@ use std::time::Duration;
 
 use fidelity_core::analysis::{analyze, ResilienceAnalysis};
 use fidelity_core::fit::PAPER_RAW_FIT_PER_MB;
-use fidelity_core::resilience::{CheckpointSpec, RetryBackoff};
+use fidelity_core::resilience::{self, CheckpointSpec, RetryBackoff};
 use fidelity_obs::json::escape_into;
 use fidelity_obs::progress::{ProgressShare, ProgressSnapshot, ProgressSpec};
 use fidelity_obs::trace::{SinkHandle, TraceSink, Value};
 use fidelity_obs::{clock, event, prof};
-use fidelity_par::CancelToken;
+use fidelity_par::{sleep_unless, CancelToken};
 
 use crate::jobspec::JobSpec;
 use crate::jobtrace::{self, JobTracer};
@@ -268,14 +268,22 @@ impl Supervisor {
 
         // Re-validate every recovered record before rewriting anything: a
         // spec that no longer parses must abort recovery while the original
-        // journal is still intact on disk.
+        // journal is still intact on disk. A spec that sets a field this
+        // version retired keeps its record; if it had not finished, it
+        // fails rather than rerunning under different semantics.
         let mut recovered_jobs = Vec::with_capacity(order.len());
         for id in &order {
-            let Some((spec_json, state, error, summary)) = folded.remove(id) else {
+            let Some((spec_json, mut state, mut error, summary)) = folded.remove(id) else {
                 continue;
             };
-            let spec =
-                JobSpec::from_json_str(&spec_json).map_err(|e| format!("journal job {id}: {e}"))?;
+            let (spec, retired) = JobSpec::from_journal_str(&spec_json)
+                .map_err(|e| format!("journal job {id}: {e}"))?;
+            if let (Some(field), JobState::Running | JobState::Queued) = (retired, state) {
+                state = JobState::Failed;
+                error = Some(format!(
+                    "job spec uses the retired field `{field}`; resubmit without it"
+                ));
+            }
             recovered_jobs.push((id.clone(), spec_json, spec, state, error, summary));
         }
 
@@ -861,7 +869,7 @@ impl Supervisor {
                     if attempt < retries {
                         let wait = backoff.delay(entry.spec.campaign_seed(), 0, attempt + 1);
                         let backoff_sw = clock::Stopwatch::start();
-                        let kept_going = sleep_unless_cancelled(wait, &cancel);
+                        let kept_going = sleep_unless(wait, || cancel.is_cancelled());
                         if let Some(t) = &entry.tracer {
                             t.span(
                                 "backoff",
@@ -943,7 +951,14 @@ impl Supervisor {
         // Resume semantics on every attempt: cells already checkpointed (by
         // a previous attempt, lifetime, or daemon process) are restored, so
         // retries and restarts never redo or alter finished work.
-        spec.resilience.checkpoint = Some(CheckpointSpec::resuming(self.checkpoint_path(entry)));
+        let checkpoint = self.checkpoint_path(entry);
+        // A checkpoint in the retired per-cell format (written by an older
+        // daemon) cannot be resumed; the job is deterministic, so it
+        // simply reruns from scratch.
+        if resilience::is_retired_checkpoint(&checkpoint) {
+            let _ = std::fs::remove_file(&checkpoint);
+        }
+        spec.resilience.checkpoint = Some(CheckpointSpec::resuming(checkpoint));
         spec.resilience.cancel = Some(cancel.clone());
         // The job deadline doubles as the per-injection watchdog bound: any
         // single injection outliving the whole job budget is already lost.
@@ -1014,21 +1029,6 @@ impl Supervisor {
         s.push('}');
         s
     }
-}
-
-/// Sleeps `total` in short slices, returning `false` early when cancelled.
-fn sleep_unless_cancelled(total: Duration, cancel: &CancelToken) -> bool {
-    let slice = Duration::from_millis(5);
-    let mut remaining = total;
-    while !remaining.is_zero() {
-        if cancel.is_cancelled() {
-            return false;
-        }
-        let step = remaining.min(slice);
-        std::thread::sleep(step);
-        remaining -= step;
-    }
-    !cancel.is_cancelled()
 }
 
 /// Renders the result summary for a finished job: the FIT breakdown plus
@@ -1121,6 +1121,79 @@ mod tests {
         assert!(matches!(outcome, SubmitOutcome::Accepted), "{outcome:?}");
         assert!(!id.is_empty());
 
+        sup.shutdown_and_drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A state directory written by a daemon that still accepted
+    /// `target_ci` and wrote per-cell checkpoints recovers: the finished
+    /// `target_ci` job keeps its record, the unfinished one fails by name,
+    /// and a job whose checkpoint is in the retired format reruns fresh.
+    #[test]
+    fn recovers_a_state_dir_from_the_per_cell_era() {
+        let dir = scratch_dir("per-cell-era");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let old_spec = r#"{"network":"lstm","samples":2,"target_ci":0.05}"#;
+        let fresh = JobSpec {
+            network: "lstm".to_owned(),
+            samples: 1,
+            seed: Some(3),
+            threads: 1,
+            ..JobSpec::default()
+        };
+        let fresh_id = fresh.job_id();
+        {
+            let mut journal = Journal::create(&dir.join("jobs.journal")).unwrap();
+            for ev in [
+                JournalEvent::Submit {
+                    id: "00000000000000d0".to_owned(),
+                    spec_json: old_spec.to_owned(),
+                },
+                JournalEvent::Done {
+                    id: "00000000000000d0".to_owned(),
+                    summary_json: "{\"fit_total\":1.5}".to_owned(),
+                },
+                JournalEvent::Submit {
+                    id: "00000000000000a1".to_owned(),
+                    spec_json: old_spec.to_owned(),
+                },
+                JournalEvent::Start {
+                    id: "00000000000000a1".to_owned(),
+                },
+                JournalEvent::Submit {
+                    id: fresh_id.clone(),
+                    spec_json: fresh.to_canonical_json(),
+                },
+            ] {
+                journal.append(&ev).unwrap();
+            }
+        }
+        let ckpt = dir.join(format!("job-{fresh_id}.ckpt"));
+        std::fs::write(
+            &ckpt,
+            "fidelity-ckpt v1\nfingerprint 0000000000000000\ndone 0\n",
+        )
+        .unwrap();
+
+        let sup = Supervisor::start(ServeConfig {
+            state_dir: dir.clone(),
+            ..ServeConfig::default()
+        })
+        .expect("a per-cell-era state dir recovers");
+        let state = |id: &str| lock(&lock(&sup.jobs)[id].meta).state;
+        assert_eq!(state("00000000000000d0"), JobState::Done);
+        assert_eq!(state("00000000000000a1"), JobState::Failed);
+        let failed = sup.status_json("00000000000000a1").unwrap();
+        assert!(failed.contains("retired field `target_ci`"), "{failed}");
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while sup.is_terminal(&fresh_id) != Some(true) {
+            assert!(std::time::Instant::now() < deadline, "job never finished");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(state(&fresh_id), JobState::Done);
+        let rewritten = std::fs::read_to_string(&ckpt).unwrap();
+        assert!(rewritten.starts_with("fidelity-ackpt v1\n"), "{rewritten}");
         sup.shutdown_and_drain();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -6,13 +6,14 @@
 //! ```
 
 use fidelity::core::analysis::analyze;
-use fidelity::core::campaign::{wilson_interval, CampaignSpec};
+use fidelity::core::campaign::CampaignSpec;
 use fidelity::core::fit::{
     ff_fit_budget, ASIL_D_CHIPSET_FIT, NVDLA_FF_AREA_FRACTION, PAPER_RAW_FIT_PER_MB,
 };
 use fidelity::core::outcome::TopOneMatch;
 use fidelity::dnn::graph::Engine;
 use fidelity::dnn::precision::Precision;
+use fidelity::obs::stats::wilson95;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Describe the accelerator — no RTL needed, just block-diagram facts:
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analysis.campaign.total_samples()
     );
     for cell in analysis.campaign.cells.iter().take(7) {
-        let (lo, hi) = wilson_interval(cell.masked, cell.samples.max(1));
+        let (lo, hi) = wilson95(cell.masked, cell.samples.max(1));
         println!(
             "  {:<28} {:<34} Prob_SWmask = {:.2} (95% CI {:.2}–{:.2})",
             cell.layer,

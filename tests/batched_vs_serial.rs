@@ -15,9 +15,7 @@ use std::path::PathBuf;
 use fidelity::accel::ff::FfCategory;
 use fidelity::accel::presets;
 use fidelity::accel::AcceleratorConfig;
-use fidelity::core::campaign::{
-    run_campaign, CampaignResult, CampaignSpec, CellStats, MacTier, ParallelCampaignRunner,
-};
+use fidelity::core::campaign::{run_campaign, CampaignResult, CampaignSpec, CellStats, MacTier};
 use fidelity::core::outcome::TopOneMatch;
 use fidelity::core::resilience::{ChaosMode, ChaosSpec, CheckpointSpec, ResilienceSpec};
 use fidelity::dnn::graph::{Engine, NetworkBuilder, Trace};
@@ -188,10 +186,17 @@ fn run_variant(
     let mut spec = spec.clone();
     spec.batch = batch;
     spec.resilience.checkpoint = Some(CheckpointSpec::new(&ckpt.0));
-    let result = ParallelCampaignRunner::new(engine, trace, cfg, &TopOneMatch, spec)
-        .with_jobs(jobs)
-        .run()
-        .unwrap();
+    let result = run_campaign(
+        engine,
+        trace,
+        cfg,
+        &TopOneMatch,
+        &CampaignSpec {
+            threads: jobs,
+            ..spec
+        },
+    )
+    .unwrap();
     let bytes = std::fs::read(&ckpt.0).unwrap();
     (result_key(&result), bytes)
 }
@@ -219,7 +224,6 @@ fn base_spec(seed: u64, samples: usize, record_events: bool) -> CampaignSpec {
         seed,
         threads: 1,
         record_events,
-        target_ci_halfwidth: None,
         resilience: ResilienceSpec::default(),
         progress: None,
         batch: 0,
@@ -340,9 +344,7 @@ proptest! {
             category: victim.1,
             mode: ChaosMode::PanicAtSample(2),
         }];
-        let err = ParallelCampaignRunner::new(&engine, &trace, &cfg, &TopOneMatch, killed)
-            .with_jobs(1)
-            .run()
+        let err = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &CampaignSpec { threads: 1, ..killed })
             .unwrap_err();
         prop_assert!(err.to_string().contains("failure budget exhausted"));
         let killed_bytes = std::fs::read(&killed_ckpt.0).unwrap();
@@ -357,9 +359,7 @@ proptest! {
         let mut resuming = clean.clone();
         resuming.batch = resume_batch;
         resuming.resilience.checkpoint = Some(CheckpointSpec::resuming(&resume_ckpt.0));
-        let result = ParallelCampaignRunner::new(&engine, &trace, &cfg, &TopOneMatch, resuming)
-            .with_jobs(resume_jobs)
-            .run()
+        let result = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &CampaignSpec { threads: resume_jobs, ..resuming })
             .unwrap();
         prop_assert_eq!(
             result_key(&result),

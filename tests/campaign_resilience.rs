@@ -4,6 +4,7 @@
 
 use std::io::Cursor;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use fidelity::accel::ff::{FfCategory, PipelineStage, VarType};
@@ -14,14 +15,16 @@ use fidelity::core::campaign::{
 use fidelity::core::models::{OperandWindow, SoftwareFaultModel};
 use fidelity::core::outcome::{Outcome, TopOneMatch};
 use fidelity::core::resilience::{
-    parse_checkpoint, write_cell, write_header, ChaosMode, ChaosSpec, CheckpointSpec,
-    FailureReason, ResilienceSpec,
+    parse_checkpoint, write_header, write_row, write_wave_start, ChaosMode, ChaosSpec,
+    CheckpointSpec, FailureReason, LogPlan, ResilienceSpec, StratumMeta, StratumRow,
 };
 use fidelity::dnn::graph::{Engine, NetworkBuilder, Trace};
 use fidelity::dnn::init::uniform_tensor;
 use fidelity::dnn::layers::{Activation, ActivationKind, Conv2d, Dense, Flatten, GlobalAvgPool};
 use fidelity::dnn::macspec::OperandKind;
 use fidelity::dnn::precision::Precision;
+use fidelity::obs::progress::ProgressSpec;
+use fidelity::obs::trace::{SinkHandle, TraceEvent, TraceSink, Value};
 use proptest::prelude::*;
 
 fn tiny_engine() -> (Engine, Trace) {
@@ -59,7 +62,6 @@ fn spec(samples: usize, seed: u64) -> CampaignSpec {
         seed,
         threads: 2,
         record_events: true,
-        target_ci_halfwidth: None,
         resilience: ResilienceSpec::default(),
         progress: None,
         batch: 0,
@@ -234,10 +236,30 @@ proptest! {
         cells in prop::collection::vec(arb_cell(), 1..8),
         fingerprint in 0u64..u64::MAX,
     ) {
+        let strata: Vec<StratumMeta> = cells
+            .iter()
+            .map(|c| StratumMeta {
+                node: c.node,
+                category: c.category,
+                model: c.model,
+                weight: 1.0,
+                layer: c.layer.clone(),
+            })
+            .collect();
         let mut buf = Vec::new();
-        write_header(&mut buf, fingerprint).unwrap();
+        let plan = LogPlan::Fixed { samples_per_cell: 1 };
+        write_header(&mut buf, fingerprint, &plan, &strata).unwrap();
+        write_wave_start(&mut buf, 0).unwrap();
         for (idx, cell) in cells.iter().enumerate() {
-            write_cell(&mut buf, idx, cell).unwrap();
+            let row = StratumRow {
+                samples: cell.samples,
+                masked: cell.masked,
+                output_error: cell.output_error,
+                anomaly: cell.anomaly,
+                rng_state: fingerprint,
+                events: cell.events.clone(),
+            };
+            write_row(&mut buf, idx, &row).unwrap();
         }
         let parsed = parse_checkpoint(Cursor::new(&buf)).unwrap();
         prop_assert_eq!(parsed.fingerprint, fingerprint);
@@ -450,6 +472,68 @@ fn resume_rejects_foreign_checkpoint() {
         err.to_string().contains("different campaign"),
         "unexpected error: {err}"
     );
+}
+
+/// Records the `restored`/`remaining` fields of a `campaign.resume` event.
+#[derive(Default)]
+struct ResumeProbe(Mutex<Option<(u64, u64)>>);
+
+impl TraceSink for ResumeProbe {
+    fn record(&self, event: &TraceEvent<'_>) {
+        if event.name == "campaign.resume" {
+            let get = |key: &str| {
+                event.fields.iter().find_map(|(name, value)| match value {
+                    Value::U64(v) if *name == key => Some(*v),
+                    _ => None,
+                })
+            };
+            *self.0.lock().unwrap() = Some((get("restored").unwrap(), get("remaining").unwrap()));
+        }
+    }
+}
+
+/// A fixed plan persists no failure: the failed cell keeps no row, so a
+/// resume retries exactly that cell, and once it is healthy the result and
+/// the checkpoint equal a clean run's. The resume counts every loaded cell
+/// as restored.
+#[test]
+fn failed_fixed_cell_is_retried_on_resume() {
+    let (engine, trace) = tiny_engine();
+    let cfg = presets::nvdla_like();
+    let clean_ckpt = ScratchCkpt::new("retry_clean");
+    let mut clean = spec(20, 77);
+    clean.resilience.checkpoint = Some(CheckpointSpec::new(&clean_ckpt.0));
+    let baseline = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &clean).unwrap();
+    let (node, category) = victim_cell(&baseline);
+
+    let ckpt = ScratchCkpt::new("retry_failed");
+    let mut chaotic = spec(20, 77);
+    chaotic.resilience.checkpoint = Some(CheckpointSpec::new(&ckpt.0));
+    chaotic.resilience.chaos = vec![ChaosSpec {
+        node,
+        category,
+        mode: ChaosMode::PanicAtSample(3),
+    }];
+    let degraded = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &chaotic).unwrap();
+    assert_eq!(degraded.failures.len(), 1);
+
+    let probe = Arc::new(ResumeProbe::default());
+    let mut resume = spec(20, 77);
+    resume.resilience.checkpoint = Some(CheckpointSpec::resuming(&ckpt.0));
+    resume.progress = Some(ProgressSpec {
+        render: false,
+        sink: Some(SinkHandle(probe.clone())),
+        ..ProgressSpec::default()
+    });
+    let resumed = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &resume).unwrap();
+    assert!(resumed.failures.is_empty());
+    assert_bit_identical(&baseline, &resumed);
+    assert_eq!(
+        std::fs::read(&ckpt.0).unwrap(),
+        std::fs::read(&clean_ckpt.0).unwrap()
+    );
+    let cells = baseline.cells.len() as u64;
+    assert_eq!(*probe.0.lock().unwrap(), Some((cells - 1, 1)));
 }
 
 #[test]

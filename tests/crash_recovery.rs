@@ -1,16 +1,21 @@
 //! Torn-state recovery properties: a checkpoint or job journal truncated at
 //! ANY byte offset — the exact artifact of a crash or `kill -9` mid-write —
 //! must yield either a clean resume or a clean, named error. Never a wrong
-//! result, never a panic.
+//! result, never a panic. Corruption that is not a torn tail is a named
+//! error too, never a silent resume from wrong counts.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
-use fidelity::core::campaign::run_campaign;
+use fidelity::core::campaign::{run_campaign, CampaignResult};
 use fidelity::core::resilience::CheckpointSpec;
+use fidelity::obs::progress::ProgressSpec;
+use fidelity::obs::trace::{SinkHandle, TraceEvent, TraceSink};
 use fidelity::serve::journal::{replay_bytes, Journal, JournalEvent, HEADER};
 use fidelity::serve::JobSpec;
+use fidelity_par::CancelToken;
 
 fn scratch(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("fidelity-crash-tests-{}", std::process::id()));
@@ -18,30 +23,99 @@ fn scratch(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+/// A fixed-count campaign: one wave of 2 samples per stratum.
 const SPEC: &str = "{\"network\":\"lstm\",\"samples\":2,\"seed\":13}";
 
-/// The uninterrupted run's checkpoint bytes — the ground truth every
-/// recovered run must reproduce exactly.
-fn reference_ckpt() -> &'static [u8] {
-    static REF: OnceLock<Vec<u8>> = OnceLock::new();
-    REF.get_or_init(|| {
-        let path = scratch("reference.ckpt");
-        run_to_checkpoint(&path).unwrap();
-        std::fs::read(&path).unwrap()
-    })
+/// An adaptive campaign of several waves.
+const ADAPTIVE_SPEC: &str = "{\"network\":\"lstm\",\"seed\":13,\"epsilon\":0.2}";
+
+/// Serializes this file's campaigns: one test reads the process-global
+/// `campaign.injections` counter. Taken by each test, not by the helpers.
+fn campaigns() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs the tiny campaign with its checkpoint at `path` (resuming whatever
-/// the file already holds).
-fn run_to_checkpoint(path: &std::path::Path) -> Result<(), String> {
-    let job = JobSpec::from_json_str(SPEC).unwrap();
+/// The uninterrupted fixed-count run's checkpoint bytes — the ground truth
+/// every recovered run must reproduce exactly.
+fn reference_ckpt() -> &'static [u8] {
+    static REF: OnceLock<Vec<u8>> = OnceLock::new();
+    REF.get_or_init(|| reference_for(SPEC, "reference.ckpt"))
+}
+
+/// The same for the adaptive campaign.
+fn adaptive_reference_ckpt() -> &'static [u8] {
+    static REF: OnceLock<Vec<u8>> = OnceLock::new();
+    REF.get_or_init(|| reference_for(ADAPTIVE_SPEC, "adaptive-reference.ckpt"))
+}
+
+fn reference_for(job: &str, name: &str) -> Vec<u8> {
+    let path = scratch(name);
+    let _ = std::fs::remove_file(&path);
+    run_to_checkpoint(job, &path, 2, None).unwrap();
+    std::fs::read(&path).unwrap()
+}
+
+/// Runs a small campaign with its checkpoint at `path` (resuming whatever
+/// the file already holds), on `threads` workers, with an optional trace
+/// outlet.
+fn run_to_checkpoint(
+    job: &str,
+    path: &std::path::Path,
+    threads: usize,
+    outlet: Option<(SinkHandle, CancelToken)>,
+) -> Result<CampaignResult, String> {
+    let job = JobSpec::from_json_str(job).unwrap();
     let (engine, trace, metric) = job.deploy().unwrap();
     let accel = fidelity::accel::presets::nvdla_like();
-    let mut spec = job.campaign_spec(2);
+    let mut spec = job.campaign_spec(threads);
     spec.resilience.checkpoint = Some(CheckpointSpec::resuming(path));
-    run_campaign(&engine, &trace, &accel, metric.as_ref(), &spec)
-        .map(|_| ())
-        .map_err(|e| e.to_string())
+    if let Some((sink, token)) = outlet {
+        spec.progress = Some(ProgressSpec {
+            render: false,
+            sink: Some(sink),
+            ..ProgressSpec::default()
+        });
+        spec.resilience.cancel = Some(token);
+    }
+    run_campaign(&engine, &trace, &accel, metric.as_ref(), &spec).map_err(|e| e.to_string())
+}
+
+/// Truncates `reference` at `frac` of its length and resumes from the cut:
+/// the campaign either completes to the reference bytes or fails with a
+/// named checkpoint error.
+fn resume_from_cut(
+    job: &str,
+    reference: fn() -> &'static [u8],
+    frac: f64,
+    tag: &str,
+) -> Result<(), TestCaseError> {
+    let _serial = campaigns();
+    let reference = reference();
+    let cut = ((reference.len() as f64) * frac) as usize;
+    let path = scratch(&format!("truncated-{tag}-{cut}.ckpt"));
+    std::fs::write(&path, &reference[..cut]).unwrap();
+    match run_to_checkpoint(job, &path, 2, None) {
+        Ok(_) => {
+            let recovered = std::fs::read(&path).unwrap();
+            prop_assert_eq!(
+                recovered.as_slice(),
+                reference,
+                "resume from cut {} diverged",
+                cut
+            );
+        }
+        Err(e) => {
+            prop_assert!(
+                e.contains("checkpoint"),
+                "cut {} produced an unnamed error: {}",
+                cut,
+                e
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    Ok(())
 }
 
 fn journal_fixture() -> &'static (Vec<u8>, Vec<JournalEvent>) {
@@ -92,30 +166,14 @@ proptest! {
     /// with a clean checkpoint error. No third outcome.
     #[test]
     fn truncated_checkpoint_resumes_or_errors_cleanly(frac in 0.0f64..1.0) {
-        let reference = reference_ckpt();
-        let cut = ((reference.len() as f64) * frac) as usize;
-        let path = scratch(&format!("truncated-{cut}.ckpt"));
-        std::fs::write(&path, &reference[..cut]).unwrap();
-        match run_to_checkpoint(&path) {
-            Ok(()) => {
-                let recovered = std::fs::read(&path).unwrap();
-                prop_assert_eq!(
-                    recovered.as_slice(),
-                    reference,
-                    "resume from cut {} diverged",
-                    cut
-                );
-            }
-            Err(e) => {
-                prop_assert!(
-                    e.contains("checkpoint"),
-                    "cut {} produced an unnamed error: {}",
-                    cut,
-                    e
-                );
-            }
-        }
-        let _ = std::fs::remove_file(&path);
+        resume_from_cut(SPEC, reference_ckpt, frac, "fixed")?;
+    }
+
+    /// The same property for the wave log of an adaptive campaign, whose
+    /// cuts land in closed waves, open waves, and the certificate footer.
+    #[test]
+    fn truncated_adaptive_checkpoint_resumes_or_errors_cleanly(frac in 0.0f64..1.0) {
+        resume_from_cut(ADAPTIVE_SPEC, adaptive_reference_ckpt, frac, "adaptive")?;
     }
 
     /// Journal truncated at any byte: replay yields an exact prefix of the
@@ -159,4 +217,108 @@ fn journal_header_truncations_all_error_cleanly() {
             Err(e) => assert!(e.contains("corrupt journal"), "cut {cut}: {e}"),
         }
     }
+}
+
+/// A committed row whose `masked` count was corrupted (one digit) no longer
+/// sums to its samples: resume refuses it with a named error instead of
+/// continuing from wrong counts, as the offline verifier does.
+#[test]
+fn resume_rejects_a_corrupted_masked_count() {
+    let _serial = campaigns();
+    let reference = String::from_utf8(adaptive_reference_ckpt().to_vec()).unwrap();
+    let row = reference.lines().find(|l| l.starts_with("w ")).unwrap();
+    let mut fields: Vec<String> = row.split(' ').map(str::to_owned).collect();
+    let masked: u64 = fields[3].parse().unwrap();
+    fields[3] = (masked ^ 1).to_string();
+    let corrupted = reference.replacen(row, &fields.join(" "), 1);
+    // Keep the first two waves closed, so the resume has waves left to run.
+    let cut = corrupted.find("wdone 1\n").unwrap() + "wdone 1\n".len();
+    let path = scratch("corrupt-masked.ckpt");
+    std::fs::write(&path, &corrupted[..cut]).unwrap();
+    let err = run_to_checkpoint(ADAPTIVE_SPEC, &path, 2, None).unwrap_err();
+    assert!(
+        err.contains("corrupt checkpoint") && err.contains("outcomes do not sum"),
+        "unexpected error: {err}"
+    );
+    let verify = fidelity::core::adaptive::verify_checkpoint(corrupted.as_bytes())
+        .unwrap_err()
+        .to_string();
+    assert!(verify.contains("outcomes do not sum"), "{verify}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Cancels its token once the campaign has finished `after` strata.
+struct CancelAfter {
+    after: usize,
+    done: std::sync::atomic::AtomicUsize,
+    token: CancelToken,
+}
+
+impl TraceSink for CancelAfter {
+    fn record(&self, event: &TraceEvent<'_>) {
+        if event.name == "cell.done"
+            && self.done.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1 == self.after
+        {
+            self.token.cancel();
+        }
+    }
+}
+
+/// A fixed-count campaign cancelled after k committed rows resumes and runs
+/// only the remaining strata: the injection counter moves by exactly their
+/// quotas, and the result and checkpoint equal the uninterrupted run's.
+#[test]
+fn cancelled_fixed_campaign_resumes_only_the_remaining_strata() {
+    const K: usize = 5;
+    let _serial = campaigns();
+    let reference = reference_ckpt();
+    let path = scratch("cancel-after-k.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let token = CancelToken::new();
+    let sink = Arc::new(CancelAfter {
+        after: K,
+        done: std::sync::atomic::AtomicUsize::new(0),
+        token: token.clone(),
+    });
+    // One worker, so exactly K rows are committed when the cancel lands.
+    let err = run_to_checkpoint(SPEC, &path, 1, Some((SinkHandle(sink), token))).unwrap_err();
+    assert!(
+        err.contains("cancelled after 5/"),
+        "unexpected error: {err}"
+    );
+    let partial =
+        fidelity::core::resilience::parse_checkpoint(std::fs::read(&path).unwrap().as_slice())
+            .unwrap();
+    assert_eq!(partial.cells.len(), K, "rows committed before the cancel");
+
+    let injections = fidelity::obs::metrics::counter("campaign.injections");
+    let before = injections.get();
+    let resumed = run_to_checkpoint(SPEC, &path, 1, None).unwrap();
+    let strata = resumed.cells.len();
+    assert_eq!(
+        injections.get() - before,
+        ((strata - K) * 2) as u64,
+        "resume must run only the {} strata without a row",
+        strata - K
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), reference);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A checkpoint in the retired per-cell format is refused by name.
+#[test]
+fn retired_checkpoint_format_is_rejected_by_name() {
+    let _serial = campaigns();
+    let path = scratch("retired.ckpt");
+    std::fs::write(
+        &path,
+        "fidelity-ckpt v1\nfingerprint 1132b12866b1fcae\ncell 0 0 d:bb:i bb:i 2 2 0 0 0 h_init\ndone 0\n",
+    )
+    .unwrap();
+    let err = run_to_checkpoint(SPEC, &path, 2, None).unwrap_err();
+    assert!(
+        err.contains("unsupported checkpoint format `fidelity-ckpt v1`"),
+        "unexpected error: {err}"
+    );
+    let _ = std::fs::remove_file(&path);
 }

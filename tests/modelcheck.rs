@@ -32,8 +32,9 @@ fn work_steal_deque_random_walk() {
     assert_eq!(report.truncated, 0, "walks must terminate within bounds");
 }
 
-/// OrderedCommit: out-of-order completions with one failure skip drain to
-/// the identical plan-order write log under every schedule.
+/// OrderedCommit: a wave's out-of-order completions, a restored row and
+/// one failure skip drain to the identical stratum-order wave log under
+/// every schedule, with the cursor restarting at each wave.
 #[test]
 fn ordered_commit_exhaustive() {
     let report = fidelity_core::modelcheck::ordered_commit_exhaustive();

@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use fidelity::accel::presets;
-use fidelity::core::campaign::{CampaignSpec, MacTier, ParallelCampaignRunner};
+use fidelity::core::campaign::{run_campaign, CampaignSpec, MacTier};
 use fidelity::core::outcome::TopOneMatch;
 use fidelity::core::resilience::ResilienceSpec;
 use fidelity::dnn::graph::{Engine, Trace};
@@ -36,10 +36,17 @@ fn best_wall(engine: &Engine, trace: &Trace, spec: &CampaignSpec, jobs: usize) -
     let mut best = Duration::MAX;
     for _ in 0..3 {
         let start = Instant::now();
-        ParallelCampaignRunner::new(engine, trace, &cfg, &TopOneMatch, spec.clone())
-            .with_jobs(jobs)
-            .run()
-            .unwrap();
+        run_campaign(
+            engine,
+            trace,
+            &cfg,
+            &TopOneMatch,
+            &CampaignSpec {
+                threads: jobs,
+                ..spec.clone()
+            },
+        )
+        .unwrap();
         best = best.min(start.elapsed());
     }
     best
@@ -63,7 +70,6 @@ fn four_workers_give_at_least_2x_on_multicore_hosts() {
         seed: 9,
         threads: 1,
         record_events: false,
-        target_ci_halfwidth: None,
         resilience: ResilienceSpec::default(),
         progress: None,
         batch: 16,

@@ -3,19 +3,18 @@
 //! must be identical to the serial run for every worker count — including
 //! under injected cell panics and after a mid-campaign kill/resume.
 //!
-//! This is the determinism contract of `ParallelCampaignRunner`: every cell
-//! derives its RNG stream from `(campaign seed, cell id)` alone, shared
-//! accounting is commutative, and checkpoint records pass through the
-//! ordered commit buffer. Nothing observable may depend on scheduling.
+//! This is the determinism contract of the campaign executor at any
+//! `spec.threads`: every cell derives its RNG stream from `(campaign seed,
+//! cell id)` alone, shared accounting is commutative, and checkpoint rows
+//! pass through the ordered commit buffer. Nothing observable may depend on
+//! scheduling.
 
 use std::path::PathBuf;
 
 use fidelity::accel::ff::FfCategory;
 use fidelity::accel::presets;
 use fidelity::core::adaptive::AdaptivePlan;
-use fidelity::core::campaign::{
-    run_campaign, CampaignResult, CampaignSpec, CellStats, MacTier, ParallelCampaignRunner,
-};
+use fidelity::core::campaign::{run_campaign, CampaignResult, CampaignSpec, CellStats, MacTier};
 use fidelity::core::outcome::TopOneMatch;
 use fidelity::core::resilience::{ChaosMode, ChaosSpec, CheckpointSpec, ResilienceSpec};
 use fidelity::dnn::graph::{Engine, NetworkBuilder, Trace};
@@ -141,10 +140,17 @@ fn run_at(
     let ckpt = ScratchCkpt::new(&format!("{tag}_{jobs}"));
     let mut spec = spec.clone();
     spec.resilience.checkpoint = Some(CheckpointSpec::new(&ckpt.0));
-    let result = ParallelCampaignRunner::new(engine, trace, &cfg, &TopOneMatch, spec)
-        .with_jobs(jobs)
-        .run()
-        .unwrap();
+    let result = run_campaign(
+        engine,
+        trace,
+        &cfg,
+        &TopOneMatch,
+        &CampaignSpec {
+            threads: jobs,
+            ..spec
+        },
+    )
+    .unwrap();
     let bytes = std::fs::read(&ckpt.0).unwrap();
     (result_key(&result), bytes)
 }
@@ -158,8 +164,16 @@ fn records(bytes: &[u8]) -> Vec<(usize, Vec<u8>)> {
         .cells
         .into_iter()
         .map(|(idx, stats)| {
+            let row = fidelity::core::resilience::StratumRow {
+                samples: stats.samples,
+                masked: stats.masked,
+                output_error: stats.output_error,
+                anomaly: stats.anomaly,
+                rng_state: 0,
+                events: stats.events,
+            };
             let mut buf = Vec::new();
-            fidelity::core::resilience::write_cell(&mut buf, idx, &stats).unwrap();
+            fidelity::core::resilience::write_row(&mut buf, idx, &row).unwrap();
             (idx, buf)
         })
         .collect()
@@ -187,7 +201,6 @@ fn adaptive_spec(seed: u64, batch: usize) -> CampaignSpec {
         seed,
         threads: 1,
         record_events: false,
-        target_ci_halfwidth: None,
         resilience: ResilienceSpec::default(),
         progress: None,
         batch,
@@ -213,10 +226,17 @@ fn run_adaptive_at(
     let ckpt = ScratchCkpt::new(&format!("adaptive_{tag}_{jobs}"));
     let mut spec = spec.clone();
     spec.resilience.checkpoint = Some(CheckpointSpec::new(&ckpt.0));
-    let result = ParallelCampaignRunner::new(engine, trace, &cfg, &TopOneMatch, spec)
-        .with_jobs(jobs)
-        .run()
-        .unwrap();
+    let result = run_campaign(
+        engine,
+        trace,
+        &cfg,
+        &TopOneMatch,
+        &CampaignSpec {
+            threads: jobs,
+            ..spec
+        },
+    )
+    .unwrap();
     let cert = result.certificate.as_ref().expect("adaptive emits cert");
     let bytes = std::fs::read(&ckpt.0).unwrap();
     (result_key(&result), cert.canonical_bytes(), bytes)
@@ -293,10 +313,17 @@ fn adaptive_kill_mid_wave_then_resume_is_identical() {
         std::fs::write(&ckpt.0, &torn).unwrap();
         let mut resuming = spec.clone();
         resuming.resilience.checkpoint = Some(CheckpointSpec::resuming(&ckpt.0));
-        let result = ParallelCampaignRunner::new(&engine, &trace, &cfg, &TopOneMatch, resuming)
-            .with_jobs(jobs)
-            .run()
-            .unwrap();
+        let result = run_campaign(
+            &engine,
+            &trace,
+            &cfg,
+            &TopOneMatch,
+            &CampaignSpec {
+                threads: jobs,
+                ..resuming
+            },
+        )
+        .unwrap();
         assert_eq!(
             result_key(&result),
             reference.0,
@@ -334,7 +361,6 @@ proptest! {
             seed,
             threads: 1,
             record_events: record_events == 1,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
@@ -364,7 +390,6 @@ proptest! {
             seed,
             threads: 1,
             record_events: true,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
@@ -407,7 +432,6 @@ proptest! {
             seed,
             threads: 1,
             record_events: true,
-            target_ci_halfwidth: None,
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
@@ -433,9 +457,7 @@ proptest! {
             category: victim.1,
             mode: ChaosMode::PanicAtSample(0),
         }];
-        let err = ParallelCampaignRunner::new(&engine, &trace, &cfg, &TopOneMatch, killed)
-            .with_jobs(kill_jobs)
-            .run()
+        let err = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &CampaignSpec { threads: kill_jobs, ..killed })
             .unwrap_err();
         prop_assert!(err.to_string().contains("failure budget exhausted"));
         let killed_bytes = std::fs::read(&killed_ckpt.0).unwrap();
@@ -475,9 +497,7 @@ proptest! {
             std::fs::write(&resume_ckpt.0, &killed_bytes).unwrap();
             let mut resuming = clean.clone();
             resuming.resilience.checkpoint = Some(CheckpointSpec::resuming(&resume_ckpt.0));
-            let result = ParallelCampaignRunner::new(&engine, &trace, &cfg, &TopOneMatch, resuming)
-                .with_jobs(jobs)
-                .run()
+            let result = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &CampaignSpec { threads: jobs, ..resuming })
                 .unwrap();
             prop_assert_eq!(result_key(&result), reference_key.clone(), "resume diverges at jobs={}", jobs);
             let final_bytes = std::fs::read(&resume_ckpt.0).unwrap();

@@ -73,9 +73,9 @@ fn id_of(body: &str) -> String {
     body[start..].split('"').next().unwrap().to_owned()
 }
 
+/// Rows committed to the job's wave log (one per finished stratum).
 fn committed_cells(ckpt: &std::path::Path) -> usize {
-    std::fs::read_to_string(ckpt)
-        .map_or(0, |s| s.lines().filter(|l| l.starts_with("cell ")).count())
+    std::fs::read_to_string(ckpt).map_or(0, |s| s.lines().filter(|l| l.starts_with("w ")).count())
 }
 
 #[test]
