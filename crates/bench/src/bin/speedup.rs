@@ -16,7 +16,7 @@ use std::time::Instant;
 const RTL_SECONDS_PER_CYCLE: f64 = 1e-3;
 
 use fidelity_bench::report;
-use fidelity_core::inject::inject_once;
+use fidelity_core::batch::BatchedInjectionRunner;
 use fidelity_core::models::SoftwareFaultModel;
 use fidelity_core::outcome::TopOneMatch;
 use fidelity_core::validate::{random_sites, rtl_layer_for};
@@ -80,19 +80,28 @@ fn main() {
         }
         let mixed_time = t0.elapsed().as_secs_f64() / reps as f64;
 
-        // FIdelity software fault injection.
+        // FIdelity software fault injection, on the campaigns' path: the
+        // batched runner over its installed golden overlay (the untimed
+        // first injection installs it).
+        let mut runner = BatchedInjectionRunner::new(16);
+        let mut inject = |rng: &mut SplitMix64| {
+            let inj = runner
+                .run(
+                    &engine,
+                    &trace,
+                    node,
+                    SoftwareFaultModel::OutputValue,
+                    &TopOneMatch,
+                    rng,
+                    None,
+                )
+                .expect("injection over fixed workloads");
+            std::hint::black_box(inj);
+        };
+        inject(&mut rng);
         let t0 = Instant::now();
         for _ in 0..reps {
-            let inj = inject_once(
-                &engine,
-                &trace,
-                node,
-                SoftwareFaultModel::OutputValue,
-                &TopOneMatch,
-                &mut rng,
-            )
-            .expect("injection over fixed workloads");
-            std::hint::black_box(inj);
+            inject(&mut rng);
         }
         let sw_time = t0.elapsed().as_secs_f64() / reps as f64;
 

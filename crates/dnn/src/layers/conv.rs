@@ -2,14 +2,17 @@
 
 use crate::error::DnnError;
 use crate::layers::{check_arity, Layer, LayerKind};
-use crate::macspec::{conv_out_window, ConvSpec, MacSpec, Operands};
+use crate::macspec::{conv_out_window, ConvPanel, ConvSpec, MacSpec, Operands};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
 /// A 2-D convolution over NCHW input with OIHW weights.
 ///
-/// The forward pass uses [`MacSpec::forward_into`], whose per-neuron
+/// The forward pass runs the conv lane kernel of [`crate::macspec`] over a
+/// weight panel the layer packs once, in [`Conv2d::new`],
+/// [`Conv2d::with_groups`] and [`Layer::quantize_weights`] (the only places
+/// its weights or their grouping change), never per forward. Its per-neuron
 /// accumulation order is bit-identical to [`MacSpec::compute_at`], so the
 /// fault-injection engine's per-neuron recomputation never diverges from
 /// normal inference.
@@ -37,6 +40,8 @@ pub struct Conv2d {
     padding: (usize, usize),
     dilation: (usize, usize),
     groups: usize,
+    /// `weight` packed for the conv lane kernel, for `groups`.
+    panel: ConvPanel,
 }
 
 impl Conv2d {
@@ -56,14 +61,17 @@ impl Conv2d {
                 ),
             });
         }
-        Ok(Conv2d {
+        let mut conv = Conv2d {
             name: name.into(),
             weight,
             stride: (1, 1),
             padding: (0, 0),
             dilation: (1, 1),
             groups: 1,
-        })
+            panel: ConvPanel::default(),
+        };
+        conv.pack();
+        Ok(conv)
     }
 
     /// Sets the stride.
@@ -90,12 +98,20 @@ impl Conv2d {
     pub fn with_groups(mut self, groups: usize) -> Self {
         assert!(groups > 0, "groups must be positive");
         self.groups = groups;
+        self.pack();
         self
     }
 
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.weight.shape()[0]
+    }
+
+    /// Packs the weights for the conv lane kernel; called wherever the
+    /// weights or their grouping change.
+    fn pack(&mut self) {
+        self.panel
+            .pack(self.weight.data(), self.out_channels(), self.groups);
     }
 
     fn spec_for(&self, input_shape: &[usize]) -> Result<ConvSpec, DnnError> {
@@ -153,14 +169,21 @@ impl Layer for Conv2d {
         check_arity(&self.name, 1, inputs.len())?;
         let c = self.spec_for(inputs[0].shape())?;
         let dims = [c.batch, c.out_c, c.out_h(), c.out_w()];
-        let spec = MacSpec::Conv(c);
         let ops = Operands {
             input: inputs[0],
             weight: &self.weight,
         };
         let mut out = ws.zeros(&dims);
-        let tier = ws.mac_tier();
-        spec.forward_tier_into_scratch(&ops, out.data_mut(), ws.kernel_scratch(), tier);
+        // Conv has one tier: its lane kernel is output-parallel, so `Fast`
+        // runs the same bits as `Bitwise`.
+        c.forward_window_packed(
+            &ops,
+            &self.panel,
+            out.data_mut(),
+            ws.kernel_scratch(),
+            (0, usize::MAX),
+            (0, usize::MAX),
+        );
         Ok(out)
     }
 
@@ -194,23 +217,81 @@ impl Layer for Conv2d {
     ) -> Result<bool, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
         let c = self.spec_for(inputs[0].shape())?;
-        let spec = MacSpec::Conv(c);
         let ops = Operands {
             input: inputs[0],
             weight: &self.weight,
         };
-        Ok(spec.forward_region_into_scratch(&ops, out.data_mut(), ws.kernel_scratch(), h, w))
+        c.forward_window_packed(&ops, &self.panel, out.data_mut(), ws.kernel_scratch(), h, w);
+        Ok(true)
     }
 
     fn quantize_weights(&mut self, codec: &ValueCodec) {
         codec.quantize_slice(self.weight.data_mut());
+        self.pack();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::uniform_tensor;
     use crate::precision::Precision;
+
+    /// Runs `forward` and a one-row `forward_region` of `conv` on `input`
+    /// and checks every neuron they write against `compute_at` over the
+    /// layer's current weights, bit for bit. Returns the forward's output.
+    fn assert_matches_compute_at(conv: &Conv2d, input: &Tensor) -> Tensor {
+        let out = conv.forward_alloc(&[input]).unwrap();
+        let spec = conv.mac_spec(&[input.shape()]).unwrap();
+        let ops = Operands {
+            input,
+            weight: conv.weights()[0],
+        };
+        for (off, v) in out.data().iter().enumerate() {
+            let want = spec.compute_at(&ops, off, None);
+            assert_eq!(v.to_bits(), want.to_bits(), "forward, neuron {off}");
+        }
+        let mut region = Tensor::zeros(out.shape().to_vec());
+        let (oh, ow) = (out.shape()[2], out.shape()[3]);
+        let mut ws = Workspace::default();
+        let row = (1, 2);
+        assert!(conv
+            .forward_region(&[input], row, (0, ow), &mut region, &mut ws)
+            .unwrap());
+        for (off, v) in region.data().iter().enumerate() {
+            if (off / ow) % oh == row.0 {
+                let want = spec.compute_at(&ops, off, None);
+                assert_eq!(v.to_bits(), want.to_bits(), "region, neuron {off}");
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn quantize_weights_repacks_the_panel() {
+        let w = uniform_tensor(3, vec![12, 3, 3, 3], 1.0);
+        let mut conv = Conv2d::new("q", w).unwrap().with_padding(1, 1);
+        let input = uniform_tensor(4, vec![1, 3, 6, 6], 1.0);
+        let before = assert_matches_compute_at(&conv, &input);
+        conv.quantize_weights(&ValueCodec::new(Precision::Int8, 0.25));
+        let after = assert_matches_compute_at(&conv, &input);
+        assert_ne!(
+            before.data(),
+            after.data(),
+            "quantizing must move the output"
+        );
+    }
+
+    #[test]
+    fn with_groups_after_new_repacks_the_panel() {
+        let w = uniform_tensor(5, vec![12, 2, 3, 3], 1.0);
+        let conv = Conv2d::new("g", w).unwrap().with_padding(1, 1);
+        assert_matches_compute_at(&conv, &uniform_tensor(6, vec![1, 2, 5, 5], 1.0));
+        let grouped = conv.clone().with_groups(3);
+        assert_matches_compute_at(&grouped, &uniform_tensor(7, vec![1, 6, 5, 5], 1.0));
+        let depthwise = conv.with_groups(12);
+        assert_matches_compute_at(&depthwise, &uniform_tensor(8, vec![1, 24, 5, 5], 1.0));
+    }
 
     #[test]
     fn identity_kernel_preserves_input() {

@@ -464,11 +464,19 @@ impl MacSpec {
     }
 
     /// Computes the whole output tensor into `out` (flat row-major) using
-    /// packed kernels: padding-valid `kh`/`ow` ranges are hoisted out of the
-    /// inner loops, conv input rows are packed once per (batch, group,
-    /// output row) into an im2col-style panel reused across the group's
-    /// output channels, and the inner loops run over contiguous slices with
-    /// no bounds checks.
+    /// vectorized kernels. Conv packs the weights into `scratch`, a block of
+    /// 8 or 16 output channels per kernel step contiguous, and runs a
+    /// register-blocked kernel whose SIMD lanes are those output channels:
+    /// each tile of up to 4 output positions sharing a valid tap range holds
+    /// its accumulators in registers across every tap, broadcasting one
+    /// input per position against one weight vector. Groups with a single
+    /// output channel (depthwise) run one accumulator per output column
+    /// instead. Dense and matmul advance eight independent output neurons
+    /// in lock-step.
+    ///
+    /// The weights are packed on every call: one pass over them, where a
+    /// full forward makes `batch·out_h·out_w`. `Conv2d` layers pack theirs
+    /// once, when the weights change, and skip it.
     ///
     /// The accumulation order per neuron is byte-for-byte identical to
     /// [`MacSpec::compute_at`] — gated padding terms are skipped outright
@@ -490,7 +498,9 @@ impl MacSpec {
         let x = operands.input.data();
         let w = operands.weight.data();
         match self {
-            MacSpec::Conv(c) => conv_forward_packed(c, x, w, out, scratch),
+            MacSpec::Conv(c) => {
+                conv_forward_window(c, operands, out, scratch, (0, usize::MAX), (0, usize::MAX));
+            }
             MacSpec::Dense(d) => {
                 for b in 0..d.batch {
                     let x_row = &x[b * d.in_features..(b + 1) * d.in_features];
@@ -602,15 +612,7 @@ impl MacSpec {
         match self {
             MacSpec::Conv(c) => {
                 assert_eq!(out.len(), self.out_len(), "output buffer size mismatch");
-                conv_forward_window(
-                    c,
-                    operands.input.data(),
-                    operands.weight.data(),
-                    out,
-                    scratch,
-                    h,
-                    w_win,
-                );
+                conv_forward_window(c, operands, out, scratch, h, w_win);
                 true
             }
             _ => false,
@@ -718,34 +720,94 @@ impl MacSpec {
     }
 }
 
-/// Reusable scratch buffers for the packed [`MacSpec::forward_into_scratch`]
-/// kernels: the im2col-style panel, the per-output-row accumulator, and the
-/// hoisted per-`kw` valid output-column ranges.
+/// Reusable scratch buffers for the [`MacSpec::forward_into_scratch`]
+/// kernels: the conv weights packed for the lane kernel (re-packed on every
+/// call, since a raw-operand call cannot know whether its weights changed),
+/// the conv tile and tap lists, and the row accumulator and per-`kw`
+/// column ranges of the depthwise and non-transposed matmul kernels.
 ///
 /// Contents are transient — every kernel invocation fully re-derives what it
 /// reads — so one scratch can be reused across layers and specs of any
 /// shape. Reuse only saves the allocations.
 #[derive(Debug, Default)]
 pub struct KernelScratch {
-    /// Packed input panel: `kernel_steps × out_w` values per (batch, group,
-    /// output row). Only padding-valid regions are written and read.
-    panel: Vec<f32>,
-    /// One accumulator per output column (conv) / output column (matmul).
+    /// The weights of the current raw-operand conv call, packed on every
+    /// call. A `Conv2d` layer owns its panel and packs it only when its
+    /// weights change.
+    panel: ConvPanel,
+    /// One accumulator per output column (depthwise conv, matmul).
     acc: Vec<f32>,
-    /// Per-`kw` valid `[lo, hi)` output-column ranges.
+    /// Per-`kw` valid `[lo, hi)` output-column ranges (depthwise).
     ranges: Vec<(usize, usize)>,
-    /// Narrow-window tap compaction: gathered input values for one output
-    /// position, ascending (ic, kh, kw) over the padding-valid taps.
-    tap_x: Vec<f32>,
-    /// Kernel-step index (`ic·kh·kw` flat) of each gathered tap, parallel
-    /// to `tap_x`.
-    tap_step: Vec<usize>,
+    /// The window's column tiles (lane kernel).
+    tiles: Vec<Tile>,
+    /// One tile's non-gated `(kernel step, input offset)` taps (lane
+    /// kernel).
+    taps: Vec<(usize, usize)>,
 }
 
 impl KernelScratch {
     /// A scratch with empty buffers; they grow on first use.
     pub fn new() -> Self {
         KernelScratch::default()
+    }
+}
+
+/// Output channels per block of the conv lane kernel, the SIMD lanes of
+/// its accumulators: 16 (two 8-lane or one 16-lane register) where a group
+/// has more than 8 output channels, else 8 — 8- and 4-channel groups ran
+/// 1.2–1.3× faster on 8 lanes than on a mostly padded 16.
+fn lanes_for(group_out_c: usize) -> usize {
+    if group_out_c > 8 {
+        16
+    } else {
+        8
+    }
+}
+
+/// Output positions per tile of the conv lane kernel: each packed weight
+/// vector is loaded once per tile and used by every position in it.
+const TILE: usize = 4;
+
+/// Conv weights packed for the lane kernel, `[group][oc block][step][lane]`:
+/// each group's output channels in blocks of [`lanes_for`] lanes, a block
+/// holding the weights of one kernel step contiguously, so the kernel loads
+/// one vector per tap. Lanes past a group's last output channel are zero
+/// and their accumulators are discarded, never written out.
+///
+/// Groups with a single output channel (depthwise) are not packed; their
+/// kernel reads the OIHW weights directly.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ConvPanel {
+    data: Vec<f32>,
+    /// `(out_c, groups, kernel steps)` the panel was packed for.
+    geometry: (usize, usize, usize),
+}
+
+impl ConvPanel {
+    /// Packs flat OIHW conv weights (`[out_c, in_c / groups, kh, kw]`) for
+    /// `groups` channel groups, reusing the panel's buffer.
+    pub(crate) fn pack(&mut self, weight: &[f32], out_c: usize, groups: usize) {
+        let steps = weight.len() / out_c.max(1);
+        self.geometry = (out_c, groups, steps);
+        self.data.clear();
+        let goc = out_c / groups;
+        // A `Conv2d` may hold groups that do not divide its output
+        // channels; its forward rejects them before any kernel runs.
+        if goc <= 1 || goc * groups != out_c {
+            return;
+        }
+        let lanes = lanes_for(goc);
+        let blocks = goc.div_ceil(lanes);
+        self.data.resize(groups * blocks * steps * lanes, 0.0);
+        for (oc, row) in weight.chunks_exact(steps).enumerate() {
+            let (group, j) = (oc / goc, oc % goc);
+            let block =
+                &mut self.data[(group * blocks + j / lanes) * steps * lanes..][..steps * lanes];
+            for (step, &v) in block.chunks_exact_mut(lanes).zip(row) {
+                step[j % lanes] = v;
+            }
+        }
     }
 }
 
@@ -841,19 +903,284 @@ fn dot_fast(xs: &[f32], ws: &[f32]) -> f32 {
     acc
 }
 
-/// Packed conv kernel. See [`MacSpec::forward_into_scratch`] for the
-/// bit-identity contract.
-fn conv_forward_packed(c: &ConvSpec, x: &[f32], w: &[f32], out: &mut [f32], s: &mut KernelScratch) {
-    conv_forward_window(c, x, w, out, s, (0, usize::MAX), (0, usize::MAX));
+impl ConvSpec {
+    /// Computes the output elements whose spatial coordinates fall in
+    /// `h = [h0, h1)` × `w = [w0, w1)` (clamped to the output dims; all
+    /// batches and channels) from weights already packed into `panel`,
+    /// leaving every other element of `out` untouched. `(0, usize::MAX)`
+    /// on both axes is the full forward.
+    ///
+    /// This is the kernel behind [`MacSpec::forward_into_scratch`] and
+    /// [`MacSpec::forward_region_into_scratch`], minus the packing: a layer
+    /// that owns its weights packs them once and calls this on every
+    /// forward. The values are byte-identical to [`MacSpec::compute_at`]; a
+    /// window only restricts which positions the kernel visits, so each
+    /// neuron in it sees the term sequence of the full forward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not this spec's output length, or if
+    /// `panel` was packed for a different `(out_c, groups, kernel steps)`.
+    pub(crate) fn forward_window_packed(
+        &self,
+        operands: &Operands<'_>,
+        panel: &ConvPanel,
+        out: &mut [f32],
+        scratch: &mut KernelScratch,
+        h: (usize, usize),
+        w: (usize, usize),
+    ) {
+        assert_eq!(
+            out.len(),
+            self.batch * self.out_c * self.out_h() * self.out_w(),
+            "output buffer size mismatch"
+        );
+        assert_eq!(
+            panel.geometry,
+            (
+                self.out_c,
+                self.groups,
+                self.group_in_c() * self.kh * self.kw
+            ),
+            "conv panel packed for a different geometry"
+        );
+        let (oh_dim, ow_dim) = (self.out_h(), self.out_w());
+        let h = (h.0.min(oh_dim), h.1.min(oh_dim));
+        let w = (w.0.min(ow_dim), w.1.min(ow_dim));
+        if h.0 >= h.1 || w.0 >= w.1 {
+            return;
+        }
+        let (x, weight) = (operands.input.data(), operands.weight.data());
+        if self.group_out_c() == 1 {
+            conv_depthwise_window(self, x, weight, out, scratch, h, w);
+        } else if lanes_for(self.group_out_c()) == 8 {
+            conv_lanes::<8>(self, x, &panel.data, out, scratch, h, w);
+        } else {
+            conv_lanes::<16>(self, x, &panel.data, out, scratch, h, w);
+        }
+    }
 }
 
-/// Packed conv kernel restricted to the output window `h = [h0, h1)` ×
-/// `w = [w0, w1)` (clamped to the output dims; all batches and channels).
-/// Elements outside the window are left untouched; elements inside it are
-/// byte-identical to the full [`conv_forward_packed`] pass, because the
-/// window only narrows the `oh` loop and the hoisted per-`kw` column
-/// ranges — each computed neuron still sees the identical term sequence.
+/// Conv through the lane kernel, packing `operands.weight` into the
+/// scratch panel first. See [`MacSpec::forward_into_scratch`] for the
+/// bit-identity contract.
 fn conv_forward_window(
+    c: &ConvSpec,
+    operands: &Operands<'_>,
+    out: &mut [f32],
+    s: &mut KernelScratch,
+    h: (usize, usize),
+    w: (usize, usize),
+) {
+    let mut panel = std::mem::take(&mut s.panel);
+    panel.pack(operands.weight.data(), c.out_c, c.groups);
+    c.forward_window_packed(operands, &panel, out, s, h, w);
+    s.panel = panel;
+}
+
+/// The valid kernel taps of one output coordinate: `[lo, hi)` over the
+/// taps whose input coordinate `o·stride − pad + k·dilation` lies in
+/// `[0, extent)`.
+#[inline]
+fn taps_at(
+    o: usize,
+    stride: usize,
+    pad: usize,
+    dilation: usize,
+    taps: usize,
+    extent: usize,
+) -> (usize, usize) {
+    valid_taps((o * stride) as isize - pad as isize, dilation, taps, extent)
+}
+
+/// The conv lane kernel (every group with more than one output channel).
+/// The SIMD lanes are output channels: a block of `OCB` channels of one
+/// group accumulates a tile of up to `TILE` output positions in a
+/// `[[f32; OCB]; P]` register array, across every `(ic, kh, kw)` tap,
+/// broadcasting one input per position and loading one packed weight
+/// vector per tap. The positions of a tile share their valid tap range, so
+/// padding taps are skipped for all of them (never added as `+0.0`), and
+/// every neuron adds its terms in ascending kernel-step order into its own
+/// lane: the bits of [`MacSpec::compute_at`].
+fn conv_lanes<const OCB: usize>(
+    c: &ConvSpec,
+    x: &[f32],
+    panel: &[f32],
+    out: &mut [f32],
+    s: &mut KernelScratch,
+    h: (usize, usize),
+    w: (usize, usize),
+) {
+    let (gic, goc) = (c.group_in_c(), c.group_out_c());
+    let blocks = goc.div_ceil(OCB);
+    let steps = gic * c.kh * c.kw;
+    let plane = c.in_h * c.in_w;
+    let out_plane = c.out_h() * c.out_w();
+    let (panel, _) = panel.as_chunks::<OCB>();
+    let KernelScratch { tiles, taps, .. } = s;
+    conv_tiles(c, h, w, tiles);
+
+    let mut taps_for = None;
+    for t in tiles.iter() {
+        // The tile's non-gated taps in ascending kernel-step order, as
+        // (step, input offset from the position's first tap): rebuilt only
+        // when the valid tap range changes.
+        if taps_for != Some((t.kh, t.kw)) {
+            taps_for = Some((t.kh, t.kw));
+            taps.clear();
+            for ic in 0..gic {
+                for kh_i in t.kh.0..t.kh.1 {
+                    let row = ic * plane + (kh_i - t.kh.0) * c.dilation.0 * c.in_w;
+                    let step = (ic * c.kh + kh_i) * c.kw;
+                    for kw_i in t.kw.0..t.kw.1 {
+                        taps.push((step + kw_i, row + (kw_i - t.kw.0) * c.dilation.1));
+                    }
+                }
+            }
+        }
+        for b in 0..c.batch {
+            for group in 0..c.groups {
+                let xg = &x[(b * c.in_c + group * gic) * plane..][..gic * plane];
+                for block in 0..blocks {
+                    let wts = &panel[(group * blocks + block) * steps..][..steps];
+                    // Lane `l` of position `p` is output channel `oc0 + l`
+                    // at `out_at[p]`; padded lanes are dropped.
+                    let oc0 = group * goc + block * OCB;
+                    let lanes = OCB.min(goc - block * OCB);
+                    let dst = &mut out[(b * c.out_c + oc0) * out_plane..];
+                    let mut store = |acc: &[[f32; OCB]]| {
+                        for l in 0..lanes {
+                            for (&at, a) in t.out_at.iter().zip(acc) {
+                                dst[l * out_plane + at] = a[l];
+                            }
+                        }
+                    };
+                    match t.n {
+                        1 => store(&conv_tile::<1, OCB>(xg, &t.x_at, taps, wts)),
+                        2 => store(&conv_tile::<2, OCB>(xg, &t.x_at, taps, wts)),
+                        3 => store(&conv_tile::<3, OCB>(xg, &t.x_at, taps, wts)),
+                        _ => store(&conv_tile::<TILE, OCB>(xg, &t.x_at, taps, wts)),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Up to `TILE` output positions sharing their valid kernel rows `kh` and
+/// columns `kw`: one tile of the lane kernel.
+#[derive(Debug)]
+struct Tile {
+    kh: (usize, usize),
+    kw: (usize, usize),
+    n: usize,
+    /// Each position's offset within an output channel plane.
+    out_at: [usize; TILE],
+    /// Each position's first valid tap within an input channel plane.
+    x_at: [usize; TILE],
+}
+
+/// Splits the output window `h × w` into tiles, grouped by valid tap range
+/// so that each range's tap list is built once. Rows with equal valid
+/// kernel rows are contiguous (both ends of the range only move one way
+/// as the row grows), and so are columns; each (row run × column run)
+/// block is tiled in row-major order.
+fn conv_tiles(
+    c: &ConvSpec,
+    (h0, h1): (usize, usize),
+    (w0, w1): (usize, usize),
+    tiles: &mut Vec<Tile>,
+) {
+    let row_taps = |oh| taps_at(oh, c.stride.0, c.padding.0, c.dilation.0, c.kh, c.in_h);
+    let col_taps = |ow| taps_at(ow, c.stride.1, c.padding.1, c.dilation.1, c.kw, c.in_w);
+    tiles.clear();
+    for (kh, r0, r1) in tap_runs(h0, h1, row_taps) {
+        for (kw, q0, q1) in tap_runs(w0, w1, col_taps) {
+            for oh in r0..r1 {
+                for ow in q0..q1 {
+                    // The position's first valid tap; unused (and never
+                    // formed) when every tap is gated.
+                    let x_at = if kh.0 < kh.1 && kw.0 < kw.1 {
+                        (oh * c.stride.0 + kh.0 * c.dilation.0 - c.padding.0) * c.in_w
+                            + ow * c.stride.1
+                            + kw.0 * c.dilation.1
+                            - c.padding.1
+                    } else {
+                        0
+                    };
+                    let out_at = oh * c.out_w() + ow;
+                    match tiles.last_mut() {
+                        Some(t) if t.kh == kh && t.kw == kw && t.n < TILE => {
+                            t.out_at[t.n] = out_at;
+                            t.x_at[t.n] = x_at;
+                            t.n += 1;
+                        }
+                        _ => tiles.push(Tile {
+                            kh,
+                            kw,
+                            n: 1,
+                            out_at: [out_at; TILE],
+                            x_at: [x_at; TILE],
+                        }),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The maximal runs `(taps, start, end)` of consecutive coordinates in
+/// `[lo, hi)` whose valid tap ranges `at(o)` are equal.
+fn tap_runs(
+    lo: usize,
+    hi: usize,
+    at: impl Fn(usize) -> (usize, usize),
+) -> impl Iterator<Item = ((usize, usize), usize, usize)> {
+    let mut o = lo;
+    core::iter::from_fn(move || {
+        if o >= hi {
+            return None;
+        }
+        let (start, taps) = (o, at(o));
+        o += 1;
+        while o < hi && at(o) == taps {
+            o += 1;
+        }
+        Some((taps, start, o))
+    })
+}
+
+/// The register-blocked micro-kernel: `P` positions × `OCB` output
+/// channels over one group's input planes `xg` and one block's packed
+/// weights `wts`. Position `p` reads tap `(step, off)` at
+/// `xg[x_at[p] + off]`.
+#[inline(always)]
+fn conv_tile<const P: usize, const OCB: usize>(
+    xg: &[f32],
+    x_at: &[usize; TILE],
+    taps: &[(usize, usize)],
+    wts: &[[f32; OCB]],
+) -> [[f32; OCB]; P] {
+    let mut acc = [[0.0f32; OCB]; P];
+    for &(step, off) in taps {
+        let xs: [f32; P] = core::array::from_fn(|p| xg[x_at[p] + off]);
+        // Lanes outermost: LLVM then vectorizes across lanes (one weight
+        // vector, one broadcast input per position), not across positions.
+        for (l, &w) in wts[step].iter().enumerate() {
+            for (acc_p, &xv) in acc.iter_mut().zip(&xs) {
+                acc_p[l] += xv * w;
+            }
+        }
+    }
+    acc
+}
+
+/// Conv kernel for groups with a single output channel (depthwise): no
+/// packing, no lane blocks. Windows of at least [`LANES`] columns run one
+/// accumulator per output column over contiguous input row segments;
+/// narrower ones accumulate each neuron's valid taps directly. Either way
+/// every neuron adds its non-gated terms in ascending kernel-step order.
+fn conv_depthwise_window(
     c: &ConvSpec,
     x: &[f32],
     w: &[f32],
@@ -863,31 +1190,17 @@ fn conv_forward_window(
     (w0, w1): (usize, usize),
 ) {
     let (oh_dim, ow_dim) = (c.out_h(), c.out_w());
-    let (h0, h1) = (h0.min(oh_dim), h1.min(oh_dim));
-    let (w0, w1) = (w0.min(ow_dim), w1.min(ow_dim));
-    if h0 >= h1 || w0 >= w1 {
-        return;
-    }
     let gic = c.group_in_c();
-    let goc = c.group_out_c();
     let (s0, s1) = c.stride;
     let (p0, p1) = c.padding;
     let (d0, d1) = c.dilation;
-    let khw = c.kh * c.kw;
-    let steps = gic * khw;
-
-    if w1 - w0 < LANES {
-        conv_window_narrow(c, x, w, out, s, (h0, h1), (w0, w1));
-        return;
-    }
+    let steps = gic * c.kh * c.kw;
 
     // Valid output columns for each kernel column, hoisted out of every
     // loop below: `iw = ow·s1 + kw·d1 − p1` must land in `[0, in_w)`, and
     // because `iw` is monotone in `ow` the valid set is one contiguous
-    // range.
-    let KernelScratch {
-        panel, acc, ranges, ..
-    } = s;
+    // range. Columns outside [w0, w1) are neither accumulated nor written.
+    let KernelScratch { acc, ranges, .. } = s;
     ranges.clear();
     for kw_i in 0..c.kw {
         let shift = kw_i * d1;
@@ -901,233 +1214,69 @@ fn conv_forward_window(
         } else {
             ((c.in_w + p1 - shift - 1) / s1 + 1).min(ow_dim)
         };
-        // Window clamp: columns outside [w0, w1) are neither packed nor
-        // accumulated nor written, so they cannot affect window columns.
-        let lo = lo.max(w0);
-        let hi = hi.min(w1);
+        let (lo, hi) = (lo.max(w0), hi.min(w1));
         ranges.push((lo.min(hi), hi));
     }
-
     acc.clear();
     acc.resize(ow_dim, 0.0);
     let acc = &mut acc[..ow_dim];
-    // Packing pays off only when the panel is reused across several output
-    // channels; depthwise groups (one output channel each) read the input
-    // directly.
-    let pack = goc > 1;
-    if pack {
-        panel.clear();
-        panel.resize(steps * ow_dim, 0.0);
-    }
+    let narrow = w1 - w0 < LANES;
 
     for b in 0..c.batch {
-        for group in 0..c.groups {
-            let ic_base = group * gic;
+        for oc in 0..c.out_c {
+            let ic_base = oc * gic;
+            let w_oc = &w[oc * steps..][..steps];
             for oh in h0..h1 {
-                // Valid kernel rows for this output row, by the same
-                // monotonicity argument as the column ranges.
-                let row0 = oh * s0;
-                let kh_lo = if row0 >= p0 {
-                    0
-                } else {
-                    (p0 - row0).div_ceil(d0)
-                };
-                let kh_hi = if c.in_h + p0 <= row0 {
-                    0
-                } else {
-                    ((c.in_h + p0 - row0 - 1) / d0 + 1).min(c.kh)
-                };
-                let kh_lo = kh_lo.min(kh_hi);
-
-                if pack {
-                    // Pack every padding-valid (ic, kh, kw) input row
-                    // segment once; the panel row for kernel step
-                    // (ic, kh, kw) holds the input value each output column
-                    // would read.
-                    for ic in 0..gic {
-                        let in_plane = (b * c.in_c + ic_base + ic) * c.in_h;
-                        for kh_i in kh_lo..kh_hi {
-                            let ih = row0 + kh_i * d0 - p0;
-                            let in_row = (in_plane + ih) * c.in_w;
-                            for (kw_i, &(lo, hi)) in ranges.iter().enumerate() {
-                                if lo >= hi {
-                                    continue;
+                let (kh_lo, kh_hi) = taps_at(oh, s0, p0, d0, c.kh, c.in_h);
+                let out_row = &mut out[((b * c.out_c + oc) * oh_dim + oh) * ow_dim..][..ow_dim];
+                if narrow {
+                    for (ow, o) in out_row.iter_mut().enumerate().take(w1).skip(w0) {
+                        let (kw_lo, kw_hi) = taps_at(ow, s1, p1, d1, c.kw, c.in_w);
+                        let mut a = 0.0f32;
+                        for ic in 0..gic {
+                            let in_plane = (b * c.in_c + ic_base + ic) * c.in_h;
+                            for kh_i in kh_lo..kh_hi {
+                                let in_row = (in_plane + oh * s0 + kh_i * d0 - p0) * c.in_w;
+                                let w_row = (ic * c.kh + kh_i) * c.kw;
+                                for kw_i in kw_lo..kw_hi {
+                                    a += x[in_row + ow * s1 + kw_i * d1 - p1] * w_oc[w_row + kw_i];
                                 }
-                                let dst_base = (ic * khw + kh_i * c.kw + kw_i) * ow_dim;
-                                let dst = &mut panel[dst_base + lo..dst_base + hi];
-                                let src_start = in_row + lo * s1 + kw_i * d1 - p1;
-                                if s1 == 1 {
-                                    dst.copy_from_slice(&x[src_start..src_start + (hi - lo)]);
-                                } else {
-                                    for (dv, sv) in
-                                        dst.iter_mut().zip(x[src_start..].iter().step_by(s1))
-                                    {
-                                        *dv = *sv;
-                                    }
+                            }
+                        }
+                        *o = a;
+                    }
+                    continue;
+                }
+                acc.fill(0.0);
+                for ic in 0..gic {
+                    let in_plane = (b * c.in_c + ic_base + ic) * c.in_h;
+                    for kh_i in kh_lo..kh_hi {
+                        let w_row = (ic * c.kh + kh_i) * c.kw;
+                        let in_row = (in_plane + oh * s0 + kh_i * d0 - p0) * c.in_w;
+                        for (kw_i, &(lo, hi)) in ranges.iter().enumerate() {
+                            if lo >= hi {
+                                continue;
+                            }
+                            let wv = w_oc[w_row + kw_i];
+                            let src_start = in_row + lo * s1 + kw_i * d1 - p1;
+                            if s1 == 1 {
+                                axpy_lanes(
+                                    &mut acc[lo..hi],
+                                    &x[src_start..src_start + (hi - lo)],
+                                    wv,
+                                );
+                            } else {
+                                for (a, xv) in acc[lo..hi]
+                                    .iter_mut()
+                                    .zip(x[src_start..].iter().step_by(s1))
+                                {
+                                    *a += xv * wv;
                                 }
                             }
                         }
                     }
                 }
-
-                for oc_g in 0..goc {
-                    let oc = group * goc + oc_g;
-                    let w_base = oc * steps;
-                    acc.fill(0.0);
-                    for ic in 0..gic {
-                        let w_plane = w_base + ic * khw;
-                        let in_plane = (b * c.in_c + ic_base + ic) * c.in_h;
-                        for kh_i in kh_lo..kh_hi {
-                            let w_row = w_plane + kh_i * c.kw;
-                            let in_row = (in_plane + (row0 + kh_i * d0 - p0)) * c.in_w;
-                            for (kw_i, &(lo, hi)) in ranges.iter().enumerate() {
-                                if lo >= hi {
-                                    continue;
-                                }
-                                let wv = w[w_row + kw_i];
-                                if pack {
-                                    let src = (ic * khw + kh_i * c.kw + kw_i) * ow_dim;
-                                    axpy_lanes(&mut acc[lo..hi], &panel[src + lo..src + hi], wv);
-                                } else {
-                                    let src_start = in_row + lo * s1 + kw_i * d1 - p1;
-                                    if s1 == 1 {
-                                        axpy_lanes(
-                                            &mut acc[lo..hi],
-                                            &x[src_start..src_start + (hi - lo)],
-                                            wv,
-                                        );
-                                    } else {
-                                        for (a, xv) in acc[lo..hi]
-                                            .iter_mut()
-                                            .zip(x[src_start..].iter().step_by(s1))
-                                        {
-                                            *a += xv * wv;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let out_base = ((b * c.out_c + oc) * oh_dim + oh) * ow_dim;
-                    out[out_base + w0..out_base + w1].copy_from_slice(&acc[w0..w1]);
-                }
-            }
-        }
-    }
-}
-
-/// Narrow-window conv kernel: when fewer than [`LANES`] output columns are
-/// requested, the packed kernel's per-tap `axpy` calls over 1–7-element
-/// column segments are almost pure call overhead. Here each output position
-/// instead compacts its padding-valid taps once (value + kernel-step index,
-/// ascending `(ic, kh, kw)`) and up to [`LANES`] output channels accumulate
-/// over that tap list in lock-step — independent accumulators, so every
-/// neuron still sums its terms in the canonical ascending-step order and
-/// the result is byte-identical to the packed kernel and to
-/// [`MacSpec::compute_at`].
-fn conv_window_narrow(
-    c: &ConvSpec,
-    x: &[f32],
-    w: &[f32],
-    out: &mut [f32],
-    s: &mut KernelScratch,
-    (h0, h1): (usize, usize),
-    (w0, w1): (usize, usize),
-) {
-    let (oh_dim, ow_dim) = (c.out_h(), c.out_w());
-    let gic = c.group_in_c();
-    let goc = c.group_out_c();
-    let (s0, s1) = c.stride;
-    let (p0, p1) = c.padding;
-    let (d0, d1) = c.dilation;
-    let khw = c.kh * c.kw;
-    let steps = gic * khw;
-    let KernelScratch {
-        tap_x, tap_step, ..
-    } = s;
-
-    for b in 0..c.batch {
-        for group in 0..c.groups {
-            let ic_base = group * gic;
-            for oh in h0..h1 {
-                let row0 = oh * s0;
-                // Valid kernel rows: `ih = row0 + kh·d0 − p0 ∈ [0, in_h)`.
-                let kh_lo = if row0 >= p0 {
-                    0
-                } else {
-                    (p0 - row0).div_ceil(d0)
-                };
-                let kh_hi = if c.in_h + p0 <= row0 {
-                    0
-                } else {
-                    ((c.in_h + p0 - row0 - 1) / d0 + 1).min(c.kh)
-                };
-                let kh_lo = kh_lo.min(kh_hi);
-
-                for ow in w0..w1 {
-                    let col0 = ow * s1;
-                    tap_x.clear();
-                    tap_step.clear();
-                    for ic in 0..gic {
-                        let in_plane = (b * c.in_c + ic_base + ic) * c.in_h;
-                        let step_plane = ic * khw;
-                        for kh_i in kh_lo..kh_hi {
-                            let in_row = (in_plane + (row0 + kh_i * d0 - p0)) * c.in_w;
-                            let step_row = step_plane + kh_i * c.kw;
-                            for kw_i in 0..c.kw {
-                                let iw = col0 + kw_i * d1;
-                                if iw < p1 || iw - p1 >= c.in_w {
-                                    continue;
-                                }
-                                tap_x.push(x[in_row + iw - p1]);
-                                tap_step.push(step_row + kw_i);
-                            }
-                        }
-                    }
-
-                    let mut oc_g = 0;
-                    while oc_g < goc {
-                        let l = LANES.min(goc - oc_g);
-                        // Unused lanes alias lane 0; their accumulators are
-                        // computed and discarded, never written out.
-                        let rows: [&[f32]; LANES] = core::array::from_fn(|j| {
-                            let oc = group * goc + oc_g + j.min(l - 1);
-                            &w[oc * steps..][..steps]
-                        });
-                        let mut accs = [0.0f32; LANES];
-                        if l == LANES {
-                            for (&xv, &st) in tap_x.iter().zip(tap_step.iter()) {
-                                accs[0] += xv * rows[0][st];
-                                accs[1] += xv * rows[1][st];
-                                accs[2] += xv * rows[2][st];
-                                accs[3] += xv * rows[3][st];
-                                accs[4] += xv * rows[4][st];
-                                accs[5] += xv * rows[5][st];
-                                accs[6] += xv * rows[6][st];
-                                accs[7] += xv * rows[7][st];
-                            }
-                        } else if l == 4 {
-                            for (&xv, &st) in tap_x.iter().zip(tap_step.iter()) {
-                                accs[0] += xv * rows[0][st];
-                                accs[1] += xv * rows[1][st];
-                                accs[2] += xv * rows[2][st];
-                                accs[3] += xv * rows[3][st];
-                            }
-                        } else {
-                            for (&xv, &st) in tap_x.iter().zip(tap_step.iter()) {
-                                for (a, row) in accs[..l].iter_mut().zip(&rows[..l]) {
-                                    *a += xv * row[st];
-                                }
-                            }
-                        }
-                        for (j, &a) in accs[..l].iter().enumerate() {
-                            let oc = group * goc + oc_g + j;
-                            let out_base = ((b * c.out_c + oc) * oh_dim + oh) * ow_dim;
-                            out[out_base + ow] = a;
-                        }
-                        oc_g += l;
-                    }
-                }
+                out_row[w0..w1].copy_from_slice(&acc[w0..w1]);
             }
         }
     }

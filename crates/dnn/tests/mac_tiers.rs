@@ -1,9 +1,11 @@
 //! Differential-oracle property tests for the two-tier MAC lane kernels.
 //!
-//! The `Bitwise` tier (8-wide lane unrolls across *independent* output
-//! accumulators) must be byte-identical to the scalar `compute_at` oracle
-//! for every shape — including non-multiple-of-lane-width tails — and every
-//! input class, including NaN, ±∞, denormals and signed zeros. The `Fast`
+//! The `Bitwise` tier (SIMD lanes across *independent* output neurons: conv
+//! output channels in 8- or 16-lane blocks over tiles of up to 4 positions,
+//! dense/matmul outputs eight at a time) must be byte-identical to the
+//! scalar `compute_at` oracle for every shape — including partly filled lane
+//! blocks and tiles — and every input class, including NaN, ±∞, denormals
+//! and signed zeros. The `Fast`
 //! tier (4-lane in-contraction tree reduction) is allowed to diverge, but
 //! its reported divergence must be an exact measurement, not an estimate.
 
@@ -135,37 +137,6 @@ proptest! {
         assert_bitwise_tier_matches_oracle(&spec, seed)?;
     }
 
-    /// Conv with stride / padding / dilation / groups variation; `in_w`
-    /// crosses the 8-lane boundary of the row-accumulate kernel.
-    #[test]
-    fn conv_bitwise_tier_is_bit_identical(
-        in_c_per_group in 1usize..3,
-        groups in 1usize..3,
-        in_h in 1usize..7,
-        in_w in 1usize..12,
-        kh in 1usize..4,
-        kw in 1usize..4,
-        stride in 1usize..3,
-        padding in 0usize..3,
-        dilation in 1usize..3,
-        seed in 0u64..u64::MAX,
-    ) {
-        let spec = MacSpec::Conv(ConvSpec {
-            batch: 1 + (seed % 2) as usize,
-            in_c: in_c_per_group * groups,
-            in_h,
-            in_w,
-            out_c: 2 * groups,
-            kh,
-            kw,
-            stride: (stride, stride),
-            padding: (padding, padding),
-            dilation: (dilation, dilation),
-            groups,
-        });
-        assert_bitwise_tier_matches_oracle(&spec, seed)?;
-    }
-
     /// The reported Fast-tier divergence equals an independent element-wise
     /// re-measurement — exact, not estimated — and the `Fast` tier itself is
     /// reproducible run-to-run.
@@ -239,67 +210,6 @@ proptest! {
         }
     }
 
-    /// The windowed conv kernel writes bits identical to the full kernel
-    /// inside the window and leaves everything outside untouched.
-    #[test]
-    fn conv_window_kernel_matches_full_kernel(
-        in_h in 1usize..7,
-        in_w in 1usize..10,
-        kh in 1usize..4,
-        kw in 1usize..4,
-        stride in 1usize..3,
-        padding in 0usize..2,
-        h0 in 0usize..8,
-        hspan in 0usize..8,
-        w0 in 0usize..10,
-        wspan in 0usize..10,
-        seed in 0u64..u64::MAX,
-    ) {
-        let c = ConvSpec {
-            batch: 2,
-            in_c: 2,
-            in_h,
-            in_w,
-            out_c: 3,
-            kh,
-            kw,
-            stride: (stride, stride),
-            padding: (padding, padding),
-            dilation: (1, 1),
-            groups: 1,
-        };
-        let (oh, ow) = (c.out_h(), c.out_w());
-        let spec = MacSpec::Conv(c);
-        let (in_shape, w_shape) = operand_shapes(&spec);
-        let input = adversarial_tensor(seed, in_shape);
-        let weight = adversarial_tensor(seed ^ 0xC0FFEE, w_shape);
-        let ops = Operands { input: &input, weight: &weight };
-
-        let mut scratch = KernelScratch::new();
-        let mut full = vec![0.0f32; spec.out_len()];
-        spec.forward_into_scratch(&ops, &mut full, &mut scratch);
-
-        const SENTINEL: f32 = 7777.5;
-        let mut windowed = vec![SENTINEL; spec.out_len()];
-        let window = ((h0, h0 + hspan), (w0, w0 + wspan));
-        prop_assert!(spec.forward_region_into_scratch(
-            &ops, &mut windowed, &mut scratch, window.0, window.1
-        ));
-
-        let (h0c, h1c) = (window.0.0.min(oh), window.0.1.min(oh));
-        let (w0c, w1c) = (window.1.0.min(ow), window.1.1.min(ow));
-        for (off, got) in windowed.iter().enumerate() {
-            let y = (off / ow) % oh;
-            let x = off % ow;
-            let inside = y >= h0c && y < h1c && x >= w0c && x < w1c;
-            if inside {
-                prop_assert_eq!(canon_bits(*got), canon_bits(full[off]), "window bits at {}", off);
-            } else {
-                prop_assert_eq!(got.to_bits(), SENTINEL.to_bits(), "outside window at {}", off);
-            }
-        }
-    }
-
     /// `conv_out_window` is a conservative superset: every output whose
     /// receptive field touches the input window must land inside the mapped
     /// output window (brute-forced over all taps).
@@ -339,6 +249,115 @@ proptest! {
                     "output {} touches input window [{}, {}) but mapped window is [{}, {})",
                     oy, lo, hi, out_lo, out_hi
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Conv with stride / padding / dilation / groups variation: output
+    /// channels per group across 1..=40 (one per group, depthwise when the
+    /// group has one input channel too, takes the depthwise kernel; 2..=8 a
+    /// partly or fully filled 8-lane block; more, full and partial 16-lane
+    /// blocks), `in_w` up to 20 (full 4-position tiles, the depthwise row
+    /// kernel's 8-column threshold, single-position tiles at padded
+    /// edges).
+    #[test]
+    fn conv_bitwise_tier_is_bit_identical(
+        in_c_per_group in prop_oneof![Just(1usize), 2usize..4],
+        groups in 1usize..4,
+        out_c_per_group in prop_oneof![Just(1usize), 2usize..9, 9usize..17, 17usize..41],
+        in_h in 1usize..7,
+        in_w in 1usize..21,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        dilation in 1usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let spec = MacSpec::Conv(ConvSpec {
+            batch: 1 + (seed % 2) as usize,
+            in_c: in_c_per_group * groups,
+            in_h,
+            in_w,
+            out_c: out_c_per_group * groups,
+            kh,
+            kw,
+            stride: (stride, stride),
+            padding: (padding, padding),
+            dilation: (dilation, dilation),
+            groups,
+        });
+        assert_bitwise_tier_matches_oracle(&spec, seed)?;
+    }
+
+    /// The windowed conv kernel writes bits identical to the full kernel
+    /// inside the window and leaves everything outside untouched: grouped
+    /// and depthwise, up to 40 output channels per group, stride and
+    /// dilation 2, windows down to a single position (`hspan`/`wspan` of 1,
+    /// drawn often) and empty ones.
+    #[test]
+    fn conv_window_kernel_matches_full_kernel(
+        in_c_per_group in prop_oneof![Just(1usize), 2usize..4],
+        groups in 1usize..4,
+        out_c_per_group in prop_oneof![Just(1usize), 2usize..9, 9usize..17, 17usize..41],
+        in_h in 1usize..7,
+        in_w in 1usize..21,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        dilation in 1usize..3,
+        h0 in 0usize..8,
+        hspan in prop_oneof![Just(1usize), 0usize..8],
+        w0 in 0usize..20,
+        wspan in prop_oneof![Just(1usize), 0usize..20],
+        seed in 0u64..u64::MAX,
+    ) {
+        let c = ConvSpec {
+            batch: 2,
+            in_c: in_c_per_group * groups,
+            in_h,
+            in_w,
+            out_c: out_c_per_group * groups,
+            kh,
+            kw,
+            stride: (stride, stride),
+            padding: (padding, padding),
+            dilation: (dilation, dilation),
+            groups,
+        };
+        let (oh, ow) = (c.out_h(), c.out_w());
+        let spec = MacSpec::Conv(c);
+        let (in_shape, w_shape) = operand_shapes(&spec);
+        let input = adversarial_tensor(seed, in_shape);
+        let weight = adversarial_tensor(seed ^ 0xC0FFEE, w_shape);
+        let ops = Operands { input: &input, weight: &weight };
+
+        let mut scratch = KernelScratch::new();
+        let mut full = vec![0.0f32; spec.out_len()];
+        spec.forward_into_scratch(&ops, &mut full, &mut scratch);
+
+        const SENTINEL: f32 = 7777.5;
+        let mut windowed = vec![SENTINEL; spec.out_len()];
+        let window = ((h0, h0 + hspan), (w0, w0 + wspan));
+        prop_assert!(spec.forward_region_into_scratch(
+            &ops, &mut windowed, &mut scratch, window.0, window.1
+        ));
+
+        let (h0c, h1c) = (window.0.0.min(oh), window.0.1.min(oh));
+        let (w0c, w1c) = (window.1.0.min(ow), window.1.1.min(ow));
+        for (off, got) in windowed.iter().enumerate() {
+            let y = (off / ow) % oh;
+            let x = off % ow;
+            let inside = y >= h0c && y < h1c && x >= w0c && x < w1c;
+            if inside {
+                prop_assert_eq!(canon_bits(*got), canon_bits(full[off]), "window bits at {}", off);
+            } else {
+                prop_assert_eq!(got.to_bits(), SENTINEL.to_bits(), "outside window at {}", off);
             }
         }
     }
