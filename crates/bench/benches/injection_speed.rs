@@ -2,14 +2,15 @@
 //! vs. register-level simulation (the Sec. VI speed claim), plus the
 //! telemetry overhead pair (instrumented vs. uninstrumented hot path).
 //!
-//! Before any timing, every MAC layer of the workload is self-checked: the
-//! packed kernels must reproduce `compute_at` bit-for-bit, so a perf
-//! regression can never silently buy speed with accuracy. The measured
-//! numbers (mean/best ns per injection for the pooled and allocating paths,
-//! per-layer kernel throughput, workspace pool hit rate) are merged into
-//! `BENCH_injection.json` at the workspace root. `FIDELITY_BENCH_QUICK=1`
-//! runs the self-check plus a short measurement and skips the Criterion
-//! sweeps — the CI smoke mode.
+//! Before any timing, every MAC layer of the workload and of the
+//! transformer is self-checked: the packed kernels, and the Conv and Dense
+//! layers' own forwards over their packed panels, must reproduce
+//! `compute_at` bit-for-bit, so a perf regression can never silently buy
+//! speed with accuracy. The measured numbers (mean/best ns per injection
+//! for the pooled and allocating paths, per-layer kernel throughput,
+//! workspace pool hit rate) are merged into `BENCH_injection.json` at the
+//! workspace root. `FIDELITY_BENCH_QUICK=1` runs the self-check plus a
+//! short measurement and skips the Criterion sweeps — the CI smoke mode.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,7 +29,7 @@ use fidelity_dnn::tensor::Tensor;
 use fidelity_dnn::workspace::Workspace;
 use fidelity_obs::json::Json;
 use fidelity_rtl::{Disturbance, RtlEngine};
-use fidelity_workloads::classification_suite;
+use fidelity_workloads::{classification_suite, transformer_workload};
 
 /// The largest MAC layer: the representative injection target.
 fn target_node(engine: &Engine, trace: &Trace) -> usize {
@@ -58,7 +59,9 @@ fn operands_for<'a>(engine: &'a Engine, trace: &'a Trace, node: usize) -> Operan
 }
 
 /// Asserts that the packed kernels reproduce the per-neuron reference path
-/// bit-for-bit on every MAC layer. Returns the number of layers checked.
+/// bit-for-bit on every MAC layer: the raw-operand kernel, which packs per
+/// call, and for Conv and Dense also the layer's own forward over the panel
+/// it packed once. Returns the number of layers checked.
 fn kernel_self_check(engine: &Engine, trace: &Trace) -> usize {
     let mut ws = Workspace::new();
     let mut checked = 0;
@@ -66,6 +69,7 @@ fn kernel_self_check(engine: &Engine, trace: &Trace) -> usize {
         let Some(spec) = engine.mac_spec(node, trace) else {
             continue;
         };
+        let layer = engine.network().layer(node);
         let operands = operands_for(engine, trace, node);
         let mut out = vec![0.0f32; spec.out_len()];
         spec.forward_into_scratch(&operands, &mut out, ws.kernel_scratch());
@@ -76,7 +80,7 @@ fn kernel_self_check(engine: &Engine, trace: &Trace) -> usize {
                 reference.to_bits(),
                 "kernel/compute_at mismatch: node {node} ({}) offset {off}: \
                  {v} != {reference}",
-                engine.network().layer(node).name(),
+                layer.name(),
             );
         }
         // The lane-vectorized Bitwise tier must match the same oracle — a
@@ -88,8 +92,23 @@ fn kernel_self_check(engine: &Engine, trace: &Trace) -> usize {
                 a.to_bits(),
                 b.to_bits(),
                 "bitwise-tier mismatch: node {node} ({}) offset {off}: {a} != {b}",
-                engine.network().layer(node).name(),
+                layer.name(),
             );
+        }
+        // Conv and Dense layers run over a panel packed when their weights
+        // last changed: a stale panel shows only here.
+        if !matches!(spec, MacSpec::MatMul(_)) {
+            let packed = layer
+                .forward(&engine.node_inputs(node, trace), &mut ws)
+                .expect("layer forward");
+            for (off, (&a, &b)) in out.iter().zip(packed.data()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "packed-layer mismatch: node {node} ({}) offset {off}: {a} != {b}",
+                    layer.name(),
+                );
+            }
         }
         checked += 1;
     }
@@ -415,8 +434,10 @@ fn main() {
     let (engine, trace) = fidelity_bench::deploy(workload, Precision::Fp16);
 
     // The bitwise gate comes first: nothing is timed until the packed
-    // kernels are proven identical to the reference accumulation.
-    let checked = kernel_self_check(&engine, &trace);
+    // kernels are proven identical to the reference accumulation, on this
+    // network and on the transformer's Dense and MatMul layers.
+    let (tf_engine, tf_trace) = fidelity_bench::deploy(transformer_workload(42), Precision::Fp16);
+    let checked = kernel_self_check(&engine, &trace) + kernel_self_check(&tf_engine, &tf_trace);
     eprintln!("kernel self-check: {checked} MAC layers bitwise-identical to compute_at");
 
     let node = target_node(&engine, &trace);

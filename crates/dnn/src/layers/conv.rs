@@ -2,7 +2,7 @@
 
 use crate::error::DnnError;
 use crate::layers::{check_arity, Layer, LayerKind};
-use crate::macspec::{conv_out_window, ConvPanel, ConvSpec, MacSpec, Operands};
+use crate::macspec::{conv_out_window, ConvSpec, LanePanel, MacSpec, Operands};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -41,7 +41,7 @@ pub struct Conv2d {
     dilation: (usize, usize),
     groups: usize,
     /// `weight` packed for the conv lane kernel, for `groups`.
-    panel: ConvPanel,
+    panel: LanePanel,
 }
 
 impl Conv2d {
@@ -68,7 +68,7 @@ impl Conv2d {
             padding: (0, 0),
             dilation: (1, 1),
             groups: 1,
-            panel: ConvPanel::default(),
+            panel: LanePanel::default(),
         };
         conv.pack();
         Ok(conv)
@@ -111,7 +111,7 @@ impl Conv2d {
     /// weights or their grouping change.
     fn pack(&mut self) {
         self.panel
-            .pack(self.weight.data(), self.out_channels(), self.groups);
+            .pack_conv(self.weight.data(), self.out_channels(), self.groups);
     }
 
     fn spec_for(&self, input_shape: &[usize]) -> Result<ConvSpec, DnnError> {

@@ -2,12 +2,18 @@
 
 use crate::error::DnnError;
 use crate::layers::{check_arity, Layer, LayerKind};
-use crate::macspec::{DenseSpec, MacSpec, MatMulSpec, Operands};
+use crate::macspec::{DenseSpec, LanePanel, MacSpec, MacTier, MatMulSpec, Operands};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
 /// A fully-connected layer: `output[b][o] = Σ_i weight[o][i] · input[b][i]`.
+///
+/// The forward pass runs the lane kernel of [`crate::macspec`] over a
+/// weight panel the layer packs once, in [`Dense::new`] and
+/// [`Layer::quantize_weights`] (the only places its weights change), never
+/// per forward. Its per-neuron accumulation order is bit-identical to
+/// [`MacSpec::compute_at`].
 ///
 /// # Examples
 ///
@@ -27,6 +33,8 @@ use crate::workspace::Workspace;
 pub struct Dense {
     name: String,
     weight: Tensor,
+    /// `weight` packed for the lane kernel.
+    panel: LanePanel,
 }
 
 impl Dense {
@@ -45,10 +53,19 @@ impl Dense {
                 ),
             });
         }
-        Ok(Dense {
+        let mut dense = Dense {
             name: name.into(),
             weight,
-        })
+            panel: LanePanel::default(),
+        };
+        dense.pack();
+        Ok(dense)
+    }
+
+    /// Packs the weights for the lane kernel; called wherever they change.
+    fn pack(&mut self) {
+        let w = self.weight.shape();
+        self.panel.pack_rows(self.weight.data(), w[0], 1, w[1]);
     }
 
     fn spec_for(&self, input_shape: &[usize]) -> Result<DenseSpec, DnnError> {
@@ -92,14 +109,22 @@ impl Layer for Dense {
         check_arity(&self.name, 1, inputs.len())?;
         let d = self.spec_for(inputs[0].shape())?;
         let dims = [d.batch, d.out_features];
-        let spec = MacSpec::Dense(d);
-        let ops = Operands {
-            input: inputs[0],
-            weight: &self.weight,
-        };
         let mut out = ws.zeros(&dims);
-        let tier = ws.mac_tier();
-        spec.forward_tier_into_scratch(&ops, out.data_mut(), ws.kernel_scratch(), tier);
+        match ws.mac_tier() {
+            MacTier::Bitwise => d.forward_packed(inputs[0].data(), &self.panel, out.data_mut()),
+            MacTier::Fast => {
+                let ops = Operands {
+                    input: inputs[0],
+                    weight: &self.weight,
+                };
+                MacSpec::Dense(d).forward_tier_into_scratch(
+                    &ops,
+                    out.data_mut(),
+                    ws.kernel_scratch(),
+                    MacTier::Fast,
+                );
+            }
+        }
         Ok(out)
     }
 
@@ -112,6 +137,7 @@ impl Layer for Dense {
 
     fn quantize_weights(&mut self, codec: &ValueCodec) {
         codec.quantize_slice(self.weight.data_mut());
+        self.pack();
     }
 }
 
@@ -222,6 +248,40 @@ impl Layer for MatMul {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::uniform_tensor;
+    use crate::precision::Precision;
+
+    /// Runs `forward` of `fc` on `input` and checks every neuron against
+    /// `compute_at` over the layer's current weights, bit for bit. Returns
+    /// the output.
+    fn assert_matches_compute_at(fc: &Dense, input: &Tensor) -> Tensor {
+        let out = fc.forward_alloc(&[input]).unwrap();
+        let spec = fc.mac_spec(&[input.shape()]).unwrap();
+        let ops = Operands {
+            input,
+            weight: fc.weights()[0],
+        };
+        for (off, v) in out.data().iter().enumerate() {
+            let want = spec.compute_at(&ops, off, None);
+            assert_eq!(v.to_bits(), want.to_bits(), "neuron {off}");
+        }
+        out
+    }
+
+    #[test]
+    fn quantize_weights_repacks_the_panel() {
+        // 7 rows: one full 4-row tile and a leftover of 3; 24 outputs: a
+        // full and a padded 16-lane block.
+        let mut fc = Dense::new("q", uniform_tensor(3, vec![24, 11], 1.0)).unwrap();
+        let input = uniform_tensor(4, vec![7, 11], 1.0);
+        let before = assert_matches_compute_at(&fc, &input);
+        fc.quantize_weights(&ValueCodec::new(Precision::Fp16, 1.0));
+        let fp16 = assert_matches_compute_at(&fc, &input);
+        assert_ne!(before.data(), fp16.data(), "FP16 must move the output");
+        fc.quantize_weights(&ValueCodec::new(Precision::Int8, 0.25));
+        let int8 = assert_matches_compute_at(&fc, &input);
+        assert_ne!(fp16.data(), int8.data(), "INT8 must move the output");
+    }
 
     #[test]
     fn dense_matches_manual() {
@@ -266,6 +326,26 @@ mod tests {
         let plain = MatMul::new("p").forward_alloc(&[&a, &b]).unwrap();
         let trans = MatMul::transposed("t").forward_alloc(&[&a, &bt]).unwrap();
         assert_eq!(plain.data(), trans.data());
+    }
+
+    #[test]
+    fn matmul_handles_empty_dimensions() {
+        // (batch, m, k, n), each with one dimension 0; k = 0 sums no term.
+        for (batch, m, k, n) in [(0, 2, 3, 4), (2, 0, 3, 4), (2, 3, 0, 4), (2, 3, 4, 0)] {
+            for mm in [MatMul::new("p"), MatMul::transposed("t")] {
+                let b = if mm.transpose_b {
+                    [batch, n, k]
+                } else {
+                    [batch, k, n]
+                };
+                let a = Tensor::full(vec![batch, m, k], 1.0);
+                let y = mm
+                    .forward_alloc(&[&a, &Tensor::full(b.to_vec(), 1.0)])
+                    .unwrap();
+                assert_eq!(y.shape(), &[batch, m, n]);
+                assert!(y.data().iter().all(|v| v.to_bits() == 0), "{:?}", y.data());
+            }
+        }
     }
 
     #[test]

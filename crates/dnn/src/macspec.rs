@@ -12,6 +12,8 @@
 //! by the register-level simulator (`fidelity-rtl`), which is what makes
 //! software fault models bit-exact against the golden reference.
 
+use core::array::from_fn;
+
 use crate::error::DnnError;
 use crate::tensor::Tensor;
 
@@ -464,19 +466,21 @@ impl MacSpec {
     }
 
     /// Computes the whole output tensor into `out` (flat row-major) using
-    /// vectorized kernels. Conv packs the weights into `scratch`, a block of
-    /// 8 or 16 output channels per kernel step contiguous, and runs a
-    /// register-blocked kernel whose SIMD lanes are those output channels:
-    /// each tile of up to 4 output positions sharing a valid tap range holds
-    /// its accumulators in registers across every tap, broadcasting one
-    /// input per position against one weight vector. Groups with a single
-    /// output channel (depthwise) run one accumulator per output column
-    /// instead. Dense and matmul advance eight independent output neurons
-    /// in lock-step.
+    /// vectorized kernels. Conv, dense and matmul run one register-blocked
+    /// lane kernel: the second operand is packed into `scratch` with a
+    /// block of 8 or 16 outputs per kernel step contiguous (conv output
+    /// channels, dense output features, matmul output columns), and those
+    /// outputs are the SIMD lanes. Each tile of up to 4 positions holds its
+    /// accumulators in registers across every term, broadcasting one input
+    /// per position against one packed weight vector. A conv tile is up to
+    /// 4 output positions sharing a valid tap range; a dense or matmul tile
+    /// is up to 4 rows. Conv groups with a single output channel
+    /// (depthwise) run one accumulator per output column instead.
     ///
-    /// The weights are packed on every call: one pass over them, where a
-    /// full forward makes `batch·out_h·out_w`. `Conv2d` layers pack theirs
-    /// once, when the weights change, and skip it.
+    /// The second operand is packed on every call: one pass over it, where
+    /// the kernel makes one per tile of positions. `Conv2d` and `Dense`
+    /// layers pack their weights once, when the weights change, and skip
+    /// it; `MatMul`, whose `B` is an activation, packs here on every call.
     ///
     /// The accumulation order per neuron is byte-for-byte identical to
     /// [`MacSpec::compute_at`] — gated padding terms are skipped outright
@@ -502,44 +506,20 @@ impl MacSpec {
                 conv_forward_window(c, operands, out, scratch, (0, usize::MAX), (0, usize::MAX));
             }
             MacSpec::Dense(d) => {
-                for b in 0..d.batch {
-                    let x_row = &x[b * d.in_features..(b + 1) * d.in_features];
-                    let out_row = &mut out[b * d.out_features..(b + 1) * d.out_features];
-                    dot_rows_bitwise(x_row, w, d.in_features, out_row);
-                }
+                let mut panel = std::mem::take(&mut scratch.panel);
+                panel.pack_rows(w, d.out_features, 1, d.in_features);
+                d.forward_packed(x, &panel, out);
+                scratch.panel = panel;
             }
             MacSpec::MatMul(m) => {
+                let mut panel = std::mem::take(&mut scratch.panel);
                 if m.transpose_b {
-                    for g in 0..m.batch {
-                        let b_mat = &w[g * m.n * m.k..][..m.n * m.k];
-                        for r in 0..m.m {
-                            let a_row = &x[(g * m.m + r) * m.k..][..m.k];
-                            let out_row = &mut out[(g * m.m + r) * m.n..][..m.n];
-                            dot_rows_bitwise(a_row, b_mat, m.k, out_row);
-                        }
-                    }
+                    panel.pack_rows(w, m.batch * m.n, m.batch, m.k);
                 } else {
-                    // B is walked row-contiguously by interchanging the
-                    // loops: a row of accumulators (one per output column)
-                    // receives the `kk`-th term of every column before the
-                    // next `kk` — per neuron this is still ascending
-                    // contraction order, identical to `compute_at`.
-                    scratch.acc.clear();
-                    scratch.acc.resize(m.n, 0.0);
-                    let acc = &mut scratch.acc[..m.n];
-                    for g in 0..m.batch {
-                        let b_mat = &w[g * m.k * m.n..][..m.k * m.n];
-                        for r in 0..m.m {
-                            let a_row = &x[(g * m.m + r) * m.k..][..m.k];
-                            acc.fill(0.0);
-                            for (kk, av) in a_row.iter().enumerate() {
-                                let b_row = &b_mat[kk * m.n..][..m.n];
-                                axpy_lanes(acc, b_row, *av);
-                            }
-                            out[(g * m.m + r) * m.n..][..m.n].copy_from_slice(acc);
-                        }
-                    }
+                    panel.pack_cols(w, m.batch, m.k, m.n);
                 }
+                rows_forward(x, &panel, out, m.batch, m.m);
+                scratch.panel = panel;
             }
         }
     }
@@ -721,27 +701,28 @@ impl MacSpec {
 }
 
 /// Reusable scratch buffers for the [`MacSpec::forward_into_scratch`]
-/// kernels: the conv weights packed for the lane kernel (re-packed on every
-/// call, since a raw-operand call cannot know whether its weights changed),
-/// the conv tile and tap lists, and the row accumulator and per-`kw`
-/// column ranges of the depthwise and non-transposed matmul kernels.
+/// kernels: the second operand packed for the lane kernel (re-packed on
+/// every call, since a raw-operand call cannot know whether its weights
+/// changed, and a matmul's `B` is an activation), the conv tiles and tap
+/// lists, and the row accumulator and per-`kw` column ranges of the
+/// depthwise kernel.
 ///
 /// Contents are transient — every kernel invocation fully re-derives what it
 /// reads — so one scratch can be reused across layers and specs of any
 /// shape. Reuse only saves the allocations.
 #[derive(Debug, Default)]
 pub struct KernelScratch {
-    /// The weights of the current raw-operand conv call, packed on every
-    /// call. A `Conv2d` layer owns its panel and packs it only when its
-    /// weights change.
-    panel: ConvPanel,
-    /// One accumulator per output column (depthwise conv, matmul).
+    /// The second operand of the current raw-operand call or matmul,
+    /// packed on every call. `Conv2d` and `Dense` layers own their panels
+    /// and pack them only when their weights change.
+    panel: LanePanel,
+    /// One accumulator per output column (depthwise conv).
     acc: Vec<f32>,
     /// Per-`kw` valid `[lo, hi)` output-column ranges (depthwise).
     ranges: Vec<(usize, usize)>,
-    /// The window's column tiles (lane kernel).
+    /// The window's column tiles (conv lane kernel).
     tiles: Vec<Tile>,
-    /// One tile's non-gated `(kernel step, input offset)` taps (lane
+    /// One tile's non-gated `(kernel step, input offset)` taps (conv lane
     /// kernel).
     taps: Vec<(usize, usize)>,
 }
@@ -753,55 +734,69 @@ impl KernelScratch {
     }
 }
 
-/// Output channels per block of the conv lane kernel, the SIMD lanes of
-/// its accumulators: 16 (two 8-lane or one 16-lane register) where a group
-/// has more than 8 output channels, else 8 — 8- and 4-channel groups ran
-/// 1.2–1.3× faster on 8 lanes than on a mostly padded 16.
-fn lanes_for(group_out_c: usize) -> usize {
-    if group_out_c > 8 {
+/// Outputs per block of the lane kernel, the SIMD lanes of its
+/// accumulators: 16 (two 8-lane or one 16-lane register) where a group has
+/// more than 8 outputs, else 8 — 8- and 4-channel conv groups ran 1.2–1.3×
+/// faster on 8 lanes than on a mostly padded 16.
+fn lanes_for(group_outs: usize) -> usize {
+    if group_outs > 8 {
         16
     } else {
         8
     }
 }
 
-/// Output positions per tile of the conv lane kernel: each packed weight
-/// vector is loaded once per tile and used by every position in it.
+/// Positions per tile of the lane kernel (conv output positions, dense and
+/// matmul rows): each packed weight vector is loaded once per tile and used
+/// by every position in it.
 const TILE: usize = 4;
 
-/// Conv weights packed for the lane kernel, `[group][oc block][step][lane]`:
-/// each group's output channels in blocks of [`lanes_for`] lanes, a block
-/// holding the weights of one kernel step contiguously, so the kernel loads
-/// one vector per tap. Lanes past a group's last output channel are zero
-/// and their accumulators are discarded, never written out.
+/// The second operand of a MAC layer packed for the lane kernel,
+/// `[group][block][step][lane]`: each group's outputs (conv output
+/// channels, dense output features, matmul output columns) in blocks of
+/// [`lanes_for`] lanes, a block holding the weights of one kernel step
+/// contiguously, so the kernel loads one vector per step. Lanes past a
+/// group's last output are zero and their accumulators are discarded,
+/// never written out.
 ///
-/// Groups with a single output channel (depthwise) are not packed; their
-/// kernel reads the OIHW weights directly.
+/// Conv groups with a single output channel (depthwise) are not packed;
+/// their kernel reads the OIHW weights directly.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct ConvPanel {
+pub(crate) struct LanePanel {
     data: Vec<f32>,
-    /// `(out_c, groups, kernel steps)` the panel was packed for.
+    /// `(outputs, groups, kernel steps)` the panel was packed for.
     geometry: (usize, usize, usize),
 }
 
-impl ConvPanel {
-    /// Packs flat OIHW conv weights (`[out_c, in_c / groups, kh, kw]`) for
-    /// `groups` channel groups, reusing the panel's buffer.
-    pub(crate) fn pack(&mut self, weight: &[f32], out_c: usize, groups: usize) {
-        let steps = weight.len() / out_c.max(1);
-        self.geometry = (out_c, groups, steps);
+impl LanePanel {
+    /// Empties the panel for `(outputs, groups, kernel steps)` and sizes it
+    /// with zero lanes; returns the `(lanes, blocks per group)` to fill, or
+    /// `None` when there is nothing to pack.
+    fn reset(&mut self, (outs, groups, steps): (usize, usize, usize)) -> Option<(usize, usize)> {
+        self.geometry = (outs, groups, steps);
         self.data.clear();
-        let goc = out_c / groups;
+        let goc = outs / groups.max(1);
         // A `Conv2d` may hold groups that do not divide its output
         // channels; its forward rejects them before any kernel runs.
-        if goc <= 1 || goc * groups != out_c {
-            return;
+        if goc == 0 || goc * groups != outs || steps == 0 {
+            return None;
         }
         let lanes = lanes_for(goc);
         let blocks = goc.div_ceil(lanes);
         self.data.resize(groups * blocks * steps * lanes, 0.0);
-        for (oc, row) in weight.chunks_exact(steps).enumerate() {
-            let (group, j) = (oc / goc, oc % goc);
+        Some((lanes, blocks))
+    }
+
+    /// Packs weights stored one row of `steps` values per output
+    /// (`[outs, steps]`: OIHW conv weights, a dense weight, a transposed
+    /// matmul's `B`), the outputs in `groups` equal groups.
+    pub(crate) fn pack_rows(&mut self, weight: &[f32], outs: usize, groups: usize, steps: usize) {
+        let Some((lanes, blocks)) = self.reset((outs, groups, steps)) else {
+            return;
+        };
+        let goc = outs / groups;
+        for (o, row) in weight.chunks_exact(steps).enumerate() {
+            let (group, j) = (o / goc, o % goc);
             let block =
                 &mut self.data[(group * blocks + j / lanes) * steps * lanes..][..steps * lanes];
             for (step, &v) in block.chunks_exact_mut(lanes).zip(row) {
@@ -809,11 +804,39 @@ impl ConvPanel {
             }
         }
     }
+
+    /// Packs a matmul's untransposed `B`, stored `[groups, steps, outs per
+    /// group]`: each row of a group's outputs copies into its blocks.
+    pub(crate) fn pack_cols(&mut self, b: &[f32], groups: usize, steps: usize, goc: usize) {
+        let Some((lanes, blocks)) = self.reset((groups * goc, groups, steps)) else {
+            return;
+        };
+        for (row_at, row) in b.chunks_exact(goc).enumerate() {
+            let (group, step) = (row_at / steps, row_at % steps);
+            for (block, src) in row.chunks(lanes).enumerate() {
+                self.data[((group * blocks + block) * steps + step) * lanes..][..src.len()]
+                    .copy_from_slice(src);
+            }
+        }
+    }
+
+    /// Packs flat OIHW conv weights (`[out_c, in_c / groups, kh, kw]`) for
+    /// `groups` channel groups; depthwise-style groups are left unpacked.
+    pub(crate) fn pack_conv(&mut self, weight: &[f32], out_c: usize, groups: usize) {
+        let steps = weight.len() / out_c.max(1);
+        if out_c <= groups {
+            self.geometry = (out_c, groups, steps);
+            self.data.clear();
+        } else {
+            self.pack_rows(weight, out_c, groups, steps);
+        }
+    }
 }
 
-/// Unroll width of the bitwise lane kernels: eight independent output
+/// Unroll width of the depthwise row kernel: eight independent output
 /// accumulators advance together, which breaks the floating-point add
 /// latency chain without touching any single neuron's accumulation order.
+/// Narrower windows take its per-neuron loop instead.
 const LANES: usize = 8;
 
 /// `acc[i] += xs[i] * wv` over equal-length slices, eight outputs per
@@ -840,41 +863,6 @@ fn axpy_lanes(acc: &mut [f32], xs: &[f32], wv: f32) {
     }
     for (a, xv) in a_tail.iter_mut().zip(x_tail) {
         *a += xv * wv;
-    }
-}
-
-/// One dot product per row of `w` (rows of `k = x_row.len()` values at
-/// stride `stride`), eight rows advanced in lock-step. Each output's terms
-/// are added in ascending contraction order into its own accumulator —
-/// bit-identical to eight scalar dots — but the eight independent adds
-/// break the fadd latency chain that serializes the scalar loop.
-#[inline]
-fn dot_rows_bitwise(x_row: &[f32], w: &[f32], stride: usize, out: &mut [f32]) {
-    let k = x_row.len();
-    let mut o = 0;
-    while o + LANES <= out.len() {
-        let rows: [&[f32]; LANES] = core::array::from_fn(|j| &w[(o + j) * stride..][..k]);
-        let mut acc = [0.0f32; LANES];
-        for (i, &xv) in x_row.iter().enumerate() {
-            acc[0] += xv * rows[0][i];
-            acc[1] += xv * rows[1][i];
-            acc[2] += xv * rows[2][i];
-            acc[3] += xv * rows[3][i];
-            acc[4] += xv * rows[4][i];
-            acc[5] += xv * rows[5][i];
-            acc[6] += xv * rows[6][i];
-            acc[7] += xv * rows[7][i];
-        }
-        out[o..o + LANES].copy_from_slice(&acc);
-        o += LANES;
-    }
-    for (j, out_v) in out[o..].iter_mut().enumerate() {
-        let w_row = &w[(o + j) * stride..][..k];
-        let mut acc = 0.0f32;
-        for (xv, wv) in x_row.iter().zip(w_row) {
-            acc += xv * wv;
-        }
-        *out_v = acc;
     }
 }
 
@@ -924,7 +912,7 @@ impl ConvSpec {
     pub(crate) fn forward_window_packed(
         &self,
         operands: &Operands<'_>,
-        panel: &ConvPanel,
+        panel: &LanePanel,
         out: &mut [f32],
         scratch: &mut KernelScratch,
         h: (usize, usize),
@@ -973,7 +961,7 @@ fn conv_forward_window(
     w: (usize, usize),
 ) {
     let mut panel = std::mem::take(&mut s.panel);
-    panel.pack(operands.weight.data(), c.out_c, c.groups);
+    panel.pack_conv(operands.weight.data(), c.out_c, c.groups);
     c.forward_window_packed(operands, &panel, out, s, h, w);
     s.panel = panel;
 }
@@ -1055,11 +1043,13 @@ fn conv_lanes<const OCB: usize>(
                             }
                         }
                     };
+                    let terms = taps.iter().copied();
+                    let xs = |p: usize| &xg[t.x_at[p]..];
                     match t.n {
-                        1 => store(&conv_tile::<1, OCB>(xg, &t.x_at, taps, wts)),
-                        2 => store(&conv_tile::<2, OCB>(xg, &t.x_at, taps, wts)),
-                        3 => store(&conv_tile::<3, OCB>(xg, &t.x_at, taps, wts)),
-                        _ => store(&conv_tile::<TILE, OCB>(xg, &t.x_at, taps, wts)),
+                        1 => store(&lane_tile::<1, OCB>(from_fn(xs), terms, wts)),
+                        2 => store(&lane_tile::<2, OCB>(from_fn(xs), terms, wts)),
+                        3 => store(&lane_tile::<3, OCB>(from_fn(xs), terms, wts)),
+                        _ => store(&lane_tile::<TILE, OCB>(from_fn(xs), terms, wts)),
                     }
                 }
             }
@@ -1150,29 +1140,107 @@ fn tap_runs(
     })
 }
 
-/// The register-blocked micro-kernel: `P` positions × `OCB` output
-/// channels over one group's input planes `xg` and one block's packed
-/// weights `wts`. Position `p` reads tap `(step, off)` at
-/// `xg[x_at[p] + off]`.
+/// The register-blocked micro-kernel of every non-depthwise MAC layer: `P`
+/// positions × `OCB` outputs over one block's packed weights `wts`.
+/// Position `p` reads term `(step, off)` at `xs[p][off]`; the terms come in
+/// ascending kernel-step order, gated ones left out, so each lane adds
+/// exactly the terms of [`MacSpec::compute_at`] in its order.
 #[inline(always)]
-fn conv_tile<const P: usize, const OCB: usize>(
-    xg: &[f32],
-    x_at: &[usize; TILE],
-    taps: &[(usize, usize)],
+fn lane_tile<const P: usize, const OCB: usize>(
+    xs: [&[f32]; P],
+    terms: impl Iterator<Item = (usize, usize)>,
     wts: &[[f32; OCB]],
 ) -> [[f32; OCB]; P] {
     let mut acc = [[0.0f32; OCB]; P];
-    for &(step, off) in taps {
-        let xs: [f32; P] = core::array::from_fn(|p| xg[x_at[p] + off]);
+    for (step, off) in terms {
+        let x: [f32; P] = from_fn(|p| xs[p][off]);
         // Lanes outermost: LLVM then vectorizes across lanes (one weight
         // vector, one broadcast input per position), not across positions.
         for (l, &w) in wts[step].iter().enumerate() {
-            for (acc_p, &xv) in acc.iter_mut().zip(&xs) {
+            for (acc_p, &xv) in acc.iter_mut().zip(&x) {
                 acc_p[l] += xv * w;
             }
         }
     }
     acc
+}
+
+impl DenseSpec {
+    /// The full forward from weights already packed into `panel` (by
+    /// [`LanePanel::pack_rows`] as `[out_features, in_features]`, one
+    /// group): the kernel behind [`MacSpec::forward_into_scratch`] minus the
+    /// packing, which a `Dense` layer does once per weight change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `out` do not fit this spec, or if `panel` was packed
+    /// for a different geometry.
+    pub(crate) fn forward_packed(&self, x: &[f32], panel: &LanePanel, out: &mut [f32]) {
+        assert_eq!(
+            panel.geometry,
+            (self.out_features, 1, self.in_features),
+            "dense panel packed for a different geometry"
+        );
+        rows_forward(x, panel, out, 1, self.batch);
+    }
+}
+
+/// Dense and matmul through the lane kernel: for each of the panel's
+/// groups, `rows` rows of `x` (each one kernel step per value) times the
+/// group's packed outputs. Row `r` of group `g` reads `x[(g·rows + r)·k..]`
+/// and writes `out[(g·rows + r)·n..][..n]`, for `k` steps and `n` outputs
+/// per group. Rows go in tiles of [`TILE`], the last holding the 1–3 left
+/// over.
+fn rows_forward(x: &[f32], panel: &LanePanel, out: &mut [f32], groups: usize, rows: usize) {
+    let (outs, panel_groups, k) = panel.geometry;
+    assert_eq!(
+        panel_groups, groups,
+        "panel packed for a different geometry"
+    );
+    let n = outs / groups.max(1);
+    assert_eq!(x.len(), groups * rows * k, "input size mismatch");
+    assert_eq!(out.len(), groups * rows * n, "output buffer size mismatch");
+    if lanes_for(n) == 8 {
+        rows_lanes::<8>(x, &panel.data, out, (groups, rows, k, n));
+    } else {
+        rows_lanes::<16>(x, &panel.data, out, (groups, rows, k, n));
+    }
+}
+
+/// [`rows_forward`] at `OCB` lanes.
+fn rows_lanes<const OCB: usize>(
+    x: &[f32],
+    panel: &[f32],
+    out: &mut [f32],
+    (groups, rows, k, n): (usize, usize, usize, usize),
+) {
+    let blocks = n.div_ceil(OCB);
+    let (panel, _) = panel.as_chunks::<OCB>();
+    for group in 0..groups {
+        for r0 in (group * rows..(group + 1) * rows).step_by(TILE) {
+            let tile = TILE.min((group + 1) * rows - r0);
+            for block in 0..blocks {
+                let wts = &panel[(group * blocks + block) * k..][..k];
+                // Lane `l` of row `p` is output `block·OCB + l` of row
+                // `r0 + p`; padded lanes are dropped.
+                let (o0, lanes) = (block * OCB, OCB.min(n - block * OCB));
+                let mut store = |acc: &[[f32; OCB]]| {
+                    for (p, a) in acc.iter().enumerate() {
+                        out[(r0 + p) * n + o0..][..lanes].copy_from_slice(&a[..lanes]);
+                    }
+                };
+                // Row terms: step `s` reads value `s` of the row.
+                let terms = (0..k).map(|s| (s, s));
+                let xs = |p: usize| &x[(r0 + p) * k..][..k];
+                match tile {
+                    1 => store(&lane_tile::<1, OCB>(from_fn(xs), terms, wts)),
+                    2 => store(&lane_tile::<2, OCB>(from_fn(xs), terms, wts)),
+                    3 => store(&lane_tile::<3, OCB>(from_fn(xs), terms, wts)),
+                    _ => store(&lane_tile::<TILE, OCB>(from_fn(xs), terms, wts)),
+                }
+            }
+        }
+    }
 }
 
 /// Conv kernel for groups with a single output channel (depthwise): no

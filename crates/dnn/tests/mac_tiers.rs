@@ -1,13 +1,15 @@
 //! Differential-oracle property tests for the two-tier MAC lane kernels.
 //!
-//! The `Bitwise` tier (SIMD lanes across *independent* output neurons: conv
-//! output channels in 8- or 16-lane blocks over tiles of up to 4 positions,
-//! dense/matmul outputs eight at a time) must be byte-identical to the
-//! scalar `compute_at` oracle for every shape — including partly filled lane
-//! blocks and tiles — and every input class, including NaN, ±∞, denormals
-//! and signed zeros. The `Fast`
-//! tier (4-lane in-contraction tree reduction) is allowed to diverge, but
-//! its reported divergence must be an exact measurement, not an estimate.
+//! The `Bitwise` tier runs one register-blocked lane kernel for conv, dense
+//! and matmul: SIMD lanes across *independent* outputs (conv output
+//! channels, dense output features, matmul output columns) in 8- or 16-lane
+//! blocks, over tiles of up to 4 positions (conv output positions, dense and
+//! matmul rows). It must be byte-identical to the scalar `compute_at`
+//! oracle for every shape — including partly filled lane blocks and tiles —
+//! and every input class, including NaN, ±∞, denormals and signed zeros.
+//! The `Fast` tier (4-lane in-contraction tree reduction) is allowed to
+//! diverge, but its reported divergence must be an exact measurement, not
+//! an estimate.
 
 use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::macspec::{
@@ -108,34 +110,6 @@ fn assert_bitwise_tier_matches_oracle(spec: &MacSpec, seed: u64) -> Result<(), T
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Dense: `in_features` sweeps across the 8-lane (and 4-lane) boundary
-    /// so both the unrolled body and the scalar tail are exercised.
-    #[test]
-    fn dense_bitwise_tier_is_bit_identical(
-        batch in 1usize..4,
-        in_features in 1usize..35,
-        out_features in 1usize..19,
-        seed in 0u64..u64::MAX,
-    ) {
-        let spec = MacSpec::Dense(DenseSpec { batch, in_features, out_features });
-        assert_bitwise_tier_matches_oracle(&spec, seed)?;
-    }
-
-    /// MatMul, both storage orders; `n` crosses the 8-lane boundary for the
-    /// transposed row-dot kernel, `k` for the contraction.
-    #[test]
-    fn matmul_bitwise_tier_is_bit_identical(
-        batch in 1usize..3,
-        m in 1usize..5,
-        k in 1usize..21,
-        n in 1usize..13,
-        transpose_b in prop_oneof![Just(false), Just(true)],
-        seed in 0u64..u64::MAX,
-    ) {
-        let spec = MacSpec::MatMul(MatMulSpec { batch, m, k, n, transpose_b });
-        assert_bitwise_tier_matches_oracle(&spec, seed)?;
-    }
 
     /// The reported Fast-tier divergence equals an independent element-wise
     /// re-measurement — exact, not estimated — and the `Fast` tier itself is
@@ -251,6 +225,42 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Dense: rows 1..=11 give full 4-row tiles followed by a leftover of
+    /// 1–3 rows; `out_features` 1..=40, drawn exactly 8, 16 and 24 often,
+    /// gives one partly filled 8-lane block, full and padded 16-lane
+    /// blocks, and several blocks; `in_features` 1..=40 the contraction.
+    #[test]
+    fn dense_bitwise_tier_is_bit_identical(
+        batch in 1usize..12,
+        in_features in 1usize..41,
+        out_features in prop_oneof![Just(8usize), Just(16), Just(24), 1usize..41],
+        seed in 0u64..u64::MAX,
+    ) {
+        let spec = MacSpec::Dense(DenseSpec { batch, in_features, out_features });
+        assert_bitwise_tier_matches_oracle(&spec, seed)?;
+    }
+
+    /// MatMul, both storage orders, batched: `m` 1..=11 rows per batch
+    /// (full tiles and leftovers, which never straddle two batches), `n`
+    /// 1..=40 output columns (multi-block 16-lane panels, padded last
+    /// blocks), `k` 1..=40.
+    #[test]
+    fn matmul_bitwise_tier_is_bit_identical(
+        batch in 1usize..4,
+        m in 1usize..12,
+        k in 1usize..41,
+        n in prop_oneof![Just(8usize), Just(16), Just(24), 1usize..41],
+        transpose_b in prop_oneof![Just(false), Just(true)],
+        seed in 0u64..u64::MAX,
+    ) {
+        let spec = MacSpec::MatMul(MatMulSpec { batch, m, k, n, transpose_b });
+        assert_bitwise_tier_matches_oracle(&spec, seed)?;
     }
 }
 
