@@ -22,7 +22,8 @@ use fidelity_obs::fnv::Fnv64;
 use fidelity_obs::metrics::Counter;
 
 use crate::error::DnnError;
-use crate::layers::{for_each_window_row, Layer};
+use crate::f16::round_to_f16;
+use crate::layers::{for_each_window_row, Layer, LayerKind};
 use crate::macspec::MacSpec;
 use crate::precision::{calibrate_scale, Precision, ValueCodec};
 use crate::tensor::Tensor;
@@ -318,50 +319,104 @@ fn sparse_region(shape: &[usize], neurons: impl IntoIterator<Item = usize>) -> O
     })
 }
 
-/// The exact divergence of a recomputed node output from golden: the
-/// bounding box (rank 4) of the elements of `within` whose bits differ from
-/// `gold`, `Region::All` for other ranks when any bit differs, and `None`
-/// when every bit matches — the fault is logically masked here. Elements
-/// outside `within` must already hold golden bits.
-fn diff_region(cur: &Tensor, gold: &Tensor, within: Region) -> Option<Region> {
-    let (cur, gold_d) = (cur.data(), gold.data());
-    let shape = gold.shape();
-    if shape.len() != 4 {
-        return bits_differ(cur, gold_d).then_some(Region::All);
-    }
-    let (h, w) = match within {
-        Region::All => ((0, shape[2]), (0, shape[3])),
-        Region::Window { h, w } => (h, w),
-    };
-    let (hh, ww) = (shape[2], shape[3]);
-    let (mut h0, mut h1, mut w0, mut w1) = (usize::MAX, 0usize, usize::MAX, 0usize);
-    for_each_window_row(shape, h, w, |a, b| {
-        if !bits_differ(&cur[a..b], &gold_d[a..b]) {
-            return;
+/// Settles a recomputed node output onto the deployed datapath and finds
+/// where it still diverges from golden, in one pass. Every element of the
+/// row band `rows` (all rows when `None`) is quantized with `quant` (when
+/// set), clamped to `bound` (when set) and written back, and the XOR of its
+/// bits with golden's is ORed into `mask` at its position in the plane.
+/// On a rank-4 NCHW output the band covers full rows, so it is one
+/// contiguous slice per channel plane, and the mask holds one word per
+/// (row, column) of the band. Other ranks settle in one flat pass that ORs
+/// into a single word.
+///
+/// Returns the exact divergence: the bounding box (rank 4) of the elements
+/// whose bits differ from `gold`, `Region::All` for other ranks when any
+/// bit differs, and `None` when every bit matches — the fault is logically
+/// masked here. Elements outside the band must already hold golden bits.
+fn settle(
+    cur: &mut Tensor,
+    gold: &Tensor,
+    rows: Option<(usize, usize)>,
+    quant: Option<ValueCodec>,
+    bound: Option<f32>,
+    mask: &mut Vec<u32>,
+) -> Option<Region> {
+    // The precision and the bound are matched once, outside the loops, so
+    // each arm runs straight loops the compiler vectorizes (as in
+    // `ValueCodec::quantize_slice`).
+    match quant.map(|c| (c, c.precision())) {
+        Some((_, Precision::Fp16)) => settle_bounded(cur, gold, rows, bound, mask, round_to_f16),
+        Some((c, Precision::Int8 | Precision::Int16)) => {
+            settle_bounded(cur, gold, rows, bound, mask, |v| c.quantize_on_int_grid(v))
         }
-        let differs = |i: &usize| cur[*i].to_bits() != gold_d[*i].to_bits();
-        let first = (a..b).find(differs).unwrap_or(a);
-        let last = (first..b).rfind(differs).unwrap_or(first);
-        let r = (a / ww) % hh;
-        h0 = h0.min(r);
-        h1 = h1.max(r + 1);
-        w0 = w0.min(first % ww);
-        w1 = w1.max(last % ww + 1);
-    });
-    (h0 < h1).then_some(Region::Window {
-        h: (h0, h1),
-        w: (w0, w1),
-    })
+        Some((_, Precision::Fp32)) | None => settle_bounded(cur, gold, rows, bound, mask, |v| v),
+    }
 }
 
-/// Whether two equal-length slices differ in any bit. Each chunk ORs the
-/// XOR of every pair without branching, so the compare vectorizes.
-fn bits_differ(a: &[f32], b: &[f32]) -> bool {
-    a.chunks(64).zip(b.chunks(64)).any(|(x, y)| {
-        x.iter()
-            .zip(y)
-            .fold(0u32, |acc, (p, q)| acc | (p.to_bits() ^ q.to_bits()))
-            != 0
+fn settle_bounded(
+    cur: &mut Tensor,
+    gold: &Tensor,
+    rows: Option<(usize, usize)>,
+    bound: Option<f32>,
+    mask: &mut Vec<u32>,
+    quantize: impl Fn(f32) -> f32,
+) -> Option<Region> {
+    match bound {
+        Some(b) => settle_with(cur, gold, rows, mask, |v| clamp_to_bound(quantize(v), b)),
+        None => settle_with(cur, gold, rows, mask, quantize),
+    }
+}
+
+/// [`settle`] with its quantize-and-clamp step resolved to `settle_value`.
+fn settle_with(
+    cur: &mut Tensor,
+    gold: &Tensor,
+    rows: Option<(usize, usize)>,
+    mask: &mut Vec<u32>,
+    settle_value: impl Fn(f32) -> f32,
+) -> Option<Region> {
+    let shape = gold.shape();
+    let (cur, gold) = (cur.data_mut(), gold.data());
+    if shape.len() != 4 {
+        let mut diff = 0u32;
+        for (c, g) in cur.iter_mut().zip(gold) {
+            let v = settle_value(*c);
+            *c = v;
+            diff |= v.to_bits() ^ g.to_bits();
+        }
+        return (diff != 0).then_some(Region::All);
+    }
+    let (planes, hh, ww) = (shape[0] * shape[1], shape[2], shape[3]);
+    let (h0, h1) = rows.map_or((0, hh), |(a, b)| (a.min(hh), b.min(hh)));
+    if h0 >= h1 || ww == 0 {
+        return None;
+    }
+    let band = (h1 - h0) * ww;
+    mask.clear();
+    mask.resize(band, 0);
+    for plane in 0..planes {
+        let a = plane * hh * ww + h0 * ww;
+        let run = cur[a..a + band].iter_mut().zip(&gold[a..a + band]);
+        for ((c, g), m) in run.zip(mask.iter_mut()) {
+            let v = settle_value(*c);
+            *c = v;
+            *m |= v.to_bits() ^ g.to_bits();
+        }
+    }
+    let (mut r0, mut r1, mut c0, mut c1) = (usize::MAX, 0usize, usize::MAX, 0usize);
+    for (r, row) in mask.chunks_exact(ww).enumerate() {
+        let Some(first) = row.iter().position(|&m| m != 0) else {
+            continue;
+        };
+        let last = row.iter().rposition(|&m| m != 0).unwrap_or(first);
+        r0 = r0.min(h0 + r);
+        r1 = h0 + r + 1;
+        c0 = c0.min(first);
+        c1 = c1.max(last + 1);
+    }
+    (r0 < r1).then_some(Region::Window {
+        h: (r0, r1),
+        w: (c0, c1),
     })
 }
 
@@ -411,12 +466,14 @@ fn repair_overlay(overlay: &mut GoldenOverlay, trace: &Trace) {
         let dst = overlay.slots[idx].data_mut();
         match region {
             Region::All => dst.copy_from_slice(src),
-            Region::Window { h, w } => {
+            Region::Window { h, .. } => {
                 let dims = {
                     let s = trace.node_outputs[idx].shape();
                     [s[0], s[1], s[2], s[3]]
                 };
-                for_each_window_row(&dims, h, w, |a, b| {
+                // Elements outside the window hold golden bits, so copying
+                // the dirty rows' full-width band is one slice per plane.
+                for_each_window_row(&dims, h, (0, dims[3]), |a, b| {
                     dst[a..b].copy_from_slice(&src[a..b]);
                 });
             }
@@ -853,15 +910,20 @@ impl Engine {
     /// spatial window wherever the layer's [`Layer::region_map`] provides
     /// one, a full forward otherwise — calls `judge` on the resulting
     /// network output, then repairs every touched overlay region back to
-    /// golden bits and returns the judge's verdict.
+    /// golden bits and returns the judge's verdict. Conv and pool windows
+    /// are exact; every other windowed layer is handed the window's
+    /// full-width row band, one contiguous slice per channel plane.
     ///
-    /// The dirty region of a node is an exact diff, not an estimate: after
-    /// every recompute, windowed or full, it is the bounding box (rank-4
-    /// outputs; the whole tensor otherwise) of the elements whose bits
-    /// differ from the golden trace, and no region at all when none do.
-    /// So a fault that ReLU, max-pool or quantization masks ends the walk
-    /// at that node, and a rank-4 node that fell back to a full forward
-    /// still hands only a window to its consumers.
+    /// Each recompute is settled in one pass over its row band: quantize
+    /// (unless the node is on grid), clamp (when bounded), write back, and
+    /// OR the bits that differ from golden into a band-sized mask. The
+    /// dirty region of a node comes from that mask, so it is an exact
+    /// diff, not an estimate: the bounding box (rank-4 outputs; the whole
+    /// tensor otherwise) of the elements whose bits differ from the golden
+    /// trace, and no region at all when none do. So a fault that ReLU,
+    /// max-pool or quantization masks ends the walk at that node, and a
+    /// rank-4 node that fell back to a full forward still hands only a
+    /// window to its consumers.
     ///
     /// Results are bit-identical to building the dense replacement tensor
     /// and calling [`Engine::resume_pooled`]:
@@ -870,7 +932,8 @@ impl Engine {
     ///   its sources' dirty regions, so every neuron that can differ is
     ///   recomputed; recomputing a *clean* neuron reproduces its golden
     ///   bits exactly (kernels are deterministic and quantization/bounding
-    ///   are idempotent on already-quantized, already-bounded values);
+    ///   are idempotent on already-quantized, already-bounded values), and
+    ///   so does settling a band element the window left untouched;
     /// * each recomputed neuron sees the identical accumulation order
     ///   ([`MacSpec::forward_region_into_scratch`] only narrows loop
     ///   bounds);
@@ -1021,14 +1084,25 @@ impl Engine {
                     }
                 }
             };
-            if let Region::Window { h, w } = out_region {
-                if h.0 >= h.1 || w.0 >= w.1 {
+            let out_region = match out_region {
+                Region::Window { h, w } if h.0 >= h.1 || w.0 >= w.1 => {
                     continue; // window fell off the grid: provably clean
                 }
-            }
-
-            let codec = self.node_codecs[idx];
-            let needs_quant = !self.on_grid(idx);
+                // Pointwise and bookkeeping layers recompute the full-width
+                // row band: one contiguous slice per channel plane, where a
+                // narrow window is one short slice per row. Conv and pool
+                // keep exact windows, since their work is per output.
+                Region::Window { h, .. }
+                    if !matches!(node.layer.kind(), LayerKind::Conv | LayerKind::Pool) =>
+                {
+                    let out_w = trace.node_outputs[idx].shape().get(3).copied();
+                    Region::Window {
+                        h,
+                        w: (0, out_w.unwrap_or(usize::MAX)),
+                    }
+                }
+                r => r,
+            };
 
             // Topological order guarantees every source index < idx, so the
             // split cleanly separates inputs from the output slot.
@@ -1052,10 +1126,12 @@ impl Engine {
                 &ref_vec
             };
 
-            let window = match out_region {
+            // The rows to settle: the window's, or all of them after a full
+            // forward.
+            let rows = match out_region {
                 Region::Window { h, w } => {
                     match node.layer.forward_region(in_refs, h, w, out_t, ws) {
-                        Ok(true) => Some((h, w)),
+                        Ok(true) => Some(h),
                         Ok(false) => None, // no windowed path: full forward
                         Err(e) => {
                             failure = Some(e);
@@ -1065,50 +1141,30 @@ impl Engine {
                 }
                 Region::All => None,
             };
-            let recomputed = if let Some((h, w)) = window {
-                let dims = {
-                    let s = out_t.shape();
-                    [s[0], s[1], s[2], s[3]]
-                };
-                let data = out_t.data_mut();
-                if needs_quant {
-                    for_each_window_row(&dims, h, w, |a, b| {
-                        codec.quantize_slice(&mut data[a..b]);
-                    });
-                }
-                if let Some(bounds) = &self.node_bounds {
-                    let node_bound = bounds[idx];
-                    for_each_window_row(&dims, h, w, |a, b| {
-                        for v in &mut data[a..b] {
-                            *v = clamp_to_bound(*v, node_bound);
-                        }
-                    });
-                }
-                Region::Window { h, w }
-            } else {
+            if rows.is_none() {
                 match node.layer.forward(in_refs, ws) {
-                    Ok(mut raw) => {
-                        if needs_quant {
-                            codec.quantize_slice(raw.data_mut());
-                        }
-                        if let Some(bounds) = &self.node_bounds {
-                            let node_bound = bounds[idx];
-                            raw.map_inplace(|v| clamp_to_bound(v, node_bound));
-                        }
+                    Ok(raw) => {
                         let old = std::mem::replace(out_t, raw);
                         ws.recycle(old);
                         metrics.dense_fallback.inc();
-                        Region::All
                     }
                     Err(e) => {
                         failure = Some(e);
                         break;
                     }
                 }
-            };
-            // The node diverges exactly where its bits differ from golden;
+            }
+            // Quantize, clamp and diff the recomputed rows in one pass: the
+            // node diverges exactly where its bits differ from golden, and
             // where none do, the fault is masked and the walk ends here.
-            let dirty = diff_region(out_t, &trace.node_outputs[idx], recomputed);
+            let dirty = settle(
+                out_t,
+                &trace.node_outputs[idx],
+                rows,
+                (!self.on_grid(idx)).then_some(self.node_codecs[idx]),
+                self.node_bound(idx),
+                ws.settle_mask(),
+            );
             if dirty.is_none() {
                 metrics.masked.inc();
             }
@@ -1821,7 +1877,12 @@ mod tests {
             let mut s = 0xD00D_u64;
             lcg_fill(&mut s, vec![1, 2, 6, 6])
         };
-        for precision in [Precision::Fp32, Precision::Fp16] {
+        for precision in [
+            Precision::Fp32,
+            Precision::Fp16,
+            Precision::Int8,
+            Precision::Int16,
+        ] {
             for bounded in [false, true] {
                 let mut engine =
                     Engine::new(branchy_conv_net(7), precision, &[vec![x.clone()]]).unwrap();
@@ -1969,5 +2030,263 @@ mod tests {
         assert_eq!(union_region(None, w1), w1);
         assert_eq!(union_region(Some(Region::All), w2), Region::All);
         assert_eq!(union_region(Some(w1), Region::All), Region::All);
+    }
+
+    /// Flat index ranges of the window `h × w` of a rank-4 tensor, one per
+    /// (plane, row) and clipped to the shape: the row-by-row walk the
+    /// settle reference keeps.
+    fn window_row_ranges(
+        shape: &[usize],
+        (h0, h1): (usize, usize),
+        (w0, w1): (usize, usize),
+    ) -> Vec<(usize, usize)> {
+        let (planes, hh, ww) = (shape[0] * shape[1], shape[2], shape[3]);
+        let (h0, h1, w0, w1) = (h0.min(hh), h1.min(hh), w0.min(ww), w1.min(ww));
+        let mut out = Vec::new();
+        if h0 < h1 && w0 < w1 {
+            for plane in 0..planes {
+                for r in h0..h1 {
+                    let row = (plane * hh + r) * ww;
+                    out.push((row + w0, row + w1));
+                }
+            }
+        }
+        out
+    }
+
+    /// Whether two equal-length slices differ in any bit.
+    fn bits_differ(a: &[f32], b: &[f32]) -> bool {
+        a.iter().zip(b).any(|(p, q)| p.to_bits() != q.to_bits())
+    }
+
+    /// The exact divergence of `cur` from `gold` within `within`, row by
+    /// row: the bounding box (rank 4) of the differing elements,
+    /// `Region::All` for other ranks when any bit differs, `None` when
+    /// every bit matches.
+    fn diff_region(cur: &Tensor, gold: &Tensor, within: Region) -> Option<Region> {
+        let (cur, gold_d) = (cur.data(), gold.data());
+        let shape = gold.shape();
+        if shape.len() != 4 {
+            return bits_differ(cur, gold_d).then_some(Region::All);
+        }
+        let (h, w) = match within {
+            Region::All => ((0, shape[2]), (0, shape[3])),
+            Region::Window { h, w } => (h, w),
+        };
+        let (hh, ww) = (shape[2], shape[3]);
+        let (mut h0, mut h1, mut w0, mut w1) = (usize::MAX, 0usize, usize::MAX, 0usize);
+        for (a, b) in window_row_ranges(shape, h, w) {
+            if !bits_differ(&cur[a..b], &gold_d[a..b]) {
+                continue;
+            }
+            let differs = |i: &usize| cur[*i].to_bits() != gold_d[*i].to_bits();
+            let first = (a..b).find(differs).unwrap_or(a);
+            let last = (first..b).rfind(differs).unwrap_or(first);
+            let r = (a / ww) % hh;
+            h0 = h0.min(r);
+            h1 = h1.max(r + 1);
+            w0 = w0.min(first % ww);
+            w1 = w1.max(last % ww + 1);
+        }
+        (h0 < h1).then_some(Region::Window {
+            h: (h0, h1),
+            w: (w0, w1),
+        })
+    }
+
+    /// The three passes [`settle`] replaced, kept as its reference:
+    /// quantize the window row by row, clamp it row by row, then diff it
+    /// against golden.
+    fn settle_reference(
+        cur: &mut Tensor,
+        gold: &Tensor,
+        within: Region,
+        quant: Option<ValueCodec>,
+        bound: Option<f32>,
+    ) -> Option<Region> {
+        let shape = gold.shape().to_vec();
+        let ranges = match within {
+            Region::Window { h, w } if shape.len() == 4 => window_row_ranges(&shape, h, w),
+            _ => vec![(0, cur.len())],
+        };
+        let data = cur.data_mut();
+        if let Some(codec) = quant {
+            for &(a, b) in &ranges {
+                codec.quantize_slice(&mut data[a..b]);
+            }
+        }
+        if let Some(bound) = bound {
+            for &(a, b) in &ranges {
+                for v in &mut data[a..b] {
+                    *v = clamp_to_bound(*v, bound);
+                }
+            }
+        }
+        diff_region(cur, gold, within)
+    }
+
+    /// One random settle case: a golden tensor already settled on the
+    /// codec's grid and within the bound, a window over it (single element,
+    /// full width, clipped past the edge, empty or arbitrary) whose
+    /// elements are salted with raw values — NaN, ±∞, ±0, subnormals, values
+    /// that round back to golden, and golden bits — and the codec and bound
+    /// to settle with. Returns `(cur, gold, window, quant, bound)`.
+    fn settle_case(seed: u64) -> (Tensor, Tensor, Region, Option<ValueCodec>, Option<f32>) {
+        use crate::init::SplitMix64;
+        let mut rng = SplitMix64::new(seed);
+        let mut below = |n: usize| rng.next_below(n as u64) as usize;
+        let shape: Vec<usize> = match below(8) {
+            // Rank 2 and rank 3 settle in one flat pass.
+            0 => vec![1 + below(5), 1 + below(200)],
+            1 => vec![1 + below(3), 1 + below(9), 1 + below(70)],
+            // A band far longer than any fixed-size mask buffer.
+            2 => vec![1, 1 + below(3), 33 + below(32), 33 + below(32)],
+            _ => {
+                let planes = 1 + below(40);
+                let batch = if planes % 2 == 0 { 1 + below(2) } else { 1 };
+                vec![batch, planes / batch, 1 + below(17), 1 + below(17)]
+            }
+        };
+        let precision = [
+            Precision::Fp32,
+            Precision::Fp16,
+            Precision::Int8,
+            Precision::Int16,
+        ][below(4)];
+        let quant = (below(5) != 0).then(|| {
+            let max_abs = 0.5 + 8.0 * (below(1000) as f32 / 1000.0);
+            ValueCodec::new(precision, calibrate_scale(precision, max_abs))
+        });
+        let len: usize = shape.iter().product();
+        let mut gold: Vec<f32> = (0..len)
+            .map(|_| (below(20_001) as f32 - 10_000.0) / 1_000.0)
+            .collect();
+        if let Some(codec) = quant {
+            codec.quantize_slice(&mut gold);
+        }
+        let max_abs = gold.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let bound = (below(2) == 0).then(|| max_abs.max(1e-3) * (1.0 + below(100) as f32 / 100.0));
+
+        let window = if shape.len() != 4 {
+            Region::All
+        } else {
+            let (hh, ww) = (shape[2], shape[3]);
+            let (r, c) = (below(hh), below(ww));
+            match below(6) {
+                0 => Region::Window {
+                    h: (r, r + 1),
+                    w: (c, c + 1),
+                },
+                1 => Region::Window {
+                    h: (r, r + 1 + below(hh - r)),
+                    w: (0, ww),
+                },
+                2 => Region::Window {
+                    h: (r, hh + 1 + below(3)),
+                    w: (c, ww + 1 + below(3)),
+                },
+                3 => Region::Window {
+                    h: (r, r),
+                    w: (c, c + 1 + below(ww - c)),
+                },
+                4 => Region::All,
+                _ => Region::Window {
+                    h: (r, r + 1 + below(hh - r)),
+                    w: (c, c + 1 + below(ww - c)),
+                },
+            }
+        };
+        let inside: Vec<usize> = match window {
+            Region::All => (0..len).collect(),
+            Region::Window { h, w } => window_row_ranges(&shape, h, w)
+                .into_iter()
+                .flat_map(|(a, b)| a..b)
+                .collect(),
+        };
+        let mut cur = gold.clone();
+        let salt_rate = 1 + below(4);
+        for off in inside {
+            if below(salt_rate) != 0 {
+                continue; // keep golden bits
+            }
+            cur[off] = match below(12) {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 => f32::MIN_POSITIVE / (2 + below(1000)) as f32,
+                6 => -f32::MIN_POSITIVE / 3.0,
+                // Rounds back to golden on every reduced grid.
+                7 => gold[off] + gold[off].abs() * 1e-6,
+                8 => gold[off] * (below(2000) as f32 / 100.0),
+                _ => (below(2_000_001) as f32 - 1_000_000.0) / 1_000.0,
+            };
+        }
+        (
+            Tensor::from_vec(shape.clone(), cur).unwrap(),
+            Tensor::from_vec(shape, gold).unwrap(),
+            window,
+            quant,
+            bound,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(768))]
+
+        /// The one settle pass over the row band equals quantize, clamp and
+        /// diff over the window row by row: bit for bit on the tensor, and
+        /// exactly on the returned dirty region.
+        #[test]
+        fn settle_matches_row_by_row_reference(seed in 0u64..u64::MAX) {
+            let (cur, gold, window, quant, bound) = settle_case(seed);
+            let mut want = cur.clone();
+            let want_region = settle_reference(&mut want, &gold, window, quant, bound);
+            let mut got = cur;
+            let rows = match window {
+                Region::Window { h, .. } => Some(h),
+                Region::All => None,
+            };
+            let mut mask = Vec::new();
+            let got_region = settle(&mut got, &gold, rows, quant, bound, &mut mask);
+            proptest::prop_assert_eq!(
+                got_region,
+                want_region,
+                "shape {:?} window {:?} quant {:?} bound {:?}",
+                gold.shape(),
+                window,
+                quant,
+                bound
+            );
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert!(
+                bits(&got) == bits(&want),
+                "tensor bits differ: shape {:?} window {:?} quant {:?} bound {:?}",
+                gold.shape(),
+                window,
+                quant,
+                bound
+            );
+        }
+    }
+
+    /// `for_each_window_row` covers exactly the window's elements, in
+    /// order, whether it emits one range per row or, for a full-width
+    /// window, one band per plane.
+    #[test]
+    fn window_rows_cover_the_window_exactly() {
+        let shape = [2, 3, 5, 4];
+        for h in [(0, 5), (1, 3), (2, 2), (4, 9)] {
+            for w in [(0, 4), (0, 9), (1, 3), (3, 3)] {
+                let mut got = Vec::new();
+                for_each_window_row(&shape, h, w, |a, b| got.extend(a..b));
+                let want: Vec<usize> = window_row_ranges(&shape, h, w)
+                    .into_iter()
+                    .flat_map(|(a, b)| a..b)
+                    .collect();
+                assert_eq!(got, want, "h {h:?} w {w:?}");
+            }
+        }
     }
 }

@@ -500,6 +500,12 @@ impl Layer for Concat {
         if h0 >= h1 || w0 >= w1 {
             return Ok(true); // empty window: nothing to move
         }
+        // A full-width window is one contiguous band per channel plane.
+        let (rows, span) = if w1 - w0 == ww {
+            (h0..h0 + 1, (h1 - h0) * ww)
+        } else {
+            (h0..h1, w1 - w0)
+        };
         let od = out.data_mut();
         let mut c_off = 0usize;
         for t in inputs {
@@ -509,10 +515,10 @@ impl Layer for Concat {
                 for ch in 0..tc {
                     let src_plane = (n * tc + ch) * hh * ww;
                     let dst_plane = (n * total_c + c_off + ch) * hh * ww;
-                    for r in h0..h1 {
-                        let s = src_plane + r * ww;
-                        let d = dst_plane + r * ww;
-                        od[d + w0..d + w1].copy_from_slice(&td[s + w0..s + w1]);
+                    for r in rows.clone() {
+                        let s = src_plane + r * ww + w0;
+                        let d = dst_plane + r * ww + w0;
+                        od[d..d + span].copy_from_slice(&td[s..s + span]);
                     }
                 }
             }

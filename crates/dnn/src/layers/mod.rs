@@ -210,7 +210,8 @@ pub trait Layer: Send + Sync {
 /// Calls `f(start, end)` with the flat index range of each spatial row
 /// segment in the window `h × w` of a rank-4 NCHW tensor, for every batch
 /// and channel. Ranges are clamped to the shape; an empty window calls `f`
-/// zero times.
+/// zero times. A window spanning full rows is one contiguous band per
+/// channel plane, so it is emitted as one range per plane.
 pub(crate) fn for_each_window_row(
     shape: &[usize],
     (h0, h1): (usize, usize),
@@ -226,6 +227,10 @@ pub(crate) fn for_each_window_row(
     }
     for plane in 0..planes {
         let base = plane * hh * ww;
+        if w1 - w0 == ww {
+            f(base + h0 * ww, base + h1 * ww);
+            continue;
+        }
         for r in h0..h1 {
             let row = base + r * ww;
             f(row + w0, row + w1);

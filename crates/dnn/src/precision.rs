@@ -198,10 +198,17 @@ impl ValueCodec {
             }
             Precision::Int16 | Precision::Int8 => {
                 for v in values {
-                    *v = self.quantize_int(*v) as f32 * self.scale;
+                    *v = self.quantize_on_int_grid(*v);
                 }
             }
         }
+    }
+
+    /// The integer arm of [`ValueCodec::quantize`], for callers that match
+    /// the precision once outside their own loop.
+    #[inline]
+    pub(crate) fn quantize_on_int_grid(&self, value: f32) -> f32 {
+        self.quantize_int(value) as f32 * self.scale
     }
 
     /// Returns `value` after flipping storage bit `bit` of its encoded form —

@@ -76,6 +76,10 @@ pub struct Workspace {
     scratch: KernelScratch,
     /// Golden snapshot + per-injection scratch overlay for the delta path.
     golden: GoldenOverlay,
+    /// The settle pass's band-sized divergence mask (see
+    /// [`crate::graph::Engine::resume_delta`]); grows to the largest band
+    /// seen and is reused.
+    settle_mask: Vec<u32>,
     /// Numeric tier the MAC layer forwards run under. Plumbed through the
     /// workspace because [`crate::layers::Layer::forward`] receives no other
     /// per-worker configuration channel.
@@ -214,6 +218,11 @@ impl Workspace {
             }
         }
         self.slots = slots;
+    }
+
+    /// The settle pass's mask buffer, left for the caller to size.
+    pub(crate) fn settle_mask(&mut self) -> &mut Vec<u32> {
+        &mut self.settle_mask
     }
 
     /// The MAC tier layer forwards drawn from this workspace run under.
