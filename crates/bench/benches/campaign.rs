@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fidelity_core::adaptive::AdaptivePlan;
-use fidelity_core::campaign::{run_campaign, CampaignSpec, MacTier};
+use fidelity_core::campaign::{run_campaign, CampaignSpec};
 use fidelity_core::outcome::TopOneMatch;
 use fidelity_dnn::precision::Precision;
 use fidelity_workloads::classification_suite;
@@ -27,7 +27,6 @@ fn bench_campaign(c: &mut Criterion) {
         resilience: Default::default(),
         progress: None,
         batch: 0,
-        mac_tier: MacTier::Bitwise,
         adaptive: None,
     };
     group.bench_function("fixed_300_per_cell", |b| {

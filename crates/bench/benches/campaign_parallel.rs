@@ -8,7 +8,7 @@
 //! printed injection count divided by the Criterion mean.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fidelity_core::campaign::{run_campaign, CampaignSpec, MacTier};
+use fidelity_core::campaign::{run_campaign, CampaignSpec};
 use fidelity_core::outcome::TopOneMatch;
 use fidelity_dnn::precision::Precision;
 use fidelity_workloads::classification_suite;
@@ -26,7 +26,6 @@ fn bench_campaign_parallel(c: &mut Criterion) {
         resilience: Default::default(),
         progress: None,
         batch: 0,
-        mac_tier: MacTier::Bitwise,
         adaptive: None,
     };
 

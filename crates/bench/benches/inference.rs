@@ -11,6 +11,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, Criterion};
 use fidelity_bench::report;
 use fidelity_dnn::precision::Precision;
+use fidelity_dnn::workspace::Workspace;
 use fidelity_obs::json::Json;
 use fidelity_workloads::{classification_suite, transformer_workload, Workload};
 
@@ -42,13 +43,14 @@ fn measure_inference(reps: usize) -> Json {
         let (fwd_mean, fwd_best) = report::mean_best(&fwd);
 
         let mut res = Vec::with_capacity(reps);
+        let mut ws = Workspace::new();
         for _ in 0..reps {
             let t = Instant::now();
-            black_box(
-                engine
-                    .resume(&trace, node, replacement.clone())
-                    .expect("fixed workload"),
-            );
+            let out = engine
+                .resume(&trace, node, replacement.clone(), None, &mut ws)
+                .expect("fixed workload");
+            black_box(out.tensor());
+            out.recycle_into(&mut ws);
             res.push(t.elapsed().as_nanos() as f64);
         }
         let (res_mean, res_best) = report::mean_best(&res);
@@ -90,10 +92,12 @@ fn bench_inference(c: &mut Criterion) {
             .expect("has MAC layers");
         let replacement = trace.node_outputs[node].clone();
         group.bench_function(format!("{label}_resume_last_mac"), |b| {
+            let mut ws = Workspace::new();
             b.iter(|| {
                 engine
-                    .resume(&trace, node, replacement.clone())
+                    .resume(&trace, node, replacement.clone(), None, &mut ws)
                     .expect("fixed workload")
+                    .recycle_into(&mut ws);
             });
         });
     }

@@ -22,6 +22,7 @@ use fidelity_core::outcome::TopOneMatch;
 use fidelity_core::validate::{random_sites, rtl_layer_for};
 use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::precision::Precision;
+use fidelity_dnn::workspace::Workspace;
 use fidelity_obs::json::Json;
 use fidelity_rtl::{Disturbance, RtlEngine};
 use fidelity_workloads::classification_suite;
@@ -70,13 +71,15 @@ fn main() {
 
         // Mixed-mode: register-level for the target layer, software resume
         // for the rest of the network.
+        let mut ws = Workspace::new();
         let t0 = Instant::now();
         for &site in &sites {
             let run = rtl.run(Disturbance::Ff(site));
             let out = engine
-                .resume(&trace, node, run.output)
+                .resume(&trace, node, run.output, None, &mut ws)
                 .expect("resume over fixed workloads");
-            std::hint::black_box(out);
+            std::hint::black_box(out.tensor());
+            out.recycle_into(&mut ws);
         }
         let mixed_time = t0.elapsed().as_secs_f64() / reps as f64;
 

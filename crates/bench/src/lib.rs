@@ -3,7 +3,7 @@
 
 #![warn(missing_docs)]
 
-use fidelity_core::campaign::{CampaignSpec, MacTier};
+use fidelity_core::campaign::CampaignSpec;
 use fidelity_core::resilience::CheckpointSpec;
 use fidelity_dnn::graph::{Engine, Trace};
 use fidelity_dnn::precision::Precision;
@@ -73,21 +73,10 @@ pub fn batch() -> usize {
         .unwrap_or(0)
 }
 
-/// MAC kernel tier for the regenerators: `--mac-tier bitwise|fast` on the
-/// command line, else `FIDELITY_MAC_TIER`, else [`MacTier::Bitwise`]. The
-/// Fast tier may change low-order bits on Dense/MatMul layers; campaigns
-/// then measure and report the exact worst-case divergence.
-pub fn mac_tier() -> MacTier {
-    flag_or_env("mac-tier", "FIDELITY_MAC_TIER")
-        .and_then(|v| MacTier::parse(&v))
-        .unwrap_or(MacTier::Bitwise)
-}
-
 /// The campaign spec used by the figure regenerators. Enables the live
 /// progress reporter when the binary was launched with `--progress`, and
 /// honors `--jobs` / `FIDELITY_JOBS` for the worker count as well as
-/// `--batch` / `FIDELITY_BATCH` and `--mac-tier` / `FIDELITY_MAC_TIER` for
-/// the evaluation policy.
+/// `--batch` / `FIDELITY_BATCH` for the evaluation policy.
 pub fn campaign_spec(seed: u64, record_events: bool) -> CampaignSpec {
     CampaignSpec {
         samples_per_cell: samples_per_cell(),
@@ -97,7 +86,6 @@ pub fn campaign_spec(seed: u64, record_events: bool) -> CampaignSpec {
         resilience: Default::default(),
         progress: progress_requested().then(fidelity_obs::progress::ProgressSpec::default),
         batch: batch(),
-        mac_tier: mac_tier(),
         adaptive: None,
     }
 }

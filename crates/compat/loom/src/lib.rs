@@ -3,12 +3,12 @@
 //! Vendored shim: no external dependencies, no unsafe. Provides drop-in
 //! `sync`/`thread` facades that select the real `std` types unless built
 //! with `RUSTFLAGS=--cfg loom_model`, plus an always-available
-//! [`model`] namespace for tests that opt in via a cargo feature instead
-//! of a global cfg flag.
+//! [`model`](mod@model) namespace for tests that opt in via a cargo
+//! feature instead of a global cfg flag.
 //!
 //! The checker runs a closure repeatedly, once per explored interleaving.
 //! Model threads are real OS threads serialized by a turnstile scheduler
-//! ([`rt`]): exactly one runs between scheduling points (every mutex,
+//! (`rt`): exactly one runs between scheduling points (every mutex,
 //! condvar, atomic, spawn/join op), so every execution is a total order —
 //! the model explores **sequential consistency**. Decision points (moments
 //! with more than one runnable thread) identify an interleaving; the

@@ -176,24 +176,16 @@ pub fn analyze_multi(
         &layer_terms,
         &[FfCategory::GlobalControl],
     );
-    // Concatenate the campaigns for inspection. The divergence metric is a
-    // property of (kernel, workload), so the concatenation reports the worst
-    // case over all input samples.
+    // Concatenate the campaigns for inspection.
     let mut cells = Vec::new();
     let mut failures = Vec::new();
-    let mut fast_divergence = None;
     for s in per_sample {
         cells.extend(s.campaign.cells);
         failures.extend(s.campaign.failures);
-        if let Some(d) = s.campaign.fast_divergence {
-            let worst: f32 = fast_divergence.unwrap_or(0.0);
-            fast_divergence = Some(worst.max(d));
-        }
     }
     let campaign = CampaignResult {
         cells,
         failures,
-        fast_divergence,
         // Per-sample certificates do not concatenate (each certifies its own
         // plan fingerprint); adaptive multi-sample runs re-verify per sample.
         certificate: None,
@@ -209,7 +201,6 @@ pub fn analyze_multi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::MacTier;
     use crate::fit::PAPER_RAW_FIT_PER_MB;
     use crate::outcome::TopOneMatch;
     use fidelity_accel::presets;
@@ -258,7 +249,6 @@ mod tests {
             resilience: Default::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         let samples: Vec<Vec<fidelity_dnn::Tensor>> = (0..3)
@@ -313,7 +303,6 @@ mod tests {
             resilience: Default::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         let analysis = analyze(

@@ -34,7 +34,6 @@ use std::time::Instant;
 
 use fidelity_dnn::graph::{golden_key, Engine, Trace};
 use fidelity_dnn::init::SplitMix64;
-use fidelity_dnn::macspec::MacTier;
 use fidelity_dnn::workspace::Workspace;
 use fidelity_dnn::DnnError;
 
@@ -112,14 +111,6 @@ impl BatchedInjectionRunner {
             in_group: 0,
             stats: BatchStats::default(),
         }
-    }
-
-    /// Selects the MAC kernel tier for all subsequent injections (default
-    /// [`MacTier::Bitwise`], byte-identical to the scalar oracle).
-    #[must_use]
-    pub fn with_mac_tier(mut self, tier: MacTier) -> Self {
-        self.ws.set_mac_tier(tier);
-        self
     }
 
     /// Evaluation counters so far.

@@ -43,14 +43,12 @@ use fidelity_obs::trace::{self, Field, Value};
 use fidelity_obs::{clock, prof, timing_enabled};
 use fidelity_par::{sleep_unless, CancelToken, PoolSpec, ShardPlan, WorkStealPool};
 
-pub use fidelity_dnn::macspec::MacTier;
-
 use crate::adaptive::{
     allocate_even, allocate_neyman, build_certificate, stratum_terms, stratum_weights,
     AdaptivePlan, ConfidenceCertificate, WAVE_FLOOR, WAVE_MIN_BUDGET,
 };
 use crate::batch::BatchedInjectionRunner;
-use crate::models::{model_for, node_fast_divergence, SoftwareFaultModel};
+use crate::models::{model_for, SoftwareFaultModel};
 use crate::outcome::{CorrectnessMetric, Outcome};
 use crate::resilience::{
     campaign_fingerprint, cat_code, fold_wave, parse_log, write_cert_footer, write_header,
@@ -90,14 +88,6 @@ pub struct CampaignSpec {
     /// every produced value are bit-identical either way, so the field is
     /// excluded from the checkpoint fingerprint.
     pub batch: usize,
-    /// MAC kernel tier for injected forwards (`--mac-tier`).
-    /// [`MacTier::Bitwise`] (the default) is byte-identical to the scalar
-    /// oracle; [`MacTier::Fast`] may change low-order bits on Dense/MatMul
-    /// layers, so the tier is part of the campaign identity and is included
-    /// in the checkpoint fingerprint. Under `Fast` the campaign also
-    /// measures the worst-case kernel divergence once per MAC layer and
-    /// reports it in [`CampaignResult::fast_divergence`].
-    pub mac_tier: MacTier,
     /// Confidence-driven adaptive campaign plan (`--adaptive`). When set,
     /// the single fixed wave is replaced by wave-based sequential sampling
     /// that terminates once the total Eq.-2 FIT uncertainty is below the
@@ -117,7 +107,6 @@ impl Default for CampaignSpec {
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         }
     }
@@ -182,12 +171,6 @@ pub struct CampaignResult {
     /// Cells that exhausted their retries and degraded to partial
     /// statistics. Empty for a healthy campaign.
     pub failures: Vec<CellFailure>,
-    /// Measured worst-case Fast-tier kernel divergence over every MAC layer
-    /// of the campaign (max |bitwise − fast| per element; `+∞` marks a NaN
-    /// mismatch). `Some(0.0)` means the Fast tier was byte-identical on this
-    /// workload. `None` when the campaign ran the Bitwise tier, where
-    /// divergence is zero by construction.
-    pub fast_divergence: Option<f32>,
     /// The machine-checkable confidence certificate of an adaptive campaign
     /// (per-stratum n, p̂, CI half-width, FIT contribution ± bound, total ε
     /// achieved). `None` for fixed-count campaigns.
@@ -821,11 +804,7 @@ impl<'a> CampaignRunner<'a> {
             let rows_ref = &rows;
             pool.run_with(
                 quotas.len(),
-                |worker| {
-                    let runner =
-                        BatchedInjectionRunner::new(spec.batch).with_mac_tier(spec.mac_tier);
-                    (worker as u64, runner)
-                },
+                |worker| (worker as u64, BatchedInjectionRunner::new(spec.batch)),
                 |(worker, runner), task| {
                     // Advisory early-exit: a stale read runs at most one
                     // extra stratum; the abort's error state is sequenced by
@@ -1095,11 +1074,9 @@ impl<'a> CampaignRunner<'a> {
         // Failures are found in wave order; reporting them in stratum order
         // keeps the result deterministic across worker counts and resumes.
         failures.sort_by_key(|&(idx, _)| idx);
-        let fast_divergence = self.measure_fast_divergence(&strata, &net);
         let result = CampaignResult {
             cells,
             failures: failures.into_iter().map(|(_, f)| f).collect(),
-            fast_divergence,
             certificate,
         };
         let (masked, output_error, anomaly) = result.cells.iter().fold((0, 0, 0), |acc, c| {
@@ -1219,31 +1196,6 @@ impl<'a> CampaignRunner<'a> {
         }
         row.rng_state = rng.state();
         Ok(())
-    }
-
-    /// Fast tier only: measure (not estimate) the worst-case kernel
-    /// divergence once per MAC layer, so the campaign reports exactly how
-    /// far its arithmetic strayed from the bitwise oracle on this workload.
-    fn measure_fast_divergence(&self, strata: &[StratumMeta], net: &str) -> Option<f32> {
-        (self.spec.mac_tier == MacTier::Fast).then(|| {
-            let mut worst = 0.0f32;
-            let mut prev = None;
-            for plan in strata {
-                if prev == Some(plan.node) {
-                    continue; // one measurement per node, not per category
-                }
-                prev = Some(plan.node);
-                if let Some(d) = node_fast_divergence(self.engine, self.trace, plan.node) {
-                    worst = worst.max(d);
-                }
-            }
-            event!(
-                "campaign.fast_divergence",
-                net = net,
-                divergence = f64::from(worst),
-            );
-            worst
-        })
     }
 }
 
@@ -1417,7 +1369,6 @@ mod tests {
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         let result = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec).unwrap();
@@ -1442,7 +1393,6 @@ mod tests {
                 resilience: Default::default(),
                 progress: None,
                 batch: 0,
-                mac_tier: MacTier::Bitwise,
                 adaptive: None,
             };
             run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec)
@@ -1467,7 +1417,6 @@ mod tests {
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         let result = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec).unwrap();
@@ -1509,7 +1458,6 @@ mod tests {
             },
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
 
@@ -1573,7 +1521,6 @@ mod tests {
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         let baseline = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec).unwrap();
@@ -1625,7 +1572,6 @@ mod tests {
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         let baseline = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec).unwrap();
@@ -1685,7 +1631,6 @@ mod tests {
                 },
                 progress: None,
                 batch: 0,
-                mac_tier: MacTier::Bitwise,
                 adaptive: None,
             };
             run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec).unwrap();
@@ -1748,29 +1693,6 @@ mod tests {
         }
     }
 
-    /// The Fast-tier divergence metric is reported exactly when the Fast
-    /// tier runs, and the Bitwise tier never fabricates one.
-    #[test]
-    fn fast_divergence_reported_only_for_fast_tier() {
-        let (engine, trace) = tiny_engine();
-        let cfg = presets::nvdla_like();
-        let run = |mac_tier: MacTier| {
-            let spec = CampaignSpec {
-                samples_per_cell: 5,
-                seed: 3,
-                threads: 1,
-                mac_tier,
-                ..CampaignSpec::default()
-            };
-            run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec).unwrap()
-        };
-        assert_eq!(run(MacTier::Bitwise).fast_divergence, None);
-        let fast = run(MacTier::Fast).fast_divergence.unwrap();
-        // A measurement, not a guess: finite unless a kernel produced a NaN
-        // mismatch, which this tiny all-finite workload cannot.
-        assert!(fast.is_finite(), "divergence should be finite: {fast}");
-    }
-
     #[test]
     fn events_recorded_when_requested() {
         let (engine, trace) = tiny_engine();
@@ -1783,7 +1705,6 @@ mod tests {
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         let result = run_campaign(&engine, &trace, &cfg, &TopOneMatch, &spec).unwrap();

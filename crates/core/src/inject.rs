@@ -36,7 +36,8 @@ pub struct Injection {
     pub watchdog: bool,
 }
 
-/// Runs one software fault-injection experiment.
+/// Runs one software fault-injection experiment on a fresh workspace and
+/// keeps the final application output.
 ///
 /// # Errors
 ///
@@ -49,10 +50,16 @@ pub fn inject_once(
     metric: &dyn CorrectnessMetric,
     rng: &mut SplitMix64,
 ) -> Result<Injection, DnnError> {
-    inject_once_guarded(engine, trace, node, model, metric, rng, None)
+    let mut ws = Workspace::new();
+    inject_once_core(engine, trace, node, model, metric, rng, None, &mut ws, true)
 }
 
-/// [`inject_once`] under a per-injection wall-clock deadline.
+/// [`inject_once`] under a per-injection wall-clock deadline, drawing every
+/// tensor — the corrupted layer output, the recomputed downstream tensors,
+/// the final output — from a caller-owned [`Workspace`], so a warm pool
+/// makes steady-state injection allocation-free. The final output is
+/// recycled after classification (`final_output` is `None`); callers that
+/// need it use [`inject_once`]. Outcomes and RNG consumption are identical.
 ///
 /// A propagation that overruns the deadline is a runaway from the campaign's
 /// point of view — the hardware watchdog would reset the accelerator — so it
@@ -64,31 +71,6 @@ pub fn inject_once(
 ///
 /// Returns [`DnnError`] when `node` is not a MAC layer or propagation fails
 /// for a non-timeout reason.
-pub fn inject_once_guarded(
-    engine: &Engine,
-    trace: &Trace,
-    node: usize,
-    model: SoftwareFaultModel,
-    metric: &dyn CorrectnessMetric,
-    rng: &mut SplitMix64,
-    deadline: Option<Instant>,
-) -> Result<Injection, DnnError> {
-    let mut ws = Workspace::new();
-    inject_once_core(
-        engine, trace, node, model, metric, rng, deadline, &mut ws, true,
-    )
-}
-
-/// [`inject_once_guarded`] drawing every tensor — the corrupted layer
-/// output, the recomputed downstream tensors, the final output — from a
-/// caller-owned [`Workspace`], so a warm pool makes steady-state injection
-/// allocation-free. The final output is recycled after classification
-/// (`final_output` is `None`); callers that need it use
-/// [`inject_once_guarded`]. Outcomes and RNG consumption are identical.
-///
-/// # Errors
-///
-/// As for [`inject_once_guarded`].
 #[allow(clippy::too_many_arguments)]
 pub fn inject_once_pooled(
     engine: &Engine,
@@ -180,14 +162,13 @@ fn inject_once_core(
                     for (&off, &v) in app.neurons.iter().zip(&app.values) {
                         layer_output.data_mut()[off] = v;
                     }
-                    let resumed =
-                        match engine.resume_pooled(trace, node, layer_output, deadline, ws) {
-                            Ok(out) => out,
-                            Err(DnnError::DeadlineExceeded) => {
-                                return Ok(timeout(app.neurons.len(), app.max_perturbation));
-                            }
-                            Err(e) => return Err(e),
-                        };
+                    let resumed = match engine.resume(trace, node, layer_output, deadline, ws) {
+                        Ok(out) => out,
+                        Err(DnnError::DeadlineExceeded) => {
+                            return Ok(timeout(app.neurons.len(), app.max_perturbation));
+                        }
+                        Err(e) => return Err(e),
+                    };
                     let outcome = if metric.is_correct(&trace.output, resumed.tensor()) {
                         Outcome::Masked
                     } else {
@@ -305,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_guarded_injections_agree() {
+    fn pooled_and_owned_injections_agree() {
         use fidelity_dnn::macspec::OperandKind;
         let (engine, trace) = tiny_classifier();
         let mut ws = Workspace::new();
@@ -323,8 +304,7 @@ mod tests {
             let mut r1 = SplitMix64::new(99);
             let mut r2 = SplitMix64::new(99);
             for _ in 0..25 {
-                let a = inject_once_guarded(&engine, &trace, 0, model, &TopOneMatch, &mut r1, None)
-                    .unwrap();
+                let a = inject_once(&engine, &trace, 0, model, &TopOneMatch, &mut r1).unwrap();
                 let b = inject_once_pooled(
                     &engine,
                     &trace,

@@ -226,22 +226,6 @@ fn mac_operands<'a>(engine: &'a Engine, trace: &'a Trace, node: usize) -> Option
     })
 }
 
-/// Measured worst-case [`MacTier::Fast`] kernel divergence of one MAC node
-/// over its traced operands (see [`MacSpec::fast_divergence`]): both tiers
-/// are fully evaluated and compared element-wise, so the returned bound is
-/// exact for this workload, not an estimate. `None` when `node` is not a
-/// MAC layer.
-///
-/// [`MacTier::Fast`]: fidelity_dnn::macspec::MacTier::Fast
-pub fn node_fast_divergence(engine: &Engine, trace: &Trace, node: usize) -> Option<f32> {
-    let ops = mac_operands(engine, trace, node)?;
-    let operands = Operands {
-        input: ops.input,
-        weight: ops.weight,
-    };
-    Some(ops.spec.fast_divergence(&operands))
-}
-
 /// Applies one sampled instance of `model` to MAC node `node` of a deployed
 /// engine.
 ///

@@ -10,6 +10,7 @@
 use fidelity_accel::arch::AcceleratorConfig;
 use fidelity_dnn::graph::{Engine, Trace};
 use fidelity_dnn::init::SplitMix64;
+use fidelity_dnn::workspace::Workspace;
 use fidelity_dnn::DnnError;
 
 use crate::outcome::{CorrectnessMetric, Outcome};
@@ -50,6 +51,7 @@ pub fn naive_fit_rate(
     let total: usize = sizes.iter().sum();
     let mut rng = SplitMix64::new(seed);
     let mut masked = 0usize;
+    let mut ws = Workspace::new();
 
     for _ in 0..samples {
         let mut flat = rng.next_below(total.max(1) as u64) as usize;
@@ -67,8 +69,10 @@ pub fn naive_fit_rate(
             Outcome::Masked
         } else {
             corrupted.data_mut()[flat] = faulty;
-            let final_output = engine.resume(trace, node, corrupted)?;
-            if metric.is_correct(&trace.output, &final_output) {
+            let final_output = engine.resume(trace, node, corrupted, None, &mut ws)?;
+            let correct = metric.is_correct(&trace.output, final_output.tensor());
+            final_output.recycle_into(&mut ws);
+            if correct {
                 Outcome::Masked
             } else {
                 Outcome::OutputError

@@ -126,7 +126,6 @@ mod tests {
                 events: vec![],
             }],
             failures: vec![],
-            fast_divergence: None,
             certificate: None,
         };
         let table = campaign_table(&result);

@@ -316,9 +316,7 @@ pub fn is_retired_checkpoint(path: &Path) -> bool {
 /// produce interchangeable checkpoints; the resilience policy itself is
 /// deliberately excluded (a resumed run may use different retry settings),
 /// and so is `batch` — batched fault-cone evaluation is a scheduling policy
-/// whose results are bit-identical to the dense path by construction. The
-/// MAC tier IS identity: the Fast tier may legally change low-order bits,
-/// so its checkpoints are not interchangeable with Bitwise ones.
+/// whose results are bit-identical to the dense path by construction.
 pub fn campaign_fingerprint(
     spec: &CampaignSpec,
     network: &str,
@@ -332,7 +330,9 @@ pub fn campaign_fingerprint(
         // The slot of the retired per-cell CI target, always unset: keeps
         // every fingerprint (and so every certificate) stable.
         .bytes(&u64::MAX.to_le_bytes())
-        .bytes(spec.mac_tier.as_str().as_bytes());
+        // The slot of the retired MAC tier, always the bitwise kernels
+        // every campaign runs, for the same reason.
+        .bytes(b"bitwise");
     // Adaptive plan parameters are identity: epsilon/confidence/max decide
     // which injections run, so adaptive checkpoints only interchange between
     // equal plans. Eaten only when present, preserving every fixed-count
@@ -1455,6 +1455,37 @@ mod tests {
         }
     }
 
+    /// Checkpoints and certificates are keyed by the campaign fingerprint
+    /// across versions, so the fingerprint of a fixed and an adaptive spec
+    /// is pinned by value.
+    #[test]
+    fn campaign_fingerprints_are_pinned() {
+        let plan = [
+            (0usize, FfCategory::LocalControl),
+            (
+                2,
+                FfCategory::Datapath {
+                    stage: PipelineStage::BufferToMac,
+                    var: VarType::Weight,
+                },
+            ),
+            (2, FfCategory::GlobalControl),
+        ];
+        let fixed = CampaignSpec::default();
+        assert_eq!(
+            campaign_fingerprint(&fixed, "inception", &plan),
+            0x180e_0f72_9889_19b1
+        );
+        let adaptive = CampaignSpec {
+            adaptive: Some(crate::adaptive::AdaptivePlan::new(0.01)),
+            ..CampaignSpec::default()
+        };
+        assert_eq!(
+            campaign_fingerprint(&adaptive, "inception", &plan),
+            0x8019_02e7_cb9f_20a6
+        );
+    }
+
     #[test]
     fn fingerprint_tracks_identity_fields_only() {
         let base = CampaignSpec::default();
@@ -1466,9 +1497,6 @@ mod tests {
         let mut batched = base.clone();
         batched.batch = 64; // batching is policy, results are bit-identical
         assert_eq!(fp, campaign_fingerprint(&batched, "net", &plan));
-        let mut fast = base.clone();
-        fast.mac_tier = fidelity_dnn::macspec::MacTier::Fast; // may change bits
-        assert_ne!(fp, campaign_fingerprint(&fast, "net", &plan));
         let mut reseeded = base.clone();
         reseeded.seed ^= 1;
         assert_ne!(fp, campaign_fingerprint(&reseeded, "net", &plan));

@@ -546,7 +546,7 @@ impl Engine {
         if !precision.is_float() {
             let mut ws = Workspace::new();
             for sample in calibration_inputs {
-                let trace = run(&network, sample, None, None, None, None, None, &mut ws)?.1;
+                let trace = run(&network, sample, None, None, None, &mut ws)?.1;
                 for (m, t) in input_max.iter_mut().zip(&trace.inputs) {
                     *m = m.max(t.max_abs());
                 }
@@ -687,7 +687,7 @@ impl Engine {
     ///
     /// Propagates shape errors from layers.
     pub fn forward(&self, inputs: &[Tensor]) -> Result<Tensor, DnnError> {
-        Ok(self.run(inputs, None, None)?.0)
+        Ok(self.run(inputs)?.0)
     }
 
     /// [`Engine::forward`] drawing temporaries from a caller-held
@@ -707,9 +707,7 @@ impl Engine {
             inputs,
             Some(&self.input_codecs),
             Some(&self.node_codecs),
-            None,
             self.node_bounds.as_deref(),
-            None,
             ws,
         )?
         .0)
@@ -721,29 +719,22 @@ impl Engine {
     ///
     /// Propagates shape errors from layers.
     pub fn trace(&self, inputs: &[Tensor]) -> Result<Trace, DnnError> {
-        self.run(inputs, None, None).map(|(_, t)| t)
+        self.run(inputs).map(|(_, t)| t)
     }
 
     /// Re-runs from a fault-free [`Trace`] with the output of node
     /// `node_idx` replaced by `replacement`, recomputing only nodes that
-    /// transitively depend on it.
+    /// transitively depend on it — the dense injection path and the oracle
+    /// [`Engine::resume_delta`] is tested against.
     ///
-    /// # Errors
+    /// Every recomputed tensor is drawn from `ws` and clean nodes are
+    /// *borrowed* from the trace instead of cloned. After a warm-up
+    /// injection the steady state performs zero heap allocation (measurable
+    /// via [`Workspace::hit_rate`]). Which nodes to recompute comes from the
+    /// transitive-dependents bitsets built at engine construction — no
+    /// per-injection graph walk.
     ///
-    /// Propagates shape errors from layers. Returns
-    /// [`DnnError::InvalidConfig`] when `node_idx` is out of range.
-    pub fn resume(
-        &self,
-        trace: &Trace,
-        node_idx: usize,
-        replacement: Tensor,
-    ) -> Result<Tensor, DnnError> {
-        self.resume_with_deadline(trace, node_idx, replacement, None)
-    }
-
-    /// [`Engine::resume`] under a cooperative wall-clock deadline.
-    ///
-    /// The executor checks the deadline at every node boundary; a runaway
+    /// The executor checks `deadline` at every node boundary; a runaway
     /// propagation is cut short with [`DnnError::DeadlineExceeded`] instead
     /// of hanging the campaign worker. `None` disables the watchdog.
     ///
@@ -752,38 +743,7 @@ impl Engine {
     /// Propagates shape errors from layers. Returns
     /// [`DnnError::InvalidConfig`] when `node_idx` is out of range and
     /// [`DnnError::DeadlineExceeded`] when the deadline fires.
-    pub fn resume_with_deadline(
-        &self,
-        trace: &Trace,
-        node_idx: usize,
-        replacement: Tensor,
-        deadline: Option<Instant>,
-    ) -> Result<Tensor, DnnError> {
-        let mut ws = Workspace::new();
-        Ok(self
-            .resume_pooled(trace, node_idx, replacement, deadline, &mut ws)?
-            .into_owned())
-    }
-
-    /// The allocation-free injection hot path: like
-    /// [`Engine::resume_with_deadline`], but every recomputed tensor is drawn
-    /// from `ws` and clean nodes are *borrowed* from the trace instead of
-    /// cloned. After a warm-up injection the steady state performs zero heap
-    /// allocation (measurable via [`Workspace::hit_rate`]).
-    ///
-    /// Which nodes to recompute comes from the transitive-dependents bitsets
-    /// built at engine construction — no per-injection graph walk.
-    ///
-    /// Results are bit-identical to [`Engine::resume_with_deadline`]: the
-    /// accumulation order, quantization and bounding of every recomputed
-    /// value are unchanged; only the provenance of the memory differs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from layers. Returns
-    /// [`DnnError::InvalidConfig`] when `node_idx` is out of range and
-    /// [`DnnError::DeadlineExceeded`] when the deadline fires.
-    pub fn resume_pooled<'t>(
+    pub fn resume<'t>(
         &self,
         trace: &'t Trace,
         node_idx: usize,
@@ -926,7 +886,7 @@ impl Engine {
     /// window to its consumers.
     ///
     /// Results are bit-identical to building the dense replacement tensor
-    /// and calling [`Engine::resume_pooled`]:
+    /// and calling [`Engine::resume`]:
     /// * every element outside a node's dirty region holds golden bits, by
     ///   construction of the diff, and a layer's window is the image of
     ///   its sources' dirty regions, so every neuron that can differ is
@@ -945,7 +905,8 @@ impl Engine {
     /// identical, but a window pass may accumulate a given neuron at a
     /// different code location (lane body vs. tail) than the full pass, and
     /// NaN payloads are the single IEEE-754 artifact the compiler may
-    /// legally vary between locations (see [`MacTier`]). All campaign
+    /// legally vary between locations (see
+    /// [NaN payloads](crate::macspec#nan-payloads)). All campaign
     /// statistics are NaN-payload-insensitive, so this never surfaces in
     /// results.
     ///
@@ -1277,28 +1238,14 @@ impl Engine {
         }
     }
 
-    fn run(
-        &self,
-        inputs: &[Tensor],
-        replace: Option<(usize, Tensor)>,
-        base: Option<&Trace>,
-    ) -> Result<(Tensor, Trace), DnnError> {
-        // A replacement without a base trace cannot happen: the only caller
-        // that passes `replace` is `resume_with_deadline`, which supplies the
-        // trace alongside it. Dropping the replacement is safe either way.
-        let replace = match (replace, base) {
-            (Some((i, t)), Some(trace)) => Some((i, t, trace)),
-            _ => None,
-        };
+    fn run(&self, inputs: &[Tensor]) -> Result<(Tensor, Trace), DnnError> {
         let mut ws = Workspace::new();
         run(
             &self.network,
             inputs,
             Some(&self.input_codecs),
             Some(&self.node_codecs),
-            replace,
             self.node_bounds.as_deref(),
-            None,
             &mut ws,
         )
     }
@@ -1397,17 +1344,13 @@ fn on_grid(
         })
 }
 
-/// Core executor shared by calibration (no codecs) and engine runs. The
-/// deadline, when set, is checked at every node boundary.
-#[allow(clippy::too_many_arguments)]
+/// Core executor shared by calibration (no codecs) and engine runs.
 fn run(
     network: &Network,
     inputs: &[Tensor],
     input_codecs: Option<&[ValueCodec]>,
     node_codecs: Option<&[ValueCodec]>,
-    replace: Option<(usize, Tensor, &Trace)>,
     bounds: Option<&[f32]>,
-    deadline: Option<Instant>,
     ws: &mut Workspace,
 ) -> Result<(Tensor, Trace), DnnError> {
     if inputs.len() != network.input_names.len() {
@@ -1430,51 +1373,8 @@ fn run(
         })
         .collect();
 
-    // When resuming, mark which nodes must be recomputed: the replaced node's
-    // dependents only. All others reuse the base trace.
-    let mut dirty = vec![false; network.nodes.len()];
-    if let Some((ridx, _, _)) = replace {
-        dirty[ridx] = true;
-        for i in ridx + 1..network.nodes.len() {
-            if network.nodes[i].sources.iter().any(|s| match s {
-                Source::Node(j) => dirty[*j],
-                Source::Input(_) => false,
-            }) {
-                dirty[i] = true;
-            }
-        }
-    }
-
-    let apply_bound = |idx: usize, mut t: Tensor| -> Tensor {
-        if let Some(b) = bounds {
-            let bound = b[idx];
-            t.map_inplace(|v| clamp_to_bound(v, bound));
-        }
-        t
-    };
-
     let mut outputs: Vec<Tensor> = Vec::with_capacity(network.nodes.len());
     for (idx, node) in network.nodes.iter().enumerate() {
-        if let Some(d) = deadline {
-            // Monotonic watchdog deadline via the obs clock (the workspace's
-            // sanctioned wall-clock site); never feeds campaign statistics.
-            if fidelity_obs::clock::now() >= d {
-                fidelity_obs::metrics::counter("dnn.deadline_exceeded").inc();
-                return Err(DnnError::DeadlineExceeded);
-            }
-        }
-        if let Some((ridx, ref replacement, base)) = replace {
-            if idx == ridx {
-                // The corrupted writeback passes through the same bounding
-                // hardware as a clean one.
-                outputs.push(apply_bound(idx, replacement.clone()));
-                continue;
-            }
-            if !dirty[idx] {
-                outputs.push(base.node_outputs[idx].clone());
-                continue;
-            }
-        }
         let in_refs: Vec<&Tensor> = node
             .sources
             .iter()
@@ -1489,7 +1389,11 @@ fn run(
                 nc[idx].quantize_slice(raw.data_mut());
             }
         }
-        outputs.push(apply_bound(idx, raw));
+        if let Some(b) = bounds {
+            let bound = b[idx];
+            raw.map_inplace(|v| clamp_to_bound(v, bound));
+        }
+        outputs.push(raw);
     }
 
     let out = match network.output {
@@ -1508,6 +1412,14 @@ fn run(
 mod tests {
     use super::*;
     use crate::layers::{Activation, ActivationKind, Add, Dense};
+
+    /// The dense resume on a fresh workspace, as an owned tensor.
+    fn resume_owned(engine: &Engine, trace: &Trace, node: usize, replacement: Tensor) -> Tensor {
+        engine
+            .resume(trace, node, replacement, None, &mut Workspace::new())
+            .unwrap()
+            .into_owned()
+    }
 
     fn two_layer_net() -> Network {
         let w1 = Tensor::from_vec(vec![2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
@@ -1565,7 +1477,7 @@ mod tests {
         // Corrupt fc1's output and resume.
         let mut corrupted = trace.node_outputs[0].clone();
         corrupted.data_mut()[0] = 100.0;
-        let y = engine.resume(&trace, 0, corrupted).unwrap();
+        let y = resume_owned(&engine, &trace, 0, corrupted);
         assert_eq!(y.data(), &[200.0, 4.0]);
         // Clean trace is untouched.
         assert_eq!(trace.output.data(), &[2.0, 4.0]);
@@ -1591,7 +1503,7 @@ mod tests {
         let trace = engine.trace(&[x]).unwrap();
         let mut corrupted = trace.node_outputs[0].clone();
         corrupted.data_mut()[1] = -4.0;
-        let y = engine.resume(&trace, 0, corrupted).unwrap();
+        let y = resume_owned(&engine, &trace, 0, corrupted);
         assert_eq!(y.data(), &[6.0, 0.0]);
     }
 
@@ -1704,7 +1616,7 @@ mod tests {
         let at = |node: usize, v: f32| {
             let mut t = trace.node_outputs[node].clone();
             t.data_mut()[0] = v;
-            engine.resume(&trace, node, t).unwrap()
+            resume_owned(&engine, &trace, node, t)
         };
         let from_conv = at(0, codec.decode(0x80));
         assert_eq!(from_conv, at(1, codec.decode(0x80)));
@@ -1725,11 +1637,11 @@ mod tests {
         // (fc1's clean max-abs is 2, slack 2 → bound 4).
         let mut corrupted = trace.node_outputs[0].clone();
         corrupted.data_mut()[0] = 1e9;
-        let y = engine.resume(&trace, 0, corrupted.clone()).unwrap();
+        let y = resume_owned(&engine, &trace, 0, corrupted.clone());
         assert_eq!(y.data(), &[8.0, 4.0]); // 4 (clamped) × 2
                                            // NaN saturates to the bound instead of propagating.
         corrupted.data_mut()[0] = f32::NAN;
-        let y = engine.resume(&trace, 0, corrupted).unwrap();
+        let y = resume_owned(&engine, &trace, 0, corrupted);
         assert_eq!(y.data(), &[8.0, 4.0]);
         // Disabled bounding lets the corruption through again.
         engine.disable_range_bounding();
@@ -1738,7 +1650,7 @@ mod tests {
             .unwrap();
         let mut corrupted = trace.node_outputs[0].clone();
         corrupted.data_mut()[0] = 1e9;
-        let y = engine.resume(&trace, 0, corrupted).unwrap();
+        let y = resume_owned(&engine, &trace, 0, corrupted);
         assert_eq!(y.data()[0], 2e9);
     }
 
@@ -1867,12 +1779,12 @@ mod tests {
         )
     }
 
-    /// The delta path must be byte-identical to the dense `resume_pooled`
+    /// The delta path must be byte-identical to the dense `resume`
     /// oracle for every injection node, patch shape, precision, and
     /// range-bounding mode — and must leave the overlay repaired to golden
     /// bits afterwards.
     #[test]
-    fn resume_delta_matches_resume_pooled_bitwise() {
+    fn resume_delta_matches_resume_bitwise() {
         let x = {
             let mut s = 0xD00D_u64;
             lcg_fill(&mut s, vec![1, 2, 6, 6])
@@ -1948,13 +1860,11 @@ mod tests {
                             repl.data_mut()[off] = v;
                         }
                         let mut ws2 = Workspace::new();
-                        let dense = engine
-                            .resume_pooled(&trace, node, repl, None, &mut ws2)
-                            .unwrap();
+                        let dense = engine.resume(&trace, node, repl, None, &mut ws2).unwrap();
                         assert_eq!(
                             delta,
                             bits_of(dense.tensor()),
-                            "delta != pooled at node {node} (precision {precision:?}, \
+                            "delta != dense at node {node} (precision {precision:?}, \
                              bounded {bounded})"
                         );
 

@@ -2,7 +2,7 @@
 
 use crate::error::DnnError;
 use crate::layers::{check_arity, Layer, LayerKind};
-use crate::macspec::{DenseSpec, LanePanel, MacSpec, MacTier, MatMulSpec, Operands};
+use crate::macspec::{DenseSpec, LanePanel, MacSpec, MatMulSpec, Operands};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -110,21 +110,7 @@ impl Layer for Dense {
         let d = self.spec_for(inputs[0].shape())?;
         let dims = [d.batch, d.out_features];
         let mut out = ws.zeros(&dims);
-        match ws.mac_tier() {
-            MacTier::Bitwise => d.forward_packed(inputs[0].data(), &self.panel, out.data_mut()),
-            MacTier::Fast => {
-                let ops = Operands {
-                    input: inputs[0],
-                    weight: &self.weight,
-                };
-                MacSpec::Dense(d).forward_tier_into_scratch(
-                    &ops,
-                    out.data_mut(),
-                    ws.kernel_scratch(),
-                    MacTier::Fast,
-                );
-            }
-        }
+        d.forward_packed(inputs[0].data(), &self.panel, out.data_mut());
         Ok(out)
     }
 
@@ -230,8 +216,7 @@ impl Layer for MatMul {
             weight: inputs[1],
         };
         let mut out = ws.zeros(dims);
-        let tier = ws.mac_tier();
-        spec.forward_tier_into_scratch(&ops, out.data_mut(), ws.kernel_scratch(), tier);
+        spec.forward_into_scratch(&ops, out.data_mut(), ws.kernel_scratch());
         Ok(out)
     }
 

@@ -11,62 +11,27 @@
 //! [`MacSpec`] answers all three with the exact accumulation order also used
 //! by the register-level simulator (`fidelity-rtl`), which is what makes
 //! software fault models bit-exact against the golden reference.
+//!
+//! Every packed kernel here is byte-for-byte identical to the scalar
+//! [`MacSpec::compute_at`] oracle: terms per output neuron in ascending
+//! kernel-step order, padding steps genuinely skipped. The lane kernels
+//! vectorize *across* independent output neurons, which cannot change any
+//! neuron's accumulation order.
+//!
+//! # NaN payloads
+//!
+//! *Which* outputs are NaN is fully deterministic, but a NaN's payload bits
+//! are the single part of IEEE-754 arithmetic the compiler may legally vary
+//! between code locations (float add/mul commute in LLVM, and x86 NaN
+//! propagation picks the surviving payload by operand order). Differential
+//! comparisons must therefore treat all NaNs as equal; every campaign
+//! statistic (outcomes, masking bits, checkpoint bytes) is already
+//! NaN-payload-insensitive.
 
 use core::array::from_fn;
 
 use crate::error::DnnError;
 use crate::tensor::Tensor;
-
-/// Numeric tier of the packed MAC kernels.
-///
-/// `Bitwise` is the default and the only tier the fault models may run
-/// under implicitly: every kernel is byte-for-byte identical to the scalar
-/// [`MacSpec::compute_at`] oracle (terms per output neuron in ascending
-/// kernel-step order, padding steps genuinely skipped). Its lane kernels
-/// vectorize *across* independent output neurons, which cannot change any
-/// neuron's accumulation order.
-///
-/// `Fast` is opt-in and may split the contraction of one neuron into four
-/// lanes combined by a fixed tree reduction — faster, but a different (still
-/// deterministic) rounding order. Its divergence from `Bitwise` is itself a
-/// measured, reported quantity ([`MacSpec::fast_divergence`]), never an
-/// estimate.
-///
-/// One caveat applies to both tiers: *which* outputs are NaN is fully
-/// deterministic, but a NaN's payload bits are the single part of IEEE-754
-/// arithmetic the compiler may legally vary between code locations (float
-/// add/mul commute in LLVM, and x86 NaN propagation picks the surviving
-/// payload by operand order). Differential comparisons must therefore treat
-/// all NaNs as equal; every campaign statistic (outcomes, masking bits,
-/// checkpoint bytes) is already NaN-payload-insensitive.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum MacTier {
-    /// Byte-identical to the scalar `compute_at` oracle. Default.
-    #[default]
-    Bitwise,
-    /// 4-lane tree-reduced contraction for dense/matmul-transposed dots.
-    /// Opt-in; divergence vs. `Bitwise` is measured exactly and reported.
-    Fast,
-}
-
-impl MacTier {
-    /// Canonical lowercase name (CLI / JSON / fingerprint form).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MacTier::Bitwise => "bitwise",
-            MacTier::Fast => "fast",
-        }
-    }
-
-    /// Parses the canonical name; `None` for anything else.
-    pub fn parse(s: &str) -> Option<MacTier> {
-        match s {
-            "bitwise" => Some(MacTier::Bitwise),
-            "fast" => Some(MacTier::Fast),
-            _ => None,
-        }
-    }
-}
 
 /// Which operand of a MAC layer a substitution applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -524,53 +489,6 @@ impl MacSpec {
         }
     }
 
-    /// Tier-dispatching variant of [`MacSpec::forward_into_scratch`].
-    ///
-    /// `MacTier::Bitwise` is exactly `forward_into_scratch`. `MacTier::Fast`
-    /// replaces the dense / transposed-matmul dot products with a 4-lane
-    /// tree-reduced contraction ([`dot_fast`]); conv and non-transposed
-    /// matmul kernels are already vectorized across independent outputs and
-    /// keep their bitwise accumulation order, so their `Fast` divergence is
-    /// exactly zero by construction.
-    pub fn forward_tier_into_scratch(
-        &self,
-        operands: &Operands<'_>,
-        out: &mut [f32],
-        scratch: &mut KernelScratch,
-        tier: MacTier,
-    ) {
-        if tier == MacTier::Bitwise {
-            self.forward_into_scratch(operands, out, scratch);
-            return;
-        }
-        assert_eq!(out.len(), self.out_len(), "output buffer size mismatch");
-        let x = operands.input.data();
-        let w = operands.weight.data();
-        match self {
-            MacSpec::Dense(d) => {
-                for b in 0..d.batch {
-                    let x_row = &x[b * d.in_features..(b + 1) * d.in_features];
-                    let out_row = &mut out[b * d.out_features..(b + 1) * d.out_features];
-                    for (o, out_v) in out_row.iter_mut().enumerate() {
-                        *out_v = dot_fast(x_row, &w[o * d.in_features..][..d.in_features]);
-                    }
-                }
-            }
-            MacSpec::MatMul(m) if m.transpose_b => {
-                for g in 0..m.batch {
-                    for r in 0..m.m {
-                        let a_row = &x[(g * m.m + r) * m.k..][..m.k];
-                        let out_row = &mut out[(g * m.m + r) * m.n..][..m.n];
-                        for (cc, out_v) in out_row.iter_mut().enumerate() {
-                            *out_v = dot_fast(a_row, &w[(g * m.n + cc) * m.k..][..m.k]);
-                        }
-                    }
-                }
-            }
-            _ => self.forward_into_scratch(operands, out, scratch),
-        }
-    }
-
     /// Computes only the output elements whose spatial coordinates fall in
     /// `h = [h0, h1)` × `w = [w0, w1)` (all batches and channels), leaving
     /// every other element of `out` untouched. Returns `false` — without
@@ -597,30 +515,6 @@ impl MacSpec {
             }
             _ => false,
         }
-    }
-
-    /// Exact maximum absolute divergence of the `Fast` tier from the
-    /// `Bitwise` tier over every output neuron for these operands.
-    ///
-    /// This is a measurement, not a bound: both tiers are fully evaluated
-    /// and compared element-wise. Bit-identical elements (including NaNs
-    /// with equal payloads) contribute `0.0`; a NaN mismatch contributes
-    /// `+∞` so it can never be mistaken for a small rounding delta.
-    pub fn fast_divergence(&self, operands: &Operands<'_>) -> f32 {
-        let mut scratch = KernelScratch::default();
-        let mut bitwise = vec![0.0f32; self.out_len()];
-        let mut fast = vec![0.0f32; self.out_len()];
-        self.forward_into_scratch(operands, &mut bitwise, &mut scratch);
-        self.forward_tier_into_scratch(operands, &mut fast, &mut scratch, MacTier::Fast);
-        let mut max = 0.0f32;
-        for (a, b) in bitwise.iter().zip(&fast) {
-            if a.to_bits() == b.to_bits() {
-                continue;
-            }
-            let d = (a - b).abs();
-            max = max.max(if d.is_nan() { f32::INFINITY } else { d });
-        }
-        max
     }
 
     /// Computes the value of one output neuron (identified by flat offset
@@ -864,31 +758,6 @@ fn axpy_lanes(acc: &mut [f32], xs: &[f32], wv: f32) {
     for (a, xv) in a_tail.iter_mut().zip(x_tail) {
         *a += xv * wv;
     }
-}
-
-/// 4-lane tree-reduced dot product — the `Fast` tier contraction. Lane `l`
-/// accumulates terms `l, l+4, l+8, …`; the lanes combine as
-/// `(l0 + l1) + (l2 + l3)` and any tail terms are then added in ascending
-/// order. Deterministic, but a different rounding order than the bitwise
-/// oracle — which is exactly what [`MacSpec::fast_divergence`] measures.
-#[inline]
-fn dot_fast(xs: &[f32], ws: &[f32]) -> f32 {
-    let n = xs.len().min(ws.len());
-    let main = n - n % 4;
-    let (xm, xt) = xs[..n].split_at(main);
-    let (wm, wt) = ws[..n].split_at(main);
-    let mut l = [0.0f32; 4];
-    for (xc, wc) in xm.chunks_exact(4).zip(wm.chunks_exact(4)) {
-        l[0] += xc[0] * wc[0];
-        l[1] += xc[1] * wc[1];
-        l[2] += xc[2] * wc[2];
-        l[3] += xc[3] * wc[3];
-    }
-    let mut acc = (l[0] + l[1]) + (l[2] + l[3]);
-    for (xv, wv) in xt.iter().zip(wt) {
-        acc += xv * wv;
-    }
-    acc
 }
 
 impl ConvSpec {

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::macspec::{KernelScratch, MacTier};
+use crate::macspec::KernelScratch;
 use crate::tensor::Tensor;
 
 /// The part of one node's output the delta resume path has modified
@@ -80,10 +80,6 @@ pub struct Workspace {
     /// [`crate::graph::Engine::resume_delta`]); grows to the largest band
     /// seen and is reused.
     settle_mask: Vec<u32>,
-    /// Numeric tier the MAC layer forwards run under. Plumbed through the
-    /// workspace because [`crate::layers::Layer::forward`] receives no other
-    /// per-worker configuration channel.
-    mac_tier: MacTier,
     hits: u64,
     misses: u64,
 }
@@ -223,16 +219,6 @@ impl Workspace {
     /// The settle pass's mask buffer, left for the caller to size.
     pub(crate) fn settle_mask(&mut self) -> &mut Vec<u32> {
         &mut self.settle_mask
-    }
-
-    /// The MAC tier layer forwards drawn from this workspace run under.
-    pub fn mac_tier(&self) -> MacTier {
-        self.mac_tier
-    }
-
-    /// Sets the MAC tier for subsequent layer forwards.
-    pub fn set_mac_tier(&mut self, tier: MacTier) {
-        self.mac_tier = tier;
     }
 
     /// Installs a golden snapshot: a bit-exact pooled copy of each tensor in

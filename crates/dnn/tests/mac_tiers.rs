@@ -1,19 +1,16 @@
-//! Differential-oracle property tests for the two-tier MAC lane kernels.
+//! Differential-oracle property tests for the MAC lane kernels.
 //!
-//! The `Bitwise` tier runs one register-blocked lane kernel for conv, dense
-//! and matmul: SIMD lanes across *independent* outputs (conv output
-//! channels, dense output features, matmul output columns) in 8- or 16-lane
-//! blocks, over tiles of up to 4 positions (conv output positions, dense and
-//! matmul rows). It must be byte-identical to the scalar `compute_at`
-//! oracle for every shape — including partly filled lane blocks and tiles —
-//! and every input class, including NaN, ±∞, denormals and signed zeros.
-//! The `Fast` tier (4-lane in-contraction tree reduction) is allowed to
-//! diverge, but its reported divergence must be an exact measurement, not
-//! an estimate.
+//! One register-blocked lane kernel runs conv, dense and matmul: SIMD lanes
+//! across *independent* outputs (conv output channels, dense output
+//! features, matmul output columns) in 8- or 16-lane blocks, over tiles of
+//! up to 4 positions (conv output positions, dense and matmul rows). It must
+//! be byte-identical to the scalar `compute_at` oracle for every shape —
+//! including partly filled lane blocks and tiles — and every input class,
+//! including NaN, ±∞, denormals and signed zeros.
 
 use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::macspec::{
-    conv_out_window, ConvSpec, DenseSpec, KernelScratch, MacSpec, MacTier, MatMulSpec, Operands,
+    conv_out_window, ConvSpec, DenseSpec, KernelScratch, MacSpec, MatMulSpec, Operands,
 };
 use fidelity_dnn::tensor::Tensor;
 use proptest::prelude::*;
@@ -82,9 +79,9 @@ fn operand_shapes(spec: &MacSpec) -> (Vec<usize>, Vec<usize>) {
     }
 }
 
-/// Asserts the packed `Bitwise`-tier kernel agrees bit-for-bit with the
+/// Asserts the packed kernel agrees bit-for-bit with the
 /// scalar per-neuron oracle on adversarial operands.
-fn assert_bitwise_tier_matches_oracle(spec: &MacSpec, seed: u64) -> Result<(), TestCaseError> {
+fn assert_kernel_matches_oracle(spec: &MacSpec, seed: u64) -> Result<(), TestCaseError> {
     let (in_shape, w_shape) = operand_shapes(spec);
     let input = adversarial_tensor(seed, in_shape);
     let weight = adversarial_tensor(seed ^ 0xABCD_EF01, w_shape);
@@ -94,13 +91,13 @@ fn assert_bitwise_tier_matches_oracle(spec: &MacSpec, seed: u64) -> Result<(), T
     };
     let mut scratch = KernelScratch::new();
     let mut out = vec![0.0f32; spec.out_len()];
-    spec.forward_tier_into_scratch(&ops, &mut out, &mut scratch, MacTier::Bitwise);
+    spec.forward_into_scratch(&ops, &mut out, &mut scratch);
     for (off, v) in out.iter().enumerate() {
         let oracle = spec.compute_at(&ops, off, None);
         prop_assert_eq!(
             canon_bits(*v),
             canon_bits(oracle),
-            "bitwise tier != compute_at oracle at neuron {} ({:?})",
+            "packed kernel != compute_at oracle at neuron {} ({:?})",
             off,
             spec
         );
@@ -110,79 +107,6 @@ fn assert_bitwise_tier_matches_oracle(spec: &MacSpec, seed: u64) -> Result<(), T
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The reported Fast-tier divergence equals an independent element-wise
-    /// re-measurement — exact, not estimated — and the `Fast` tier itself is
-    /// reproducible run-to-run.
-    #[test]
-    fn fast_divergence_is_exact_measurement(
-        batch in 1usize..3,
-        in_features in 1usize..27,
-        out_features in 1usize..9,
-        seed in 0u64..u64::MAX,
-    ) {
-        let spec = MacSpec::Dense(DenseSpec { batch, in_features, out_features });
-        let (in_shape, w_shape) = operand_shapes(&spec);
-        let input = adversarial_tensor(seed, in_shape);
-        let weight = adversarial_tensor(seed ^ 0x5EED, w_shape);
-        let ops = Operands { input: &input, weight: &weight };
-
-        let mut scratch = KernelScratch::new();
-        let mut bitwise = vec![0.0f32; spec.out_len()];
-        let mut fast = vec![0.0f32; spec.out_len()];
-        let mut fast2 = vec![0.0f32; spec.out_len()];
-        spec.forward_tier_into_scratch(&ops, &mut bitwise, &mut scratch, MacTier::Bitwise);
-        spec.forward_tier_into_scratch(&ops, &mut fast, &mut scratch, MacTier::Fast);
-        spec.forward_tier_into_scratch(&ops, &mut fast2, &mut scratch, MacTier::Fast);
-        for (a, b) in fast.iter().zip(&fast2) {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "Fast tier must be deterministic");
-        }
-        // (Re-running the *same* code location is exactly reproducible,
-        // payloads included — only cross-location comparison canonicalizes.)
-
-        let mut expected = 0.0f32;
-        for (a, b) in bitwise.iter().zip(&fast) {
-            if a.to_bits() == b.to_bits() {
-                continue;
-            }
-            let d = (a - b).abs();
-            expected = expected.max(if d.is_nan() { f32::INFINITY } else { d });
-        }
-        let reported = spec.fast_divergence(&ops);
-        prop_assert_eq!(
-            reported.to_bits(),
-            expected.to_bits(),
-            "fast_divergence must equal the element-wise measurement"
-        );
-    }
-
-    /// Conv and non-transposed MatMul keep their bitwise kernels under the
-    /// `Fast` tier (they are already output-parallel), so their divergence
-    /// is exactly zero by construction.
-    #[test]
-    fn fast_tier_divergence_is_zero_for_output_parallel_kernels(seed in 0u64..u64::MAX) {
-        let conv = MacSpec::Conv(ConvSpec {
-            batch: 1,
-            in_c: 3,
-            in_h: 5,
-            in_w: 6,
-            out_c: 4,
-            kh: 3,
-            kw: 3,
-            stride: (1, 1),
-            padding: (1, 1),
-            dilation: (1, 1),
-            groups: 1,
-        });
-        let mm = MacSpec::MatMul(MatMulSpec { batch: 2, m: 3, k: 9, n: 5, transpose_b: false });
-        for spec in [conv, mm] {
-            let (in_shape, w_shape) = operand_shapes(&spec);
-            let input = adversarial_tensor(seed, in_shape);
-            let weight = adversarial_tensor(seed ^ 0x77, w_shape);
-            let ops = Operands { input: &input, weight: &weight };
-            prop_assert_eq!(spec.fast_divergence(&ops).to_bits(), 0.0f32.to_bits());
-        }
-    }
 
     /// `conv_out_window` is a conservative superset: every output whose
     /// receptive field touches the input window must land inside the mapped
@@ -236,14 +160,14 @@ proptest! {
     /// gives one partly filled 8-lane block, full and padded 16-lane
     /// blocks, and several blocks; `in_features` 1..=40 the contraction.
     #[test]
-    fn dense_bitwise_tier_is_bit_identical(
+    fn dense_kernel_is_bit_identical(
         batch in 1usize..12,
         in_features in 1usize..41,
         out_features in prop_oneof![Just(8usize), Just(16), Just(24), 1usize..41],
         seed in 0u64..u64::MAX,
     ) {
         let spec = MacSpec::Dense(DenseSpec { batch, in_features, out_features });
-        assert_bitwise_tier_matches_oracle(&spec, seed)?;
+        assert_kernel_matches_oracle(&spec, seed)?;
     }
 
     /// MatMul, both storage orders, batched: `m` 1..=11 rows per batch
@@ -251,7 +175,7 @@ proptest! {
     /// 1..=40 output columns (multi-block 16-lane panels, padded last
     /// blocks), `k` 1..=40.
     #[test]
-    fn matmul_bitwise_tier_is_bit_identical(
+    fn matmul_kernel_is_bit_identical(
         batch in 1usize..4,
         m in 1usize..12,
         k in 1usize..41,
@@ -260,7 +184,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let spec = MacSpec::MatMul(MatMulSpec { batch, m, k, n, transpose_b });
-        assert_bitwise_tier_matches_oracle(&spec, seed)?;
+        assert_kernel_matches_oracle(&spec, seed)?;
     }
 }
 
@@ -275,7 +199,7 @@ proptest! {
     /// kernel's 8-column threshold, single-position tiles at padded
     /// edges).
     #[test]
-    fn conv_bitwise_tier_is_bit_identical(
+    fn conv_kernel_is_bit_identical(
         in_c_per_group in prop_oneof![Just(1usize), 2usize..4],
         groups in 1usize..4,
         out_c_per_group in prop_oneof![Just(1usize), 2usize..9, 9usize..17, 17usize..41],
@@ -301,7 +225,7 @@ proptest! {
             dilation: (dilation, dilation),
             groups,
         });
-        assert_bitwise_tier_matches_oracle(&spec, seed)?;
+        assert_kernel_matches_oracle(&spec, seed)?;
     }
 
     /// The windowed conv kernel writes bits identical to the full kernel
@@ -371,36 +295,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Pinned Fast-tier divergence: the 4-lane tree reduction
-/// `(l0+l1)+(l2+l3)` loses the `+1.0` that the sequential order keeps, so
-/// the reported divergence is exactly `1.0` — a deliberate catastrophic-
-/// cancellation construction, not a tolerance check.
-#[test]
-fn fast_divergence_pinned_cancellation_case() {
-    let spec = MacSpec::Dense(DenseSpec {
-        batch: 1,
-        in_features: 4,
-        out_features: 1,
-    });
-    let input = Tensor::from_vec(vec![1, 4], vec![1.0e8, 1.0, -1.0e8, 1.0]).unwrap();
-    let weight = Tensor::from_vec(vec![1, 4], vec![1.0, 1.0, 1.0, 1.0]).unwrap();
-    let ops = Operands {
-        input: &input,
-        weight: &weight,
-    };
-    // Sequential: ((1e8 + 1) + -1e8) + 1 = 1.0  (the first +1 is absorbed).
-    // Tree: (1e8 + 1) + (-1e8 + 1) = 1e8 - 1e8 = 0.0 (both +1s absorbed).
-    assert_eq!(spec.compute_at(&ops, 0, None), 1.0);
-    assert_eq!(spec.fast_divergence(&ops), 1.0);
-
-    // And a case where the tiers agree exactly: sums representable at every
-    // association order diverge by exactly 0.
-    let input = Tensor::from_vec(vec![1, 4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-    let ops = Operands {
-        input: &input,
-        weight: &weight,
-    };
-    assert_eq!(spec.fast_divergence(&ops), 0.0);
 }

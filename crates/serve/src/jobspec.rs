@@ -14,7 +14,7 @@
 //! masking probabilities to an uninterrupted CLI run of the same spec.
 
 use fidelity_core::adaptive::AdaptivePlan;
-use fidelity_core::campaign::{CampaignSpec, MacTier};
+use fidelity_core::campaign::CampaignSpec;
 use fidelity_core::outcome::{CorrectnessMetric, TopOneMatch};
 use fidelity_dnn::graph::{Engine, Trace};
 use fidelity_dnn::precision::Precision;
@@ -64,10 +64,6 @@ pub struct JobSpec {
     /// identity: the batched and dense paths produce bit-identical results,
     /// so two submissions differing only here share one execution.
     pub batch: usize,
-    /// MAC kernel tier (`bitwise` or `fast`). Identity: the Fast tier may
-    /// change low-order bits, so it feeds the fingerprint and the campaign
-    /// checkpoint key.
-    pub mac_tier: MacTier,
     /// Adaptive-planner FIT-bound target ε. `Some` switches the campaign
     /// to confidence-driven wave sampling; identity (changes which
     /// injections run), so it feeds the fingerprint.
@@ -94,7 +90,6 @@ impl Default for JobSpec {
             deadline_ms: None,
             retries: 2,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             epsilon: None,
             confidence: None,
             max_injections: None,
@@ -112,9 +107,12 @@ const NETWORKS: &[&str] = &[
 ];
 const PRECISIONS: &[&str] = &["fp16", "fp32", "int16", "int8"];
 
-/// Fields earlier versions accepted and this one no longer does: the
-/// per-cell CI target (`target_ci`) went with the per-cell executor.
-const RETIRED_FIELDS: &[&str] = &["target_ci"];
+/// Fields earlier versions accepted and this one no longer does, each with
+/// the value, if any, under which it meant what this version always does:
+/// the per-cell CI target (`target_ci`) went with the per-cell executor, and
+/// the MAC tier (`mac_tier`) with the `fast` kernels, leaving `bitwise`.
+const RETIRED_FIELDS: &[(&str, Option<&str>)] =
+    &[("target_ci", None), ("mac_tier", Some("bitwise"))];
 
 /// Upper bound on `deadline_ms`: ten years. Rules out timer-arithmetic
 /// overflow in the supervisor and keeps the canonical-JSON `f64` encoding
@@ -164,13 +162,6 @@ impl JobSpec {
                 "deadline_ms" => spec.deadline_ms = Some(u64_field(val, key)?),
                 "retries" => spec.retries = usize_field(val, key)?,
                 "batch" => spec.batch = usize_field(val, key)?,
-                "mac_tier" => {
-                    let s = val
-                        .as_str()
-                        .ok_or_else(|| bad(key, "\"bitwise\" or \"fast\""))?;
-                    spec.mac_tier =
-                        MacTier::parse(s).ok_or_else(|| bad(key, "\"bitwise\" or \"fast\""))?;
-                }
                 "epsilon" => {
                     spec.epsilon = Some(val.as_f64().ok_or_else(|| bad(key, "a number"))?);
                 }
@@ -197,8 +188,9 @@ impl JobSpec {
     /// Parses a spec read back from the job journal. Unlike a submission,
     /// a field that an earlier version accepted and this one retired is
     /// dropped rather than rejected, so a state directory written by that
-    /// version still recovers; the dropped field is returned so the caller
-    /// can refuse to *run* the job under changed semantics.
+    /// version still recovers. A dropped field set to anything but the
+    /// value this version always runs is returned, so the caller can refuse
+    /// to *run* the job under changed semantics.
     ///
     /// # Errors
     ///
@@ -207,8 +199,11 @@ impl JobSpec {
         let mut v = fidelity_obs::json::parse(s)?;
         let mut retired = None;
         if let Json::Obj(map) = &mut v {
-            for &field in RETIRED_FIELDS {
-                if map.remove(field).is_some() {
+            for &(field, current) in RETIRED_FIELDS {
+                let Some(old) = map.remove(field) else {
+                    continue;
+                };
+                if current.is_none_or(|c| old.as_str() != Some(c)) {
                     retired = Some(field);
                 }
             }
@@ -292,8 +287,6 @@ impl JobSpec {
         }
         push_num(&mut s, "retries", self.retries as f64);
         push_num(&mut s, "batch", self.batch as f64);
-        s.push_str(",\"mac_tier\":");
-        escape_into(&mut s, self.mac_tier.as_str());
         if let Some(e) = self.epsilon {
             push_num(&mut s, "epsilon", e);
         }
@@ -322,10 +315,10 @@ impl JobSpec {
             // keeps every job id stable across versions.
             .bytes(&u64::MAX.to_le_bytes())
             .bytes(&self.bounding.map_or(u32::MAX, f32::to_bits).to_le_bytes())
-            // The MAC tier is identity (Fast may change bits); `batch` is
-            // policy (bit-identical by construction) and deliberately
-            // excluded.
-            .bytes(self.mac_tier.as_str().as_bytes());
+            // The slot of the retired MAC tier, always the bitwise kernels
+            // every job runs, for the same reason. `batch` is policy
+            // (bit-identical by construction) and deliberately excluded.
+            .bytes(b"bitwise");
         // Adaptive plan is identity: it decides which injections run.
         if let Some(plan) = self.adaptive_plan() {
             h.bytes(&[1u8])
@@ -413,7 +406,6 @@ impl JobSpec {
             resilience: Default::default(),
             progress: None,
             batch: self.batch,
-            mac_tier: self.mac_tier,
             adaptive: self.adaptive_plan(),
         }
     }
@@ -486,7 +478,6 @@ mod tests {
                 deadline_ms: Some(12_000),
                 retries: 0,
                 batch: 16,
-                mac_tier: MacTier::Fast,
                 epsilon: None,
                 confidence: None,
                 max_injections: None,
@@ -513,14 +504,19 @@ mod tests {
             r#"{"network":"vgg"}"#,              // unknown network
             r#"{"network":"lstm","samples":0}"#, // zero samples
             r#"{"network":"lstm","precision":"bf16"}"#,
-            r#"{"network":"lstm","mac_tier":"turbo"}"#, // unknown tier
-            r#"{"network":"lstm","target_ci":0.05}"#,   // retired field
-            r#"{"samples":4}"#,                         // missing network
-            r#"[1,2,3]"#,                               // not an object
+            r#"{"network":"lstm","target_ci":0.05}"#, // retired field
+            r#"{"network":"lstm","mac_tier":"bitwise"}"#, // retired field
+            r#"{"samples":4}"#,                       // missing network
+            r#"[1,2,3]"#,                             // not an object
         ] {
             let v = parse(body).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "accepted: {body}");
         }
+        let v = parse(r#"{"network":"lstm","mac_tier":"bitwise"}"#).unwrap();
+        assert_eq!(
+            JobSpec::from_json(&v).unwrap_err(),
+            "unknown field `mac_tier`"
+        );
     }
 
     #[test]
@@ -532,6 +528,19 @@ mod tests {
         assert_eq!((spec.network.as_str(), spec.samples), ("lstm", 4));
         let (_, retired) = JobSpec::from_journal_str(r#"{"network":"lstm"}"#).unwrap();
         assert_eq!(retired, None);
+        // Every job the previous version journaled names its MAC tier; the
+        // bitwise tier is what every job runs now, so it drops silently and
+        // the job keeps its id.
+        let (spec, retired) = JobSpec::from_journal_str(
+            r#"{"network":"lstm","samples":4,"seed":7,"mac_tier":"bitwise"}"#,
+        )
+        .unwrap();
+        assert_eq!(retired, None);
+        assert_eq!(spec, tiny());
+        assert_eq!(spec.fingerprint(), tiny().fingerprint());
+        let (_, retired) =
+            JobSpec::from_journal_str(r#"{"network":"lstm","mac_tier":"fast"}"#).unwrap();
+        assert_eq!(retired, Some("mac_tier"));
         assert!(JobSpec::from_journal_str(r#"{"network":"lstm","sample":4}"#).is_err());
     }
 
@@ -556,9 +565,6 @@ mod tests {
         policy.threads = 8;
         policy.batch = 64; // batched evaluation is bit-identical → policy
         assert_eq!(a.fingerprint(), policy.fingerprint());
-        let mut fast = a.clone();
-        fast.mac_tier = MacTier::Fast; // may change bits → identity
-        assert_ne!(a.fingerprint(), fast.fingerprint());
         let mut reseeded = a.clone();
         reseeded.seed = Some(8);
         assert_ne!(a.fingerprint(), reseeded.fingerprint());

@@ -1125,16 +1125,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A state directory written by a daemon that still accepted
-    /// `target_ci` and wrote per-cell checkpoints recovers: the finished
-    /// `target_ci` job keeps its record, the unfinished one fails by name,
-    /// and a job whose checkpoint is in the retired format reruns fresh.
+    /// A state directory written by daemons that still accepted
+    /// `target_ci` or `mac_tier` and wrote per-cell checkpoints recovers:
+    /// finished jobs naming either field keep their records, unfinished
+    /// ones fail by name, and a job journaled with `"mac_tier":"bitwise"`
+    /// whose checkpoint is in the retired format reruns fresh under its id.
     #[test]
-    fn recovers_a_state_dir_from_the_per_cell_era() {
-        let dir = scratch_dir("per-cell-era");
+    fn recovers_a_state_dir_from_earlier_versions() {
+        let dir = scratch_dir("earlier-versions");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let old_spec = r#"{"network":"lstm","samples":2,"target_ci":0.05}"#;
+        let fast_spec = r#"{"network":"lstm","samples":2,"mac_tier":"fast"}"#;
         let fresh = JobSpec {
             network: "lstm".to_owned(),
             samples: 1,
@@ -1143,6 +1145,8 @@ mod tests {
             ..JobSpec::default()
         };
         let fresh_id = fresh.job_id();
+        // `fresh` as the previous version journaled it.
+        let fresh_json = r#"{"network":"lstm","precision":"fp16","samples":1,"seed":3,"record_events":false,"threads":1,"priority":0,"retries":2,"batch":0,"mac_tier":"bitwise"}"#;
         {
             let mut journal = Journal::create(&dir.join("jobs.journal")).unwrap();
             for ev in [
@@ -1162,8 +1166,20 @@ mod tests {
                     id: "00000000000000a1".to_owned(),
                 },
                 JournalEvent::Submit {
+                    id: "00000000000000f0".to_owned(),
+                    spec_json: fast_spec.to_owned(),
+                },
+                JournalEvent::Done {
+                    id: "00000000000000f0".to_owned(),
+                    summary_json: "{\"fit_total\":2.5}".to_owned(),
+                },
+                JournalEvent::Submit {
+                    id: "00000000000000f1".to_owned(),
+                    spec_json: fast_spec.to_owned(),
+                },
+                JournalEvent::Submit {
                     id: fresh_id.clone(),
-                    spec_json: fresh.to_canonical_json(),
+                    spec_json: fresh_json.to_owned(),
                 },
             ] {
                 journal.append(&ev).unwrap();
@@ -1180,12 +1196,16 @@ mod tests {
             state_dir: dir.clone(),
             ..ServeConfig::default()
         })
-        .expect("a per-cell-era state dir recovers");
+        .expect("an earlier version's state dir recovers");
         let state = |id: &str| lock(&lock(&sup.jobs)[id].meta).state;
         assert_eq!(state("00000000000000d0"), JobState::Done);
         assert_eq!(state("00000000000000a1"), JobState::Failed);
         let failed = sup.status_json("00000000000000a1").unwrap();
         assert!(failed.contains("retired field `target_ci`"), "{failed}");
+        assert_eq!(state("00000000000000f0"), JobState::Done);
+        assert_eq!(state("00000000000000f1"), JobState::Failed);
+        let failed = sup.status_json("00000000000000f1").unwrap();
+        assert!(failed.contains("retired field `mac_tier`"), "{failed}");
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
         while sup.is_terminal(&fresh_id) != Some(true) {
             assert!(std::time::Instant::now() < deadline, "job never finished");

@@ -241,6 +241,7 @@ fn malformed_and_hostile_requests_get_clean_errors() {
         "not json",
         "{\"network\":\"lstm\",\"sample\":1}",
         "{\"network\":\"vgg\"}",
+        "{\"network\":\"lstm\",\"mac_tier\":\"bitwise\"}",
     ] {
         let reply = client.request("POST", "/campaigns", Some(body)).unwrap();
         assert_eq!(reply.status, 400, "body `{body}` → {}", reply.body);

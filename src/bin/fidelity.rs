@@ -4,11 +4,11 @@
 //! fidelity rfa      [--lanes N] [--hold N] [--eyeriss K T]
 //! fidelity analyze  --network NAME [--precision fp16|int16|int8]
 //!                   [--samples N] [--bounding SLACK] [--seed N]
-//!                   [--jobs N] [--batch N] [--mac-tier bitwise|fast]
+//!                   [--jobs N] [--batch N]
 //!                   [--adaptive] [--epsilon E] [--confidence C]
 //!                   [--max-injections N]
 //!                   [--checkpoint PATH] [--resume]
-//! fidelity validate --network NAME [--layer NAME] [--sites N] [--systolic]
+//! fidelity validate --network NAME [--layer NAME] [--sites N]
 //! fidelity protect  --network NAME [--target FIT] [--samples N]
 //! fidelity report   --trace FILE | --cert FILE
 //! fidelity statcheck [--preset NAME] [--cert FILE]
@@ -106,7 +106,7 @@ const USAGE: &str = "usage:
   fidelity rfa      [--lanes N] [--hold N] [--eyeriss K,T]
   fidelity analyze  --network NAME [--precision fp16|int16|int8]
                     [--samples N] [--bounding SLACK] [--seed N]
-                    [--jobs N] [--batch N] [--mac-tier bitwise|fast]
+                    [--jobs N] [--batch N]
                     [--adaptive] [--epsilon E] [--confidence C]
                     [--max-injections N]
                     [--checkpoint PATH] [--resume]
@@ -145,14 +145,44 @@ performance (analyze | protect):
                     per worker and evaluate injections as sparse deltas,
                     re-ensured every N samples (default 0 = off); results
                     are bit-identical either way
-  --mac-tier TIER   MAC kernel tier: `bitwise` (default, byte-identical to
-                    the scalar oracle) or `fast` (tree-reduced Dense/MatMul;
-                    measured worst-case divergence is reported)
 
 networks: inception | resnet | mobilenet | yolo | transformer | lstm";
 
 /// Flags that take no value; their presence maps to `"true"`.
 const BARE_FLAGS: &[&str] = &["resume", "progress", "metrics", "smoke", "once", "adaptive"];
+
+/// Flags that take a value. A flag in neither list is refused by name, so a
+/// mistyped or retired flag never silently runs with the default.
+const VALUE_FLAGS: &[&str] = &[
+    "addr",
+    "batch",
+    "bounding",
+    "cert",
+    "checkpoint",
+    "confidence",
+    "detail",
+    "epsilon",
+    "eyeriss",
+    "hold",
+    "interval-ms",
+    "jobs",
+    "lanes",
+    "layer",
+    "max-injections",
+    "network",
+    "precision",
+    "preset",
+    "profile",
+    "queue-cap",
+    "root",
+    "samples",
+    "seed",
+    "sites",
+    "state",
+    "target",
+    "trace",
+    "workers",
+];
 
 /// Applies the shared telemetry flags before the command runs: `--trace FILE`
 /// installs the JSONL sink, `--metrics` enables timing instrumentation.
@@ -200,6 +230,9 @@ fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
         if BARE_FLAGS.contains(&key) {
             opts.insert(key.to_owned(), "true".to_owned());
             continue;
+        }
+        if !VALUE_FLAGS.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
         }
         let value = it
             .next()
@@ -351,10 +384,6 @@ fn spec_from(opts: &HashMap<String, String>) -> Result<CampaignSpec, String> {
             .parse()
             .map_err(|_| format!("--batch: cannot parse `{batch}`"))?;
     }
-    if let Some(tier) = opts.get("mac-tier") {
-        spec.mac_tier = fidelity::dnn::macspec::MacTier::parse(tier)
-            .ok_or_else(|| format!("--mac-tier: `{tier}` is not bitwise|fast"))?;
-    }
     // `--adaptive` switches the campaign to confidence-driven wave sampling:
     // per-stratum Wilson intervals terminate sampling once the total FIT
     // uncertainty resolves below ε. `--samples` is ignored in this mode;
@@ -416,9 +445,6 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
             "  layer {:<28} exec {:>8} cycles",
             term.name, term.exec_cycles
         );
-    }
-    if let Some(d) = analysis.campaign.fast_divergence {
-        println!("fast-tier MAC divergence (measured worst case): {d:e}");
     }
     if let Some(cert) = &analysis.campaign.certificate {
         println!("\n{}", cert.render());

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use fidelity::accel::ff::FfCategory;
 use fidelity::accel::presets;
 use fidelity::accel::AcceleratorConfig;
-use fidelity::core::campaign::{run_campaign, CampaignResult, CampaignSpec, CellStats, MacTier};
+use fidelity::core::campaign::{run_campaign, CampaignResult, CampaignSpec, CellStats};
 use fidelity::core::outcome::TopOneMatch;
 use fidelity::core::resilience::{ChaosMode, ChaosSpec, CheckpointSpec, ResilienceSpec};
 use fidelity::dnn::graph::{Engine, NetworkBuilder, Trace};
@@ -227,7 +227,6 @@ fn base_spec(seed: u64, samples: usize, record_events: bool) -> CampaignSpec {
         resilience: ResilienceSpec::default(),
         progress: None,
         batch: 0,
-        mac_tier: MacTier::Bitwise,
         adaptive: None,
     }
 }

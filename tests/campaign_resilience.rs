@@ -10,7 +10,7 @@ use std::time::Duration;
 use fidelity::accel::ff::{FfCategory, PipelineStage, VarType};
 use fidelity::accel::presets;
 use fidelity::core::campaign::{
-    run_campaign, CampaignResult, CampaignRunner, CampaignSpec, CellStats, InjectionEvent, MacTier,
+    run_campaign, CampaignResult, CampaignRunner, CampaignSpec, CellStats, InjectionEvent,
 };
 use fidelity::core::models::{OperandWindow, SoftwareFaultModel};
 use fidelity::core::outcome::{Outcome, TopOneMatch};
@@ -65,7 +65,6 @@ fn spec(samples: usize, seed: u64) -> CampaignSpec {
         resilience: ResilienceSpec::default(),
         progress: None,
         batch: 0,
-        mac_tier: MacTier::Bitwise,
         adaptive: None,
     }
 }

@@ -62,6 +62,23 @@ fn missing_flag_value_is_reported() {
 }
 
 #[test]
+fn unknown_flag_is_refused_by_name() {
+    // `--mac-tier` is retired: it must fail, not silently run the default.
+    let (ok, stdout, stderr) = run(&[
+        "analyze",
+        "--network",
+        "lstm",
+        "--samples",
+        "2",
+        "--mac-tier",
+        "fast",
+    ]);
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("unknown flag --mac-tier"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
 fn trace_progress_metrics_and_report_roundtrip() {
     let dir = std::env::temp_dir().join(format!("fidelity-cli-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -6,6 +6,7 @@ use fidelity::dnn::init::uniform_tensor;
 use fidelity::dnn::layers::{Activation, ActivationKind, Add, Concat, Dense, MatMul};
 use fidelity::dnn::precision::Precision;
 use fidelity::dnn::tensor::Tensor;
+use fidelity::dnn::workspace::Workspace;
 use fidelity::dnn::DnnError;
 
 fn dense(name: &str, seed: u64, out_f: usize, in_f: usize) -> Dense {
@@ -66,15 +67,18 @@ fn resume_at_first_and_last_node() {
     let trace = engine.trace(&[x]).unwrap();
 
     // Resume at the first node with the unmodified output = clean result.
+    let mut ws = Workspace::new();
     let same = engine
-        .resume(&trace, 0, trace.node_outputs[0].clone())
+        .resume(&trace, 0, trace.node_outputs[0].clone(), None, &mut ws)
         .unwrap();
-    assert_eq!(same.data(), trace.output.data());
+    assert_eq!(same.tensor().data(), trace.output.data());
 
     // Resume at the last node replaces the final output entirely.
     let replaced = Tensor::from_vec(vec![1, 3], vec![5.0, 6.0, 7.0]).unwrap();
-    let y = engine.resume(&trace, 2, replaced.clone()).unwrap();
-    assert_eq!(y.data(), replaced.data());
+    let y = engine
+        .resume(&trace, 2, replaced.clone(), None, &mut ws)
+        .unwrap();
+    assert_eq!(y.tensor().data(), replaced.data());
 }
 
 #[test]
@@ -89,7 +93,13 @@ fn resume_rejects_bad_node() {
     let x = uniform_tensor(1, vec![1, 2], 1.0);
     let trace = engine.trace(&[x]).unwrap();
     let err = engine
-        .resume(&trace, 5, Tensor::zeros(vec![1, 2]))
+        .resume(
+            &trace,
+            5,
+            Tensor::zeros(vec![1, 2]),
+            None,
+            &mut Workspace::new(),
+        )
         .unwrap_err();
     assert!(err.to_string().contains("out of range"), "{err}");
 }
@@ -117,7 +127,10 @@ fn fan_out_consumer_sees_one_producer_output() {
     let trace = engine.trace(&[x]).unwrap();
     let mut corrupted = trace.node_outputs[0].clone();
     corrupted.data_mut()[0] += 10.0;
-    let y = engine.resume(&trace, 0, corrupted).unwrap();
+    let y = engine
+        .resume(&trace, 0, corrupted, None, &mut Workspace::new())
+        .unwrap()
+        .into_owned();
     // Both halves of the concat changed relative to clean.
     let clean = &trace.output;
     assert_ne!(y.at2(0, 0), clean.at2(0, 0)); // via mix

@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use fidelity::accel::presets;
-use fidelity::core::campaign::{run_campaign, CampaignSpec, MacTier};
+use fidelity::core::campaign::{run_campaign, CampaignSpec};
 use fidelity::core::outcome::TopOneMatch;
 use fidelity::core::resilience::ResilienceSpec;
 use fidelity::dnn::graph::{Engine, Trace};
@@ -73,7 +73,6 @@ fn four_workers_give_at_least_2x_on_multicore_hosts() {
         resilience: ResilienceSpec::default(),
         progress: None,
         batch: 16,
-        mac_tier: MacTier::Bitwise,
         adaptive: None,
     };
 

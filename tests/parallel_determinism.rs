@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use fidelity::accel::ff::FfCategory;
 use fidelity::accel::presets;
 use fidelity::core::adaptive::AdaptivePlan;
-use fidelity::core::campaign::{run_campaign, CampaignResult, CampaignSpec, CellStats, MacTier};
+use fidelity::core::campaign::{run_campaign, CampaignResult, CampaignSpec, CellStats};
 use fidelity::core::outcome::TopOneMatch;
 use fidelity::core::resilience::{ChaosMode, ChaosSpec, CheckpointSpec, ResilienceSpec};
 use fidelity::dnn::graph::{Engine, NetworkBuilder, Trace};
@@ -204,7 +204,6 @@ fn adaptive_spec(seed: u64, batch: usize) -> CampaignSpec {
         resilience: ResilienceSpec::default(),
         progress: None,
         batch,
-        mac_tier: MacTier::Bitwise,
         adaptive: Some(AdaptivePlan {
             epsilon: 0.002,
             confidence: 0.95,
@@ -364,7 +363,6 @@ proptest! {
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         let (serial_key, serial_bytes) = run_at(&engine, &trace, &spec, 1, "clean");
@@ -393,7 +391,6 @@ proptest! {
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         spec.resilience.chaos = victims(&engine, &trace, &spec)
@@ -435,7 +432,6 @@ proptest! {
             resilience: ResilienceSpec::default(),
             progress: None,
             batch: 0,
-            mac_tier: MacTier::Bitwise,
             adaptive: None,
         };
         // The uninterrupted reference: result surface and checkpoint bytes.
