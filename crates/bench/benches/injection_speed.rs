@@ -3,8 +3,9 @@
 //! telemetry overhead pair (instrumented vs. uninstrumented hot path).
 //!
 //! Before any timing, every MAC layer of the workload and of the
-//! transformer is self-checked: the packed kernels, and the Conv and Dense
-//! layers' own forwards over their packed panels, must reproduce
+//! transformer is self-checked: the packed kernels, the Conv and Dense
+//! layers' own forwards over their packed panels, and the fault recompute
+//! under a fixed set of input and weight substitutions must reproduce
 //! `compute_at` bit-for-bit, so a perf regression can never silently buy
 //! speed with accuracy. The measured numbers (mean/best ns per injection
 //! for the pooled and allocating paths, per-layer kernel throughput,
@@ -23,9 +24,8 @@ use fidelity_core::outcome::TopOneMatch;
 use fidelity_core::validate::{random_sites, rtl_layer_for};
 use fidelity_dnn::graph::{golden_key, Engine, Trace};
 use fidelity_dnn::init::SplitMix64;
-use fidelity_dnn::macspec::{MacSpec, Operands};
+use fidelity_dnn::macspec::{MacSpec, OperandKind, Operands, Substitution};
 use fidelity_dnn::precision::Precision;
-use fidelity_dnn::tensor::Tensor;
 use fidelity_dnn::workspace::Workspace;
 use fidelity_obs::json::Json;
 use fidelity_rtl::{Disturbance, RtlEngine};
@@ -42,26 +42,55 @@ fn target_node(engine: &Engine, trace: &Trace) -> usize {
 /// The operand pair of a MAC node (MatMul takes both from the trace; Conv
 /// and Dense keep their weight in the layer).
 fn operands_for<'a>(engine: &'a Engine, trace: &'a Trace, node: usize) -> Operands<'a> {
-    let spec = engine.mac_spec(node, trace).expect("MAC node");
-    let input = engine.node_input_at(node, 0, trace);
-    let weight: &Tensor = if matches!(spec, MacSpec::MatMul(_)) {
-        engine.node_input_at(node, 1, trace)
-    } else {
-        engine
-            .network()
-            .layer(node)
-            .weights()
-            .into_iter()
-            .next()
-            .expect("MAC layer has a weight")
-    };
-    Operands { input, weight }
+    engine.mac_node(node, trace).expect("MAC node").operands
+}
+
+/// Asserts that the fault recompute (`MacNode::recompute`, the lane kernel
+/// over the layer's packed panel for Conv and Dense) reproduces
+/// `compute_at` with the same substitution on every neuron of the
+/// substituted element's use window, for a fixed set of input and weight
+/// substitutions. NaN payloads are not deterministic, so all NaNs compare
+/// equal.
+fn recompute_self_check(engine: &Engine, trace: &Trace, node: usize) {
+    let mac = engine.mac_node(node, trace).expect("MAC node");
+    let bits = |v: f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+    let mut out = Vec::new();
+    for (kind, len) in [
+        (OperandKind::Input, mac.operands.input.len()),
+        (OperandKind::Weight, mac.operands.weight.len()),
+    ] {
+        for offset in [0, len / 3, len / 2, len - 1] {
+            for value in [f32::NAN, f32::INFINITY, -0.0, 1.0e-40, 3.5] {
+                let subst = Substitution {
+                    kind,
+                    offset,
+                    value,
+                };
+                let window = match kind {
+                    OperandKind::Input => mac.spec.input_window(offset),
+                    OperandKind::Weight => mac.spec.weight_window(offset),
+                };
+                mac.recompute(&subst, &window, &mut out);
+                for (&v, off) in out.iter().zip(window.neurons()) {
+                    let reference = mac.spec.compute_at(&mac.operands, off, Some(&subst));
+                    assert_eq!(
+                        bits(v),
+                        bits(reference),
+                        "recompute/compute_at mismatch: node {node} ({}) {subst:?} offset {off}: \
+                         {v} != {reference}",
+                        engine.network().layer(node).name(),
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Asserts that the packed kernels reproduce the per-neuron reference path
 /// bit-for-bit on every MAC layer: the raw-operand kernel, which packs per
-/// call, and for Conv and Dense also the layer's own forward over the panel
-/// it packed once. Returns the number of layers checked.
+/// call, for Conv and Dense also the layer's own forward over the panel it
+/// packed once, and the fault recompute ([`recompute_self_check`]).
+/// Returns the number of layers checked.
 fn kernel_self_check(engine: &Engine, trace: &Trace) -> usize {
     let mut ws = Workspace::new();
     let mut checked = 0;
@@ -98,6 +127,7 @@ fn kernel_self_check(engine: &Engine, trace: &Trace) -> usize {
                 );
             }
         }
+        recompute_self_check(engine, trace, node);
         checked += 1;
     }
     checked
@@ -428,7 +458,10 @@ fn main() {
     // network and on the transformer's Dense and MatMul layers.
     let (tf_engine, tf_trace) = fidelity_bench::deploy(transformer_workload(42), Precision::Fp16);
     let checked = kernel_self_check(&engine, &trace) + kernel_self_check(&tf_engine, &tf_trace);
-    eprintln!("kernel self-check: {checked} MAC layers bitwise-identical to compute_at");
+    eprintln!(
+        "kernel self-check: {checked} MAC layers' kernels and fault recompute bitwise-identical \
+         to compute_at"
+    );
 
     let node = target_node(&engine, &trace);
     let (inj_reps, kern_reps) = if quick { (20, 3) } else { (200, 20) };

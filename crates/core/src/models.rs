@@ -14,7 +14,7 @@ use fidelity_accel::arch::{AcceleratorConfig, DataflowKind};
 use fidelity_accel::ff::{FfCategory, PipelineStage, VarType};
 use fidelity_dnn::graph::{Engine, Trace};
 use fidelity_dnn::init::SplitMix64;
-use fidelity_dnn::macspec::{MacSpec, OperandKind, Operands, Substitution};
+use fidelity_dnn::macspec::{MacNode, MacSpec, OperandKind, Substitution};
 use fidelity_dnn::precision::ValueCodec;
 use fidelity_dnn::tensor::Tensor;
 use fidelity_dnn::workspace::Workspace;
@@ -188,39 +188,24 @@ pub struct SparseFault {
     pub max_perturbation: f32,
 }
 
-/// Operand tensors and codecs of a MAC node.
+/// A MAC node with the codecs of its operands.
 struct MacOperands<'a> {
-    spec: MacSpec,
-    input: &'a Tensor,
-    weight: &'a Tensor,
+    mac: MacNode<'a>,
     input_codec: ValueCodec,
     weight_codec: ValueCodec,
 }
 
 fn mac_operands<'a>(engine: &'a Engine, trace: &'a Trace, node: usize) -> Option<MacOperands<'a>> {
-    let spec = engine.mac_spec(node, trace)?;
-    let n_src = engine.node_source_count(node);
-    if n_src == 0 {
-        return None;
-    }
-    let (weight, weight_codec) = if matches!(spec, MacSpec::MatMul(_)) {
-        if n_src < 2 {
-            return None;
-        }
-        (
-            engine.node_input_at(node, 1, trace),
-            engine.node_input_codec_at(node, 1),
-        )
+    let mac = engine.mac_node(node, trace)?;
+    let weight_codec = if matches!(mac.spec, MacSpec::MatMul(_)) {
+        engine.node_input_codec_at(node, 1)
     } else {
-        // Conv / Dense keep their weight in the layer. We look it up through
-        // the trace-independent accessor; codec index 0 is the main weight.
-        let w = engine.network().layer(node).weights().into_iter().next()?;
-        (w, engine.weight_codec(node, 0)?)
+        // Conv / Dense keep their weight in the layer; codec index 0 is the
+        // main weight.
+        engine.weight_codec(node, 0)?
     };
     Some(MacOperands {
-        spec,
-        input: engine.node_input_at(node, 0, trace),
-        weight,
+        mac,
         input_codec: engine.node_input_codec_at(node, 0),
         weight_codec,
     })
@@ -295,29 +280,36 @@ pub fn apply_model_sparse(
     if matches!(model, SoftwareFaultModel::GlobalControl) {
         return Ok(SparseEffect::SystemFailure);
     }
-    let ops = mac_operands(engine, trace, node).ok_or_else(|| DnnError::InvalidConfig {
+    let not_mac = || DnnError::InvalidConfig {
         message: format!("node {node} is not a MAC layer"),
-    })?;
+    };
+    // Output-value and local-control faults read no operand, so the layer
+    // kind settles MAC-ness: no geometry or operands are built for them.
+    if !engine.network().layer(node).kind().is_mac() {
+        return Err(not_mac());
+    }
     let clean_out = &trace.node_outputs[node];
     let out_codec = engine.node_codec(node);
-
-    let (neurons, values) = match model {
-        SoftwareFaultModel::BeforeBuffer { kind } => {
-            sample_value_fault(&ops, kind, None, false, clean_out, out_codec, rng)
-        }
-        SoftwareFaultModel::Operand {
-            kind,
-            window,
-            random_suffix,
-        } => sample_value_fault(
+    let value_fault = |kind, window, random_suffix, rng: &mut SplitMix64| {
+        let ops = mac_operands(engine, trace, node).ok_or_else(not_mac)?;
+        Ok(sample_value_fault(
             &ops,
             kind,
-            Some(window),
+            window,
             random_suffix,
             clean_out,
             out_codec,
             rng,
-        ),
+        ))
+    };
+
+    let (mut neurons, mut values) = match model {
+        SoftwareFaultModel::BeforeBuffer { kind } => value_fault(kind, None, false, rng)?,
+        SoftwareFaultModel::Operand {
+            kind,
+            window,
+            random_suffix,
+        } => value_fault(kind, Some(window), random_suffix, rng)?,
         SoftwareFaultModel::OutputValue => {
             let off = rng.next_below(clean_out.len() as u64) as usize;
             let bit = rng.next_below(u64::from(out_codec.precision().bits())) as u32;
@@ -333,11 +325,11 @@ pub fn apply_model_sparse(
         SoftwareFaultModel::GlobalControl => unreachable!("handled above"),
     };
 
-    // Keep only neurons whose value actually changed.
-    let mut faulty_neurons = Vec::new();
-    let mut faulty_values = Vec::new();
+    // Keep only neurons whose value actually changed, compacting in place.
+    let mut kept = 0;
     let mut max_pert = 0.0f32;
-    for (off, val) in neurons.into_iter().zip(values) {
+    for i in 0..neurons.len() {
+        let (off, val) = (neurons[i], values[i]);
         let clean = clean_out.data()[off];
         let differs = val.is_nan() || clean.is_nan() || (val - clean).abs() > 0.0;
         if differs {
@@ -347,17 +339,19 @@ pub fn apply_model_sparse(
                 f32::INFINITY
             };
             max_pert = max_pert.max(pert);
-            faulty_neurons.push(off);
-            faulty_values.push(val);
+            (neurons[kept], values[kept]) = (off, val);
+            kept += 1;
         }
     }
-    if faulty_neurons.is_empty() {
+    if kept == 0 {
         return Ok(SparseEffect::Masked);
     }
+    neurons.truncate(kept);
+    values.truncate(kept);
     Ok(SparseEffect::Layer(SparseFault {
         node,
-        neurons: faulty_neurons,
-        values: faulty_values,
+        neurons,
+        values,
         max_perturbation: max_pert,
     }))
 }
@@ -371,9 +365,16 @@ fn width_mask(width: u32) -> u32 {
 }
 
 /// Samples a value fault in one operand element and computes the affected
-/// neurons: the whole use set for before-buffer faults, or a dataflow window
-/// of it for operand-register faults.
-#[allow(clippy::too_many_arguments)]
+/// neurons: the element's whole use window for before-buffer faults, in
+/// ascending offset order, or a dataflow reuse window cut from it, in
+/// position-major order.
+///
+/// The reuse window is a block of `window.positions` consecutive positions
+/// (in computation order) × one lane-aligned group of `window.channels`
+/// channels (MAC lanes process aligned channel groups by absolute channel
+/// id), optionally truncated to a random position suffix (random fault
+/// cycle within the hold). The draws come in that order: element, bit,
+/// position block, suffix start, channel group.
 fn sample_value_fault(
     ops: &MacOperands<'_>,
     kind: OperandKind,
@@ -384,28 +385,39 @@ fn sample_value_fault(
     rng: &mut SplitMix64,
 ) -> (Vec<usize>, Vec<f32>) {
     let (tensor, codec) = match kind {
-        OperandKind::Input => (ops.input, ops.input_codec),
-        OperandKind::Weight => (ops.weight, ops.weight_codec),
+        OperandKind::Input => (ops.mac.operands.input, ops.input_codec),
+        OperandKind::Weight => (ops.mac.operands.weight, ops.weight_codec),
     };
     if tensor.is_empty() || clean_out.is_empty() {
         return (Vec::new(), Vec::new());
     }
     let elem = rng.next_below(tensor.len() as u64) as usize;
     let bit = rng.next_below(u64::from(codec.precision().bits())) as u32;
-    let clean_value = tensor.data()[elem];
-    let faulty_value = codec.flip_bit(clean_value, bit);
+    let faulty_value = codec.flip_bit(tensor.data()[elem], bit);
 
-    let users = match kind {
-        OperandKind::Input => ops.spec.neurons_using_input(elem),
-        OperandKind::Weight => ops.spec.neurons_using_weight(elem),
+    let spec = &ops.mac.spec;
+    let uses = match kind {
+        OperandKind::Input => spec.input_window(elem),
+        OperandKind::Weight => spec.weight_window(elem),
     };
-    if users.is_empty() {
+    if uses.is_empty() {
         return (Vec::new(), Vec::new());
     }
-
-    let selected: Vec<usize> = match window {
-        None => users,
-        Some(w) => select_window(&ops.spec, &users, w, random_suffix, rng),
+    let selected = match window {
+        None => uses,
+        Some(w) => {
+            let n = uses.positions();
+            let block = rng.next_below(n.div_ceil(w.positions) as u64) as usize;
+            let (mut p0, p1) = (block * w.positions, ((block + 1) * w.positions).min(n));
+            if random_suffix && p1 - p0 > 1 {
+                p0 += rng.next_below((p1 - p0) as u64) as usize;
+            }
+            let (c0, c1) = uses.channels();
+            let (g0, g1) = (c0 / w.channels, (c1 - 1) / w.channels);
+            let g = g0 + rng.next_below((g1 - g0 + 1) as u64) as usize;
+            let lanes = (c0.max(g * w.channels), c1.min((g + 1) * w.channels));
+            uses.select((p0, p1), lanes)
+        }
     };
 
     let subst = Substitution {
@@ -413,80 +425,23 @@ fn sample_value_fault(
         offset: elem,
         value: faulty_value,
     };
-    let operands = Operands {
-        input: ops.input,
-        weight: ops.weight,
-    };
-    let values = selected
-        .iter()
-        .map(|&off| out_codec.quantize(ops.spec.compute_at(&operands, off, Some(&subst))))
-        .collect();
-    (selected, values)
-}
-
-/// Restricts a full use set to one dataflow reuse window: a block of
-/// `window.positions` consecutive positions (in computation order) × one
-/// lane-aligned group of `window.channels` channels, optionally truncated to
-/// a random position suffix (random fault cycle within the hold).
-fn select_window(
-    spec: &MacSpec,
-    users: &[usize],
-    window: OperandWindow,
-    random_suffix: bool,
-    rng: &mut SplitMix64,
-) -> Vec<usize> {
-    // Unique positions in computation order; unique channels sorted.
-    let mut positions: Vec<usize> = Vec::new();
-    let mut channels: Vec<usize> = Vec::new();
-    for &off in users {
-        let (p, c) = spec.coords_of(off);
-        if !positions.contains(&p) {
-            positions.push(p);
+    let mut grid = Vec::new();
+    ops.mac.recompute(&subst, &selected, &mut grid);
+    if window.is_some() {
+        // The recompute's position-major order is the window's.
+        for v in &mut grid {
+            *v = out_codec.quantize(*v);
         }
-        if !channels.contains(&c) {
-            channels.push(c);
-        }
-    }
-    channels.sort_unstable();
-
-    // Position block: computation-order chunks of `window.positions`.
-    let n_pos_blocks = positions.len().div_ceil(window.positions);
-    let pb = rng.next_below(n_pos_blocks as u64) as usize;
-    let pos_block =
-        &positions[pb * window.positions..((pb + 1) * window.positions).min(positions.len())];
-    let pos_block: Vec<usize> = if random_suffix && pos_block.len() > 1 {
-        let start = rng.next_below(pos_block.len() as u64) as usize;
-        pos_block[start..].to_vec()
+        (selected.neurons().collect(), grid)
     } else {
-        pos_block.to_vec()
-    };
-
-    // Channel block: aligned groups of `window.channels` by absolute channel
-    // id (MAC lanes process aligned channel groups).
-    let groups: Vec<usize> = {
-        let mut g: Vec<usize> = channels.iter().map(|c| c / window.channels).collect();
-        g.dedup();
-        g
-    };
-    let gsel = groups[rng.next_below(groups.len() as u64) as usize];
-
-    // `neurons_using_input` / `neurons_using_weight` emit offsets in strictly
-    // ascending order for every MacSpec kind (their loops walk batch, then
-    // channel, then position with monotone offset formulas), so membership is
-    // a binary search — no per-injection hash set.
-    debug_assert!(users.windows(2).all(|w| w[0] < w[1]));
-    let mut out = Vec::new();
-    for &p in &pos_block {
-        for &c in &channels {
-            if c / window.channels == gsel {
-                let off = spec.offset_of(p, c);
-                if users.binary_search(&off).is_ok() {
-                    out.push(off);
-                }
-            }
-        }
+        let mut neurons = Vec::with_capacity(grid.len());
+        let mut values = Vec::with_capacity(grid.len());
+        selected.for_each_ascending(|off, i| {
+            neurons.push(off);
+            values.push(out_codec.quantize(grid[i]));
+        });
+        (neurons, values)
     }
-    out
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use fidelity_obs::metrics::Counter;
 use crate::error::DnnError;
 use crate::f16::round_to_f16;
 use crate::layers::{for_each_window_row, Layer, LayerKind};
-use crate::macspec::MacSpec;
+use crate::macspec::{MacNode, MacSpec, Operands};
 use crate::precision::{calibrate_scale, Precision, ValueCodec};
 use crate::tensor::Tensor;
 use crate::workspace::{GoldenOverlay, Region, Workspace};
@@ -1176,6 +1176,27 @@ impl Engine {
             })
             .collect();
         node.layer.mac_spec(&shapes)
+    }
+
+    /// Node `idx` as a [`MacNode`], the entry point of fault recomputation
+    /// ([`MacNode::recompute`]): its MAC geometry given the input shapes
+    /// recorded in `trace`, its operands (the first input; the layer's own
+    /// weights, or for matmul the second input), and the layer's packed
+    /// weight panel when it owns one. `None` when the node is not a MAC
+    /// layer.
+    pub fn mac_node<'t>(&'t self, idx: usize, trace: &'t Trace) -> Option<MacNode<'t>> {
+        // `mac_spec` is `None` unless the node has its first input (and,
+        // for matmul, its second).
+        let spec = self.mac_spec(idx, trace)?;
+        let (weight, panel) = match self.network.layer(idx).mac_weight() {
+            Some((w, panel)) => (w, Some(panel)),
+            None => (self.node_input_at(idx, 1, trace), None),
+        };
+        let operands = Operands {
+            input: self.node_input_at(idx, 0, trace),
+            weight,
+        };
+        Some(MacNode::new(spec, operands, panel))
     }
 
     /// The codecs of node `idx`'s input tensors (graph-input or producing

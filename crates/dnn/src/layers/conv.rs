@@ -165,6 +165,10 @@ impl Layer for Conv2d {
         vec![&self.weight]
     }
 
+    fn mac_weight(&self) -> Option<(&Tensor, &LanePanel)> {
+        Some((&self.weight, &self.panel))
+    }
+
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
         let c = self.spec_for(inputs[0].shape())?;

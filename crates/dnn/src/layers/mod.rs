@@ -26,7 +26,7 @@ pub use recurrent::Lstm;
 pub use shape_ops::{Flatten, Reshape, Slice, Transpose2d};
 
 use crate::error::DnnError;
-use crate::macspec::MacSpec;
+use crate::macspec::{LanePanel, MacSpec};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -118,6 +118,14 @@ pub trait Layer: Send + Sync {
     /// a MAC layer.
     fn mac_spec(&self, input_shapes: &[&[usize]]) -> Option<MacSpec> {
         let _ = input_shapes;
+        None
+    }
+
+    /// The weight operand of a MAC layer that owns its weights (conv,
+    /// dense), with the panel the layer packed it into for the lane kernel.
+    /// `None` (the default) for non-MAC layers and for matmul, whose second
+    /// operand is an activation.
+    fn mac_weight(&self) -> Option<(&Tensor, &LanePanel)> {
         None
     }
 

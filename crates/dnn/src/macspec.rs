@@ -121,6 +121,93 @@ impl<'a> Operands<'a> {
     }
 }
 
+/// A MAC node of a deployed network, ready for fault recomputation: its
+/// geometry, its two operands as recorded in a trace, and, for conv and
+/// dense layers, the panel the layer packed its weights into. Built by
+/// [`crate::graph::Engine::mac_node`].
+#[derive(Clone, Debug)]
+pub struct MacNode<'a> {
+    /// The node's MAC geometry.
+    pub spec: MacSpec,
+    /// The node's operands.
+    pub operands: Operands<'a>,
+    /// `operands.weight` packed for the lane kernel, when the layer owns
+    /// its weights.
+    panel: Option<&'a LanePanel>,
+}
+
+impl<'a> MacNode<'a> {
+    pub(crate) fn new(spec: MacSpec, operands: Operands<'a>, panel: Option<&'a LanePanel>) -> Self {
+        MacNode {
+            spec,
+            operands,
+            panel,
+        }
+    }
+
+    /// Recomputes every neuron of `window` with `subst` applied, into `out`
+    /// in position-major order: the neuron at the window's `i`-th position
+    /// and channel `c` lands at `out[i · channels + c − first channel]`.
+    ///
+    /// Every value is bit-identical to [`MacSpec::compute_at`] with the
+    /// same substitution. Conv layers with more than one output channel per
+    /// group and dense layers run the lane micro-kernel over the layer's
+    /// own packed panel: positions go in tiles of up to 4 that share a
+    /// valid tap range, and only the lane blocks that overlap the window's
+    /// channels run. An input substitution is applied as each tile gathers
+    /// its taps' inputs; a weight substitution replaces one lane of one
+    /// step's weight vector. Each lane still adds its neuron's non-gated
+    /// terms in ascending kernel-step order. No operand is copied and no
+    /// panel is packed. Depthwise conv and matmul (whose `B` is an
+    /// activation, with no panel) evaluate [`MacSpec::compute_at`] per
+    /// neuron.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is not one of this node's (positions or
+    /// channels out of range, or channels spanning two conv groups).
+    pub fn recompute(&self, subst: &Substitution, window: &UseWindow, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(window.len(), 0.0);
+        if window.is_empty() {
+            return;
+        }
+        let x = self.operands.input.data();
+        match (&self.spec, self.panel) {
+            (MacSpec::Conv(c), Some(panel)) if c.group_out_c() > 1 => {
+                let steps = c.group_in_c() * c.kh * c.kw;
+                assert_eq!(
+                    panel.geometry,
+                    (c.out_c, c.groups, steps),
+                    "conv panel packed for a different geometry"
+                );
+                if lanes_for(c.group_out_c()) == 8 {
+                    conv_recompute::<8>(c, x, &panel.data, subst, window, out);
+                } else {
+                    conv_recompute::<16>(c, x, &panel.data, subst, window, out);
+                }
+            }
+            (MacSpec::Dense(d), Some(panel)) => {
+                assert_eq!(
+                    panel.geometry,
+                    (d.out_features, 1, d.in_features),
+                    "dense panel packed for a different geometry"
+                );
+                if lanes_for(d.out_features) == 8 {
+                    dense_recompute::<8>(d, x, &panel.data, subst, window, out);
+                } else {
+                    dense_recompute::<16>(d, x, &panel.data, subst, window, out);
+                }
+            }
+            _ => {
+                for (v, off) in out.iter_mut().zip(window.neurons()) {
+                    *v = self.spec.compute_at(&self.operands, off, Some(subst));
+                }
+            }
+        }
+    }
+}
+
 /// Geometry of a 2-D convolution (NCHW input, OIHW weight).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConvSpec {
@@ -533,28 +620,27 @@ impl MacSpec {
         self.accumulate(operands, out_offset, subst, None)
     }
 
-    /// Flat output offsets of every neuron that consumes the weight-operand
-    /// element at `weight_offset`, in canonical computation order.
+    /// The neurons that consume the weight-operand element at
+    /// `weight_offset`, as a [`UseWindow`].
     ///
     /// This realizes the "before on-chip memory" weight rows of Table II:
-    /// conv → the whole output channel, FC → one neuron per batch, matmul →
-    /// the output column.
-    pub fn neurons_using_weight(&self, weight_offset: usize) -> Vec<usize> {
+    /// conv → every position of the element's output channel, FC → one
+    /// neuron per batch row, matmul → the output column of its batch.
+    pub fn weight_window(&self, weight_offset: usize) -> UseWindow {
         match self {
             MacSpec::Conv(c) => {
-                let w_per_oc = c.group_in_c() * c.kh * c.kw;
-                let oc = weight_offset / w_per_oc;
-                let (oh, ow) = (c.out_h(), c.out_w());
-                let mut v = Vec::with_capacity(c.batch * oh * ow);
-                for b in 0..c.batch {
-                    let base = (b * c.out_c + oc) * oh * ow;
-                    v.extend(base..base + oh * ow);
-                }
-                v
+                let oc = weight_offset / (c.group_in_c() * c.kh * c.kw);
+                UseWindow::conv(
+                    c,
+                    (0, c.batch),
+                    Axis::all(c.out_h()),
+                    Axis::all(c.out_w()),
+                    (oc, oc + 1),
+                )
             }
             MacSpec::Dense(d) => {
                 let o = weight_offset / d.in_features;
-                (0..d.batch).map(|b| b * d.out_features + o).collect()
+                UseWindow::rows((0, d.batch), (o, o + 1), d.out_features)
             }
             MacSpec::MatMul(mm) => {
                 // B is [batch, k, n] or [batch, n, k] when transposed.
@@ -566,31 +652,287 @@ impl MacSpec {
                 } else {
                     rem % mm.n
                 };
-                let base = g * mm.m * mm.n;
-                (0..mm.m).map(|r| base + r * mm.n + n0).collect()
+                UseWindow::rows((g * mm.m, (g + 1) * mm.m), (n0, n0 + 1), mm.n)
             }
         }
     }
 
-    /// Flat output offsets of every neuron that consumes the input-operand
-    /// element at `input_offset`, in canonical computation order.
-    pub fn neurons_using_input(&self, input_offset: usize) -> Vec<usize> {
+    /// The neurons that consume the input-operand element at
+    /// `input_offset`, as a [`UseWindow`]: for conv, the output rows and
+    /// columns whose taps read its `(ih, iw)` under stride, padding and
+    /// dilation, in its batch image, × its group's output channels; for FC
+    /// and matmul, its row × every output.
+    pub fn input_window(&self, input_offset: usize) -> UseWindow {
         match self {
-            MacSpec::Conv(c) => conv_neurons_using_input(c, input_offset),
+            MacSpec::Conv(c) => {
+                let plane = c.in_h * c.in_w;
+                let b = input_offset / (c.in_c * plane);
+                let ic = (input_offset / plane) % c.in_c;
+                let (ih, iw) = ((input_offset % plane) / c.in_w, input_offset % c.in_w);
+                let rows =
+                    Axis::readers(ih, c.kh, c.stride.0, c.padding.0, c.dilation.0, c.out_h());
+                let cols =
+                    Axis::readers(iw, c.kw, c.stride.1, c.padding.1, c.dilation.1, c.out_w());
+                let goc = c.group_out_c();
+                let group = ic / c.group_in_c();
+                UseWindow::conv(c, (b, b + 1), rows, cols, (group * goc, (group + 1) * goc))
+            }
             MacSpec::Dense(d) => {
                 let b = input_offset / d.in_features;
-                let base = b * d.out_features;
-                (base..base + d.out_features).collect()
+                UseWindow::rows((b, b + 1), (0, d.out_features), d.out_features)
             }
             MacSpec::MatMul(mm) => {
-                let per_batch = mm.m * mm.k;
-                let g = input_offset / per_batch;
-                let rem = input_offset % per_batch;
-                let m0 = rem / mm.k;
-                let base = g * mm.m * mm.n + m0 * mm.n;
-                (base..base + mm.n).collect()
+                let row = input_offset / mm.k;
+                UseWindow::rows((row, row + 1), (0, mm.n), mm.n)
             }
         }
+    }
+
+    /// Flat output offsets of every neuron that consumes the weight-operand
+    /// element at `weight_offset`, ascending: [`MacSpec::weight_window`]
+    /// expanded.
+    pub fn neurons_using_weight(&self, weight_offset: usize) -> Vec<usize> {
+        self.weight_window(weight_offset).ascending_offsets()
+    }
+
+    /// Flat output offsets of every neuron that consumes the input-operand
+    /// element at `input_offset`, ascending: [`MacSpec::input_window`]
+    /// expanded.
+    pub fn neurons_using_input(&self, input_offset: usize) -> Vec<usize> {
+        self.input_window(input_offset).ascending_offsets()
+    }
+}
+
+/// An arithmetic progression of output coordinates, `first + k·step` for
+/// `k` in `0..len`, ascending.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Axis {
+    first: usize,
+    step: usize,
+    len: usize,
+}
+
+impl Axis {
+    /// Every coordinate `0..len`.
+    fn all(len: usize) -> Axis {
+        Axis {
+            first: 0,
+            step: 1,
+            len,
+        }
+    }
+
+    fn at(&self, k: usize) -> usize {
+        self.first + k * self.step
+    }
+
+    /// The output coordinates below `out_dim` one of whose `taps` kernel
+    /// taps reads input coordinate `i`: `o` with `o·stride − pad +
+    /// k·dilation = i` for some tap `k`. The taps that satisfy it form a
+    /// progression (a congruence mod `stride` cut to an interval), so the
+    /// coordinates they give do too; ascending `o` is descending `k`.
+    fn readers(
+        i: usize,
+        taps: usize,
+        stride: usize,
+        pad: usize,
+        dilation: usize,
+        out_dim: usize,
+    ) -> Axis {
+        let mut axis = Axis {
+            first: 0,
+            step: 1,
+            len: 0,
+        };
+        for k in (0..taps).rev() {
+            let Some(t) = (i + pad).checked_sub(k * dilation) else {
+                continue;
+            };
+            if t % stride != 0 || t / stride >= out_dim {
+                continue;
+            }
+            let o = t / stride;
+            match axis.len {
+                0 => axis.first = o,
+                1 => axis.step = o - axis.first,
+                _ => debug_assert_eq!(o, axis.at(axis.len), "readers form a progression"),
+            }
+            axis.len += 1;
+        }
+        axis
+    }
+}
+
+/// The output neurons of a MAC layer that read one operand element, or a
+/// selection of them: a set of output positions × a range of output
+/// channels, in closed form (no per-neuron scan).
+///
+/// Positions are enumerated in computation order: planes (conv batch
+/// images; for dense and matmul, rows, each a plane of one position),
+/// then output rows, then output columns. A window holds the positions
+/// with enumeration index in `span` and the channels in `channels`.
+/// [`UseWindow::select`] narrows both, which is how a dataflow reuse
+/// window is cut out of an element's use set. The window knows the output
+/// tensor's strides, so it expands to flat offsets without a division per
+/// neuron.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UseWindow {
+    /// First plane.
+    plane0: usize,
+    rows: Axis,
+    cols: Axis,
+    /// Output strides of a plane, a channel and an output row.
+    strides: (usize, usize, usize),
+    /// Selected enumeration indices `[lo, hi)`.
+    span: (usize, usize),
+    /// Selected channels `[lo, hi)`.
+    channels: (usize, usize),
+}
+
+impl UseWindow {
+    /// The conv positions `planes × rows × cols`, × `channels`.
+    fn conv(
+        c: &ConvSpec,
+        planes: (usize, usize),
+        rows: Axis,
+        cols: Axis,
+        channels: (usize, usize),
+    ) -> UseWindow {
+        let hw = c.out_h() * c.out_w();
+        UseWindow {
+            plane0: planes.0,
+            rows,
+            cols,
+            strides: (c.out_c * hw, hw, c.out_w()),
+            span: (0, (planes.1 - planes.0) * rows.len * cols.len),
+            channels,
+        }
+    }
+
+    /// The dense or matmul rows `[lo, hi)` of an output with `n` channels
+    /// per row, × `channels`.
+    fn rows((lo, hi): (usize, usize), channels: (usize, usize), n: usize) -> UseWindow {
+        UseWindow {
+            plane0: lo,
+            rows: Axis::all(1),
+            cols: Axis::all(1),
+            strides: (n, 1, 0),
+            span: (0, hi - lo),
+            channels,
+        }
+    }
+
+    /// Number of selected positions.
+    pub fn positions(&self) -> usize {
+        self.span.1 - self.span.0
+    }
+
+    /// The selected channels, `[lo, hi)`.
+    pub fn channels(&self) -> (usize, usize) {
+        self.channels
+    }
+
+    /// Number of neurons: positions × channels.
+    pub fn len(&self) -> usize {
+        self.positions() * (self.channels.1 - self.channels.0)
+    }
+
+    /// Whether the window holds no neuron (an element no output reads).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The sub-window of selected positions `[p0, p1)` (indices into this
+    /// window's positions) × channels `[c0, c1)` (absolute, inside this
+    /// window's channels).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range is not inside this window.
+    pub fn select(&self, (p0, p1): (usize, usize), (c0, c1): (usize, usize)) -> UseWindow {
+        assert!(
+            p0 <= p1 && p1 <= self.positions(),
+            "positions outside the window"
+        );
+        assert!(
+            self.channels.0 <= c0 && c0 <= c1 && c1 <= self.channels.1,
+            "channels outside the window"
+        );
+        UseWindow {
+            span: (self.span.0 + p0, self.span.0 + p1),
+            channels: (c0, c1),
+            ..*self
+        }
+    }
+
+    /// The selected positions in order, as `(plane, output row, output
+    /// column)`: divisions find the first, counters step to the rest.
+    fn coords(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let (nr, nc) = (self.rows.len.max(1), self.cols.len.max(1));
+        let at = self.span.0 % (nr * nc);
+        let mut next = (self.plane0 + self.span.0 / (nr * nc), at / nc, at % nc);
+        (0..self.positions()).map(move |_| {
+            let (plane, r, c) = next;
+            next = match (c + 1 < nc, r + 1 < nr) {
+                (true, _) => (plane, r, c + 1),
+                (false, true) => (plane, r + 1, 0),
+                (false, false) => (plane + 1, 0, 0),
+            };
+            (plane, self.rows.at(r), self.cols.at(c))
+        })
+    }
+
+    /// The flat output offset of position `(plane, row, col)` at channel 0.
+    fn base(&self, (plane, row, col): (usize, usize, usize)) -> usize {
+        plane * self.strides.0 + row * self.strides.2 + col
+    }
+
+    /// The flat output offsets of the window's neurons in position-major
+    /// order: every channel of the first position, then of the next. This
+    /// is the order [`MacNode::recompute`] fills.
+    pub fn neurons(&self) -> impl Iterator<Item = usize> + '_ {
+        let (c0, c1) = self.channels;
+        self.coords().flat_map(move |at| {
+            let base = self.base(at);
+            (c0..c1).map(move |c| base + c * self.strides.1)
+        })
+    }
+
+    /// Calls `f(offset, i)` for every neuron in ascending flat offset
+    /// order, where `i` is the neuron's index in position-major order
+    /// ([`UseWindow::neurons`]).
+    ///
+    /// A conv output is `[batch, channel, position in plane]`, so offsets
+    /// ascend plane by plane, channel by channel; a dense or matmul output
+    /// is `[row, channel]`, and each row is a plane of one position.
+    pub fn for_each_ascending(&self, mut f: impl FnMut(usize, usize)) {
+        let (c0, c1) = self.channels;
+        // One plane's positions at a time: (offset at channel 0, index).
+        let mut plane: Vec<(usize, usize)> = Vec::new();
+        let mut emit = |plane: &mut Vec<(usize, usize)>| {
+            for c in c0..c1 {
+                for &(base, i) in plane.iter() {
+                    f(base + c * self.strides.1, i * (c1 - c0) + c - c0);
+                }
+            }
+            plane.clear();
+        };
+        let mut current = None;
+        for (i, at) in self.coords().enumerate() {
+            if current != Some(at.0) {
+                emit(&mut plane);
+                current = Some(at.0);
+            }
+            plane.push((self.base(at), i));
+        }
+        emit(&mut plane);
+    }
+
+    /// The flat output offsets of the window's neurons, ascending.
+    pub fn ascending_offsets(&self) -> Vec<usize> {
+        let mut v = Vec::with_capacity(self.len());
+        self.for_each_ascending(|off, _| v.push(off));
+        v
     }
 }
 
@@ -648,15 +990,20 @@ const TILE: usize = 4;
 /// The second operand of a MAC layer packed for the lane kernel,
 /// `[group][block][step][lane]`: each group's outputs (conv output
 /// channels, dense output features, matmul output columns) in blocks of
-/// [`lanes_for`] lanes, a block holding the weights of one kernel step
-/// contiguously, so the kernel loads one vector per step. Lanes past a
+/// 16 lanes (8 where a group has at most 8 outputs), a block holding the
+/// weights of one kernel step contiguously, so the kernel loads one vector
+/// per step. Lanes past a
 /// group's last output are zero and their accumulators are discarded,
 /// never written out.
 ///
 /// Conv groups with a single output channel (depthwise) are not packed;
 /// their kernel reads the OIHW weights directly.
+///
+/// `Conv2d` and `Dense` layers own one and expose it through
+/// [`crate::layers::Layer::mac_weight`], so fault recomputation runs over
+/// the same packed weights as the layer's forward.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct LanePanel {
+pub struct LanePanel {
     data: Vec<f32>,
     /// `(outputs, groups, kernel steps)` the panel was packed for.
     geometry: (usize, usize, usize),
@@ -885,42 +1232,26 @@ fn conv_lanes<const OCB: usize>(
         if taps_for != Some((t.kh, t.kw)) {
             taps_for = Some((t.kh, t.kw));
             taps.clear();
-            for ic in 0..gic {
-                for kh_i in t.kh.0..t.kh.1 {
-                    let row = ic * plane + (kh_i - t.kh.0) * c.dilation.0 * c.in_w;
-                    let step = (ic * c.kh + kh_i) * c.kw;
-                    for kw_i in t.kw.0..t.kw.1 {
-                        taps.push((step + kw_i, row + (kw_i - t.kw.0) * c.dilation.1));
-                    }
-                }
-            }
+            push_taps(c, t.kh, t.kw, taps);
         }
         for b in 0..c.batch {
             for group in 0..c.groups {
                 let xg = &x[(b * c.in_c + group * gic) * plane..][..gic * plane];
-                for block in 0..blocks {
-                    let wts = &panel[(group * blocks + block) * steps..][..steps];
-                    // Lane `l` of position `p` is output channel `oc0 + l`
-                    // at `out_at[p]`; padded lanes are dropped.
+                let gpanel = &panel[group * blocks * steps..][..blocks * steps];
+                // Lane `l` of position `p` is output channel `oc0 + l` at
+                // `out_at[p]`; padded lanes are dropped.
+                let store = |block: usize, acc: &[[f32; OCB]]| {
                     let oc0 = group * goc + block * OCB;
-                    let lanes = OCB.min(goc - block * OCB);
                     let dst = &mut out[(b * c.out_c + oc0) * out_plane..];
-                    let mut store = |acc: &[[f32; OCB]]| {
-                        for l in 0..lanes {
-                            for (&at, a) in t.out_at.iter().zip(acc) {
-                                dst[l * out_plane + at] = a[l];
-                            }
+                    for l in 0..OCB.min(goc - block * OCB) {
+                        for (&at, a) in t.out_at.iter().zip(acc) {
+                            dst[l * out_plane + at] = a[l];
                         }
-                    };
-                    let terms = taps.iter().copied();
-                    let xs = |p: usize| &xg[t.x_at[p]..];
-                    match t.n {
-                        1 => store(&lane_tile::<1, OCB>(from_fn(xs), terms, wts)),
-                        2 => store(&lane_tile::<2, OCB>(from_fn(xs), terms, wts)),
-                        3 => store(&lane_tile::<3, OCB>(from_fn(xs), terms, wts)),
-                        _ => store(&lane_tile::<TILE, OCB>(from_fn(xs), terms, wts)),
                     }
-                }
+                };
+                let xs = |p: usize| &xg[t.x_at[p]..];
+                let terms = taps.iter().copied();
+                run_tile(t.n, xs, terms, gpanel, steps, (0, goc), None, store);
             }
         }
     }
@@ -957,16 +1288,7 @@ fn conv_tiles(
         for (kw, q0, q1) in tap_runs(w0, w1, col_taps) {
             for oh in r0..r1 {
                 for ow in q0..q1 {
-                    // The position's first valid tap; unused (and never
-                    // formed) when every tap is gated.
-                    let x_at = if kh.0 < kh.1 && kw.0 < kw.1 {
-                        (oh * c.stride.0 + kh.0 * c.dilation.0 - c.padding.0) * c.in_w
-                            + ow * c.stride.1
-                            + kw.0 * c.dilation.1
-                            - c.padding.1
-                    } else {
-                        0
-                    };
+                    let x_at = first_tap(c, (oh, ow), kh, kw);
                     let out_at = oh * c.out_w() + ow;
                     match tiles.last_mut() {
                         Some(t) if t.kh == kh && t.kw == kw && t.n < TILE => {
@@ -983,6 +1305,41 @@ fn conv_tiles(
                         }),
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The offset within an input channel plane of output position `(oh, ow)`'s
+/// first valid tap, given its valid kernel rows `kh` and columns `kw`;
+/// unused (and never formed) when every tap is gated.
+fn first_tap(
+    c: &ConvSpec,
+    (oh, ow): (usize, usize),
+    kh: (usize, usize),
+    kw: (usize, usize),
+) -> usize {
+    if kh.0 < kh.1 && kw.0 < kw.1 {
+        (oh * c.stride.0 + kh.0 * c.dilation.0 - c.padding.0) * c.in_w
+            + ow * c.stride.1
+            + kw.0 * c.dilation.1
+            - c.padding.1
+    } else {
+        0
+    }
+}
+
+/// Appends the non-gated taps of valid kernel rows `kh` and columns `kw`
+/// in ascending kernel-step order, as (step, input offset from the
+/// position's first tap).
+fn push_taps(c: &ConvSpec, kh: (usize, usize), kw: (usize, usize), taps: &mut Vec<(usize, usize)>) {
+    let plane = c.in_h * c.in_w;
+    for ic in 0..c.group_in_c() {
+        for kh_i in kh.0..kh.1 {
+            let row = ic * plane + (kh_i - kh.0) * c.dilation.0 * c.in_w;
+            let step = (ic * c.kh + kh_i) * c.kw;
+            for kw_i in kw.0..kw.1 {
+                taps.push((step + kw_i, row + (kw_i - kw.0) * c.dilation.1));
             }
         }
     }
@@ -1021,6 +1378,20 @@ fn lane_tile<const P: usize, const OCB: usize>(
     wts: &[[f32; OCB]],
 ) -> [[f32; OCB]; P] {
     let mut acc = [[0.0f32; OCB]; P];
+    lane_acc(&mut acc, xs, terms, wts);
+    acc
+}
+
+/// [`lane_tile`] continuing from the running accumulators `acc`: a tile's
+/// terms may come in several runs, each over its own weights, as long as
+/// the runs keep ascending kernel-step order.
+#[inline(always)]
+fn lane_acc<const P: usize, const OCB: usize>(
+    acc: &mut [[f32; OCB]; P],
+    xs: [&[f32]; P],
+    terms: impl Iterator<Item = (usize, usize)>,
+    wts: &[[f32; OCB]],
+) {
     for (step, off) in terms {
         let x: [f32; P] = from_fn(|p| xs[p][off]);
         // Lanes outermost: LLVM then vectorizes across lanes (one weight
@@ -1031,7 +1402,6 @@ fn lane_tile<const P: usize, const OCB: usize>(
             }
         }
     }
-    acc
 }
 
 impl DenseSpec {
@@ -1088,25 +1458,312 @@ fn rows_lanes<const OCB: usize>(
     for group in 0..groups {
         for r0 in (group * rows..(group + 1) * rows).step_by(TILE) {
             let tile = TILE.min((group + 1) * rows - r0);
-            for block in 0..blocks {
-                let wts = &panel[(group * blocks + block) * k..][..k];
-                // Lane `l` of row `p` is output `block·OCB + l` of row
-                // `r0 + p`; padded lanes are dropped.
+            let gpanel = &panel[group * blocks * k..][..blocks * k];
+            // Lane `l` of row `p` is output `block·OCB + l` of row `r0 + p`;
+            // padded lanes are dropped.
+            let store = |block: usize, acc: &[[f32; OCB]]| {
                 let (o0, lanes) = (block * OCB, OCB.min(n - block * OCB));
-                let mut store = |acc: &[[f32; OCB]]| {
-                    for (p, a) in acc.iter().enumerate() {
-                        out[(r0 + p) * n + o0..][..lanes].copy_from_slice(&a[..lanes]);
-                    }
-                };
-                // Row terms: step `s` reads value `s` of the row.
-                let terms = (0..k).map(|s| (s, s));
-                let xs = |p: usize| &x[(r0 + p) * k..][..k];
-                match tile {
-                    1 => store(&lane_tile::<1, OCB>(from_fn(xs), terms, wts)),
-                    2 => store(&lane_tile::<2, OCB>(from_fn(xs), terms, wts)),
-                    3 => store(&lane_tile::<3, OCB>(from_fn(xs), terms, wts)),
-                    _ => store(&lane_tile::<TILE, OCB>(from_fn(xs), terms, wts)),
+                for (p, a) in acc.iter().enumerate() {
+                    out[(r0 + p) * n + o0..][..lanes].copy_from_slice(&a[..lanes]);
                 }
+            };
+            // Row terms: step `s` reads value `s` of the row.
+            let terms = (0..k).map(|s| (s, s));
+            let xs = |p: usize| &x[(r0 + p) * k..][..k];
+            run_tile(tile, xs, terms, gpanel, k, (0, n), None, store);
+        }
+    }
+}
+
+/// A weight substitution as the lane kernel sees it: lane `lane` of lane
+/// block `block` holds `value` instead of its packed weight at kernel step
+/// `step`.
+#[derive(Clone, Copy, Debug)]
+struct LanePatch {
+    block: usize,
+    lane: usize,
+    step: usize,
+    value: f32,
+}
+
+impl LanePatch {
+    /// The patch for `subst` on a panel group of `outs` outputs starting at
+    /// output `first`, `steps` kernel steps each, in blocks of `ocb` lanes;
+    /// `None` for an input substitution or a weight outside the group.
+    fn of(
+        subst: &Substitution,
+        (first, outs): (usize, usize),
+        steps: usize,
+        ocb: usize,
+    ) -> Option<Self> {
+        let o = subst.offset / steps;
+        (subst.kind == OperandKind::Weight && (first..first + outs).contains(&o)).then(|| {
+            LanePatch {
+                block: (o - first) / ocb,
+                lane: (o - first) % ocb,
+                step: subst.offset % steps,
+                value: subst.value,
+            }
+        })
+    }
+}
+
+/// One tile of a fault recompute: up to `TILE` positions of batch image
+/// `b` sharing valid kernel rows `kh` and columns `kw`.
+#[derive(Debug)]
+struct FaultTile {
+    b: usize,
+    kh: (usize, usize),
+    kw: (usize, usize),
+    n: usize,
+    /// Each position's index in the window.
+    at: [usize; TILE],
+    /// Each position's first valid tap within an input channel plane.
+    x_at: [usize; TILE],
+}
+
+/// The taps of one valid tap range (kernel rows `kh`, columns `kw`), at
+/// `taps` in a list of several ranges' taps.
+#[derive(Debug)]
+struct TapSet {
+    kh: (usize, usize),
+    kw: (usize, usize),
+    taps: (usize, usize),
+}
+
+/// [`MacNode::recompute`] for a conv group of more than one output
+/// channel: the window's positions cut into tiles that share a batch image
+/// and a valid tap range, each run through [`run_tile`] over the lane
+/// blocks of `panel` that overlap the window's channels. A tap list is
+/// built once per distinct tap range.
+fn conv_recompute<const OCB: usize>(
+    c: &ConvSpec,
+    x: &[f32],
+    panel: &[f32],
+    subst: &Substitution,
+    win: &UseWindow,
+    out: &mut [f32],
+) {
+    let (gic, goc) = (c.group_in_c(), c.group_out_c());
+    let (blocks, steps) = (goc.div_ceil(OCB), gic * c.kh * c.kw);
+    let plane = c.in_h * c.in_w;
+    let (c0, c1) = win.channels;
+    let group = c0 / goc;
+    assert_eq!(
+        (c1 - 1) / goc,
+        group,
+        "window channels span two conv groups"
+    );
+    let lanes = (c0 - group * goc, c1 - group * goc);
+    let (panel, _) = panel.as_chunks::<OCB>();
+    let panel = &panel[group * blocks * steps..][..blocks * steps];
+    let patch = LanePatch::of(subst, (group * goc, goc), steps, OCB);
+    let x_sub = (subst.kind == OperandKind::Input).then_some((subst.offset, subst.value));
+
+    // Every distinct tap range's list, back to back in `taps`.
+    let mut taps = Vec::new();
+    let mut tap_sets: Vec<TapSet> = Vec::new();
+    let mut gathered = Vec::new();
+    let mut run = |t: &FaultTile| {
+        let set = match tap_sets.iter().find(|s| (s.kh, s.kw) == (t.kh, t.kw)) {
+            Some(set) => set,
+            None => {
+                let start = taps.len();
+                push_taps(c, t.kh, t.kw, &mut taps);
+                tap_sets.push(TapSet {
+                    kh: t.kh,
+                    kw: t.kw,
+                    taps: (start, taps.len()),
+                });
+                &tap_sets[tap_sets.len() - 1]
+            }
+        };
+        let tl = &taps[set.taps.0..set.taps.1];
+        let base = (t.b * c.in_c + group * gic) * plane;
+        let xg = &x[base..][..gic * plane];
+        let put = |p: usize, j: usize, v: f32| out[t.at[p] * (c1 - c0) + j] = v;
+        let store = window_store::<OCB>(lanes, put);
+        match x_sub.filter(|&(e, _)| (base..base + gic * plane).contains(&e)) {
+            Some((e, v)) => {
+                // Each position's taps gathered, the faulty value in place
+                // of the element it substitutes.
+                gathered.clear();
+                for &xa in &t.x_at[..t.n] {
+                    gathered.extend(tl.iter().map(|&(_, off)| {
+                        if base + xa + off == e {
+                            v
+                        } else {
+                            xg[xa + off]
+                        }
+                    }));
+                }
+                let nt = tl.len();
+                let terms = tl.iter().enumerate().map(|(k, &(step, _))| (step, k));
+                let xs = |p: usize| &gathered[p * nt..][..nt];
+                run_tile(t.n, xs, terms, panel, steps, lanes, patch, store);
+            }
+            None => {
+                let xs = |p: usize| &xg[t.x_at[p]..];
+                let terms = tl.iter().copied();
+                run_tile(t.n, xs, terms, panel, steps, lanes, patch, store);
+            }
+        }
+    };
+
+    // One open tile per (batch image, tap range): positions join the open
+    // tile of their key, wherever they sit in the window, and a tile runs
+    // once full. A window across rows fills tiles from several rows.
+    let mut open: Vec<FaultTile> = Vec::new();
+    for (i, (b, oh, ow)) in win.coords().enumerate() {
+        let kh = taps_at(oh, c.stride.0, c.padding.0, c.dilation.0, c.kh, c.in_h);
+        let kw = taps_at(ow, c.stride.1, c.padding.1, c.dilation.1, c.kw, c.in_w);
+        let x_at = first_tap(c, (oh, ow), kh, kw);
+        match open.iter().position(|t| (t.b, t.kh, t.kw) == (b, kh, kw)) {
+            Some(k) => {
+                let t = &mut open[k];
+                t.at[t.n] = i;
+                t.x_at[t.n] = x_at;
+                t.n += 1;
+                if t.n == TILE {
+                    run(&open.swap_remove(k));
+                }
+            }
+            None => open.push(FaultTile {
+                b,
+                kh,
+                kw,
+                n: 1,
+                at: [i; TILE],
+                x_at: [x_at; TILE],
+            }),
+        }
+    }
+    for t in &open {
+        run(t);
+    }
+}
+
+/// [`MacNode::recompute`] for a dense layer: the window's rows in tiles of
+/// up to `TILE`, each through [`run_tile`] over the lane blocks of `panel`
+/// that overlap the window's outputs. An input substitution gathers the
+/// one row it lands in.
+fn dense_recompute<const OCB: usize>(
+    d: &DenseSpec,
+    x: &[f32],
+    panel: &[f32],
+    subst: &Substitution,
+    win: &UseWindow,
+    out: &mut [f32],
+) {
+    let k = d.in_features;
+    let (c0, c1) = win.channels;
+    let (panel, _) = panel.as_chunks::<OCB>();
+    let patch = LanePatch::of(subst, (0, d.out_features), k, OCB);
+    let mut faulty_row = Vec::new();
+    let sub_row = (subst.kind == OperandKind::Input).then(|| {
+        let r = subst.offset / k;
+        faulty_row.extend_from_slice(&x[r * k..][..k]);
+        faulty_row[subst.offset % k] = subst.value;
+        r
+    });
+    // A dense window's planes are its rows, consecutive.
+    let rows = win.plane0 + win.span.0..win.plane0 + win.span.1;
+    for (t, r0) in rows.clone().step_by(TILE).enumerate() {
+        let xs = |p: usize| {
+            if sub_row == Some(r0 + p) {
+                &faulty_row[..]
+            } else {
+                &x[(r0 + p) * k..][..k]
+            }
+        };
+        let put = |p: usize, j: usize, v: f32| out[(t * TILE + p) * (c1 - c0) + j] = v;
+        let store = window_store::<OCB>((c0, c1), put);
+        let (n, terms) = (TILE.min(rows.end - r0), (0..k).map(|s| (s, s)));
+        run_tile(n, xs, terms, panel, k, (c0, c1), patch, store);
+    }
+}
+
+/// Runs one tile of `n` (1 to `TILE`) positions, position `p` reading its
+/// inputs from `xs(p)`, over the lane blocks of `panel` (each `steps`
+/// packed weight vectors) that overlap the group's outputs `lanes`, with
+/// `patch` applied when it is given. Hands each block's accumulators to
+/// `store(block, acc)`, `acc[p]` holding position `p`'s lanes: every
+/// lane-kernel caller, forward or recompute, goes through here.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn run_tile<'x, const OCB: usize>(
+    n: usize,
+    xs: impl Fn(usize) -> &'x [f32],
+    terms: impl Iterator<Item = (usize, usize)> + Clone,
+    panel: &[[f32; OCB]],
+    steps: usize,
+    lanes: (usize, usize),
+    patch: Option<LanePatch>,
+    store: impl FnMut(usize, &[[f32; OCB]]),
+) {
+    match n {
+        1 => tile_blocks::<1, OCB>(from_fn(xs), terms, panel, steps, lanes, patch, store),
+        2 => tile_blocks::<2, OCB>(from_fn(xs), terms, panel, steps, lanes, patch, store),
+        3 => tile_blocks::<3, OCB>(from_fn(xs), terms, panel, steps, lanes, patch, store),
+        _ => tile_blocks::<TILE, OCB>(from_fn(xs), terms, panel, steps, lanes, patch, store),
+    }
+}
+
+/// [`run_tile`] at `P` positions. A block holding `patch` splits the terms
+/// around the patched step: the steps before it over the packed weights,
+/// that one step over its weight vector with one lane replaced, the steps
+/// after it over the packed weights again.
+#[inline(always)]
+fn tile_blocks<const P: usize, const OCB: usize>(
+    xs: [&[f32]; P],
+    terms: impl Iterator<Item = (usize, usize)> + Clone,
+    panel: &[[f32; OCB]],
+    steps: usize,
+    (j0, j1): (usize, usize),
+    patch: Option<LanePatch>,
+    mut store: impl FnMut(usize, &[[f32; OCB]]),
+) {
+    for block in j0 / OCB..j1.div_ceil(OCB) {
+        let wts = &panel[block * steps..][..steps];
+        let acc = match patch.filter(|pt| pt.block == block) {
+            None => lane_tile::<P, OCB>(xs, terms.clone(), wts),
+            Some(pt) => {
+                let mut acc = [[0.0f32; OCB]; P];
+                lane_acc(
+                    &mut acc,
+                    xs,
+                    terms.clone().take_while(|&(s, _)| s < pt.step),
+                    wts,
+                );
+                if let Some((_, off)) = terms.clone().find(|&(s, _)| s == pt.step) {
+                    let mut w = wts[pt.step];
+                    w[pt.lane] = pt.value;
+                    lane_acc(&mut acc, xs, core::iter::once((0, off)), &[w]);
+                }
+                lane_acc(
+                    &mut acc,
+                    xs,
+                    terms.clone().skip_while(|&(s, _)| s <= pt.step),
+                    wts,
+                );
+                acc
+            }
+        };
+        store(block, &acc);
+    }
+}
+
+/// A [`run_tile`] store for a panel group's outputs `[j0, j1)`: calls
+/// `put(p, j − j0, value)` for every position `p` and output `j` in range.
+fn window_store<const OCB: usize>(
+    (j0, j1): (usize, usize),
+    mut put: impl FnMut(usize, usize, f32),
+) -> impl FnMut(usize, &[[f32; OCB]]) {
+    move |block, acc| {
+        let (lo, hi) = (j0.max(block * OCB), j1.min((block + 1) * OCB));
+        for (p, a) in acc.iter().enumerate() {
+            for j in lo..hi {
+                put(p, j - j0, a[j - block * OCB]);
             }
         }
     }
@@ -1338,6 +1995,9 @@ fn conv_term_offsets(c: &ConvSpec, out_offset: usize, step: usize) -> Option<(us
     Some((in_off, w_off))
 }
 
+/// The O(out_len) scan [`MacSpec::input_window`] replaced: every conv
+/// output neuron tested for whether its receptive field covers the element.
+#[cfg(test)]
 fn conv_neurons_using_input(c: &ConvSpec, input_offset: usize) -> Vec<usize> {
     let chw = c.in_c * c.in_h * c.in_w;
     let b = input_offset / chw;
@@ -1367,6 +2027,7 @@ fn conv_neurons_using_input(c: &ConvSpec, input_offset: usize) -> Vec<usize> {
     out
 }
 
+#[cfg(test)]
 fn conv_uses(c: &ConvSpec, oh: usize, ow: usize, ih: usize, iw: usize) -> bool {
     let h0 = oh * c.stride.0;
     let w0 = ow * c.stride.1;
@@ -1386,7 +2047,7 @@ fn conv_uses(c: &ConvSpec, oh: usize, ow: usize, ih: usize, iw: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::{prop_assert_eq, proptest};
+    use proptest::{prop_assert, prop_assert_eq, proptest};
 
     fn small_conv() -> ConvSpec {
         ConvSpec {
@@ -1864,6 +2525,280 @@ mod tests {
                             c,
                             off,
                             flip
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The users of one operand element by scan, the reference for the
+    /// closed-form [`UseWindow`]s: conv inputs by [`conv_uses`] over every
+    /// output neuron; conv weights as their whole output channel; dense and
+    /// matmul elements as every neuron one of whose terms reads the element
+    /// (a NaN substituted there makes the neuron NaN, operands being
+    /// finite).
+    fn scan_users(spec: &MacSpec, ops: &Operands<'_>, kind: OperandKind, off: usize) -> Vec<usize> {
+        match (spec, kind) {
+            (MacSpec::Conv(c), OperandKind::Input) => conv_neurons_using_input(c, off),
+            (MacSpec::Conv(c), OperandKind::Weight) => (0..spec.out_len())
+                .filter(|&o| spec.coords_of(o).1 == off / (c.group_in_c() * c.kh * c.kw))
+                .collect(),
+            _ => {
+                let nan = Substitution {
+                    kind,
+                    offset: off,
+                    value: f32::NAN,
+                };
+                (0..spec.out_len())
+                    .filter(|&o| spec.compute_at(ops, o, Some(&nan)).is_nan())
+                    .collect()
+            }
+        }
+    }
+
+    /// Random operands for `spec`: `(input, weight)` tensors with finite
+    /// values.
+    fn random_operands(spec: &MacSpec, seed: u64) -> (Tensor, Tensor) {
+        use crate::init::uniform_tensor;
+        let (in_shape, w_shape) = match spec {
+            MacSpec::Conv(c) => (
+                vec![c.batch, c.in_c, c.in_h, c.in_w],
+                vec![c.out_c, c.group_in_c(), c.kh, c.kw],
+            ),
+            MacSpec::Dense(d) => (
+                vec![d.batch, d.in_features],
+                vec![d.out_features, d.in_features],
+            ),
+            MacSpec::MatMul(m) if m.transpose_b => {
+                (vec![m.batch, m.m, m.k], vec![m.batch, m.n, m.k])
+            }
+            MacSpec::MatMul(m) => (vec![m.batch, m.m, m.k], vec![m.batch, m.k, m.n]),
+        };
+        (
+            uniform_tensor(seed ^ 1, in_shape, 2.0),
+            uniform_tensor(seed ^ 2, w_shape, 2.0),
+        )
+    }
+
+    /// A random dense layer or matmul (either form), batch and sizes small.
+    fn random_rows_spec(rng: &mut crate::init::SplitMix64) -> MacSpec {
+        let mut pick = |lo: usize, hi: usize| lo + rng.next_below((hi - lo + 1) as u64) as usize;
+        match pick(0, 2) {
+            0 => MacSpec::Dense(DenseSpec {
+                batch: pick(1, 6),
+                in_features: pick(1, 12),
+                out_features: pick(1, 40),
+            }),
+            form => MacSpec::MatMul(MatMulSpec {
+                batch: pick(1, 2),
+                m: pick(1, 5),
+                k: pick(1, 6),
+                n: pick(1, 20),
+                transpose_b: form == 2,
+            }),
+        }
+    }
+
+    /// A random conv whose groups have 1 (depthwise) to 20 output channels,
+    /// so both lane widths (8 and 16) and several lane blocks occur.
+    fn random_lane_conv(rng: &mut crate::init::SplitMix64) -> Option<ConvSpec> {
+        let mut pick = |lo: usize, hi: usize| lo + rng.next_below((hi - lo + 1) as u64) as usize;
+        let groups = pick(1, 2);
+        let (gic, goc) = (pick(1, 3), pick(1, 20));
+        let c = ConvSpec {
+            batch: pick(1, 2),
+            in_c: groups * gic,
+            in_h: pick(1, 7),
+            in_w: pick(1, 7),
+            out_c: groups * goc,
+            kh: pick(1, 3),
+            kw: pick(1, 3),
+            stride: (pick(1, 3), pick(1, 2)),
+            padding: (pick(0, 3), pick(0, 3)),
+            dilation: (pick(1, 2), pick(1, 2)),
+            groups,
+        };
+        (c.out_h() > 0 && c.out_w() > 0).then_some(c)
+    }
+
+    /// The special values a flipped bit can produce, and a plain one.
+    const FAULTY_VALUES: [f32; 10] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1.0e-40,
+        -1.0e-40,
+        f32::MAX,
+        -f32::MAX,
+        3.5,
+    ];
+
+    /// An operand element next to the padding: a border input element or an
+    /// edge kernel tap (gated for the border output positions), when `spec`
+    /// is a conv; any element otherwise.
+    fn edge_element(
+        spec: &MacSpec,
+        kind: OperandKind,
+        len: usize,
+        rng: &mut crate::init::SplitMix64,
+    ) -> usize {
+        let off = rng.next_below(len as u64) as usize;
+        let MacSpec::Conv(c) = spec else {
+            return off;
+        };
+        let (h, w) = match kind {
+            OperandKind::Input => (c.in_h, c.in_w),
+            OperandKind::Weight => (c.kh, c.kw),
+        };
+        // Move the element to row 0 or the last row, keeping its column.
+        let row = if rng.next_below(2) == 0 { 0 } else { h - 1 };
+        let plane = off / (h * w);
+        (plane * h + row) * w + off % w
+    }
+
+    #[test]
+    fn use_windows_match_a_hand_computed_stride_and_dilation_case() {
+        // in 7, k 3, stride 2, pad 1, dilation 2: output o reads rows
+        // 2o − 1, 2o + 1, 2o + 3. Row 3 is read by o = 2 (tap 0), o = 1
+        // (tap 1) and o = 0 (tap 2).
+        let rows = Axis::readers(3, 3, 2, 1, 2, 4);
+        assert_eq!((rows.first, rows.step, rows.len), (0, 1, 3));
+        // Row 0 is padding-adjacent: no output reads it at an odd offset.
+        assert_eq!(Axis::readers(0, 3, 2, 1, 2, 4).len, 0);
+        // Stride 3, dilation 3: taps 2, 1, 0 give outputs 0, 1, 2.
+        let rows = Axis::readers(6, 3, 3, 0, 3, 4);
+        assert_eq!((rows.first, rows.step, rows.len), (0, 1, 3));
+        // Stride 3, dilation 2: only taps 3 and 0 land on a stride
+        // multiple, so the readers step by 2.
+        let rows = Axis::readers(8, 5, 3, 1, 2, 9);
+        assert_eq!((rows.first, rows.step, rows.len), (1, 2, 2));
+    }
+
+    proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// [`MacSpec::input_window`] and [`MacSpec::weight_window`] expand
+        /// to exactly the scanned use sets, in ascending order, for every
+        /// element of random convs (strided, padded, dilated, grouped,
+        /// depthwise, batch 2), dense layers and both matmul forms.
+        #[test]
+        fn use_windows_expand_to_the_scan(seed in 0u64..u64::MAX) {
+            use crate::init::SplitMix64;
+            let mut rng = SplitMix64::new(seed);
+            let spec = match rng.next_below(3) {
+                0 => random_rows_spec(&mut rng),
+                _ => match random_conv(&mut rng) {
+                    Some(c) => MacSpec::Conv(c),
+                    None => return Ok(()),
+                },
+            };
+            let (input, weight) = random_operands(&spec, seed);
+            let ops = Operands { input: &input, weight: &weight };
+            for (kind, len) in [(OperandKind::Input, input.len()), (OperandKind::Weight, weight.len())] {
+                for off in 0..len {
+                    let window = match kind {
+                        OperandKind::Input => spec.input_window(off),
+                        OperandKind::Weight => spec.weight_window(off),
+                    };
+                    let want = scan_users(&spec, &ops, kind, off);
+                    prop_assert_eq!(window.ascending_offsets(), want.clone(), "{:?} {:?} {}", spec, kind, off);
+                    prop_assert_eq!(window.is_empty(), want.is_empty());
+                    // Position-major: each position's channels in order,
+                    // and the ascending walk's indices name the same
+                    // neurons.
+                    let major: Vec<usize> = window.neurons().collect();
+                    let (c0, c1) = window.channels();
+                    for (i, &o) in major.iter().enumerate() {
+                        let (p, c) = spec.coords_of(o);
+                        prop_assert_eq!(c, c0 + i % (c1 - c0));
+                        prop_assert_eq!(p, spec.coords_of(major[i - i % (c1 - c0)]).0);
+                    }
+                    let mut seen = vec![false; window.len()];
+                    window.for_each_ascending(|o, i| {
+                        assert_eq!(o, major[i]);
+                        assert!(!std::mem::replace(&mut seen[i], true));
+                    });
+                    prop_assert!(seen.iter().all(|&s| s));
+                }
+            }
+        }
+
+        /// [`MacNode::recompute`] equals [`MacSpec::compute_at`] with the
+        /// same substitution on every neuron of a window cut from a use
+        /// set: input and weight substitutions of special values, on
+        /// elements next to the padding or anywhere; position ranges that
+        /// cross rows and mix tap ranges; channel ranges that cut lane
+        /// blocks of 8 and 16 lanes. NaN payloads aside, bit for bit.
+        #[test]
+        fn packed_recompute_matches_compute_at(seed in 0u64..u64::MAX) {
+            use crate::init::SplitMix64;
+            let mut rng = SplitMix64::new(seed);
+            let spec = match rng.next_below(3) {
+                0 => random_rows_spec(&mut rng),
+                _ => match random_lane_conv(&mut rng) {
+                    Some(c) => MacSpec::Conv(c),
+                    None => return Ok(()),
+                },
+            };
+            let (input, weight) = random_operands(&spec, seed);
+            let ops = Operands { input: &input, weight: &weight };
+            let mut panel = LanePanel::default();
+            let panel = match &spec {
+                MacSpec::Conv(c) => {
+                    panel.pack_conv(weight.data(), c.out_c, c.groups);
+                    Some(&panel)
+                }
+                MacSpec::Dense(d) => {
+                    panel.pack_rows(weight.data(), d.out_features, 1, d.in_features);
+                    Some(&panel)
+                }
+                MacSpec::MatMul(_) => None,
+            };
+            let node = MacNode::new(spec.clone(), ops, panel);
+            let bits = |v: f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+            let mut out = Vec::new();
+            for (k, kind) in [OperandKind::Input, OperandKind::Weight].into_iter().cycle().take(12).enumerate() {
+                let len = match kind {
+                    OperandKind::Input => input.len(),
+                    OperandKind::Weight => weight.len(),
+                };
+                let offset = if k % 4 < 2 {
+                    edge_element(&spec, kind, len, &mut rng)
+                } else {
+                    rng.next_below(len as u64) as usize
+                };
+                let subst = Substitution {
+                    kind,
+                    offset,
+                    value: FAULTY_VALUES[rng.next_below(FAULTY_VALUES.len() as u64) as usize],
+                };
+                let uses = match kind {
+                    OperandKind::Input => spec.input_window(offset),
+                    OperandKind::Weight => spec.weight_window(offset),
+                };
+                if uses.is_empty() {
+                    continue;
+                }
+                // The whole use set, then a random cut of it.
+                let n = uses.positions();
+                let (c0, c1) = uses.channels();
+                let p0 = rng.next_below(n as u64) as usize;
+                let p1 = p0 + 1 + rng.next_below((n - p0) as u64) as usize;
+                let q0 = c0 + rng.next_below((c1 - c0) as u64) as usize;
+                let q1 = q0 + 1 + rng.next_below((c1 - q0) as u64) as usize;
+                for window in [uses, uses.select((p0, p1), (q0, q1))] {
+                    node.recompute(&subst, &window, &mut out);
+                    prop_assert_eq!(out.len(), window.len());
+                    for (&v, off) in out.iter().zip(window.neurons()) {
+                        let want = spec.compute_at(&ops, off, Some(&subst));
+                        prop_assert_eq!(
+                            bits(v),
+                            bits(want),
+                            "{:?} {:?} neuron {}: {} != {}",
+                            spec, subst, off, v, want
                         );
                     }
                 }
