@@ -6,8 +6,9 @@
 //! transformer is self-checked: the packed kernels, the Conv and Dense
 //! layers' own forwards over their packed panels, and the fault recompute
 //! under a fixed set of input and weight substitutions must reproduce
-//! `compute_at` bit-for-bit, so a perf regression can never silently buy
-//! speed with accuracy. The measured numbers (mean/best ns per injection
+//! `compute_at` bit-for-bit, and on the transformer every rank-2 layer's
+//! `forward_region` over random row bands must reproduce its `forward`, so
+//! a perf regression can never silently buy speed with accuracy. The measured numbers (mean/best ns per injection
 //! for the pooled and allocating paths, per-layer kernel throughput,
 //! workspace pool hit rate) are merged into `BENCH_injection.json` at the
 //! workspace root. `FIDELITY_BENCH_QUICK=1` runs the self-check plus a
@@ -128,6 +129,53 @@ fn kernel_self_check(engine: &Engine, trace: &Trace) -> usize {
             }
         }
         recompute_self_check(engine, trace, node);
+        checked += 1;
+    }
+    checked
+}
+
+/// Checks, on every node of `trace` with a rank-2 output and a row window,
+/// that `forward_region` over random row bands writes the band with the
+/// bits of the layer's full `forward` and leaves every other row untouched.
+/// Returns the number of layers checked.
+fn row_window_self_check(engine: &Engine, trace: &Trace) -> usize {
+    let mut ws = Workspace::new();
+    let mut rng = SplitMix64::new(5);
+    let mut checked = 0;
+    for node in 0..engine.network().node_count() {
+        let layer = engine.network().layer(node);
+        let inputs = engine.node_inputs(node, trace);
+        let shapes: Vec<&[usize]> = inputs.iter().map(|t| t.shape()).collect();
+        let &[rows, cols] = trace.node_outputs[node].shape() else {
+            continue;
+        };
+        if layer.region_map(&shapes, (0, 1), (0, 1)).is_none() {
+            continue;
+        }
+        let full = layer.forward(&inputs, &mut ws).expect("layer forward");
+        for _ in 0..16 {
+            let h0 = rng.next_below(rows as u64) as usize;
+            let h1 = h0 + 1 + rng.next_below((rows - h0) as u64) as usize;
+            let sentinel = f32::from_bits(0x7FC0_5A5A);
+            let mut out = fidelity_dnn::tensor::Tensor::full(vec![rows, cols], sentinel);
+            let windowed = layer
+                .forward_region(&inputs, (h0, h1), (0, cols), &mut out, &mut ws)
+                .expect("layer forward_region");
+            assert!(windowed, "node {node} ({}) has no row path", layer.name());
+            for (off, (&got, &want)) in out.data().iter().zip(full.data()).enumerate() {
+                let want = if (h0..h1).contains(&(off / cols)) {
+                    want
+                } else {
+                    sentinel
+                };
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "row-window mismatch: node {node} ({}) rows {h0}..{h1} offset {off}",
+                    layer.name(),
+                );
+            }
+        }
         checked += 1;
     }
     checked
@@ -461,6 +509,11 @@ fn main() {
     eprintln!(
         "kernel self-check: {checked} MAC layers' kernels and fault recompute bitwise-identical \
          to compute_at"
+    );
+    let rows_checked = row_window_self_check(&tf_engine, &tf_trace);
+    eprintln!(
+        "row-window self-check: {rows_checked} rank-2 layers' forward_region bitwise-identical \
+         to forward on random row bands"
     );
 
     let node = target_node(&engine, &trace);

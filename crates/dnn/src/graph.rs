@@ -23,7 +23,7 @@ use fidelity_obs::metrics::Counter;
 
 use crate::error::DnnError;
 use crate::f16::round_to_f16;
-use crate::layers::{for_each_window_row, Layer, LayerKind};
+use crate::layers::{for_each_window_row, plane_dims, Layer, LayerKind};
 use crate::macspec::{MacNode, MacSpec, Operands};
 use crate::precision::{calibrate_scale, Precision, ValueCodec};
 use crate::tensor::Tensor;
@@ -294,16 +294,16 @@ fn fnv_tensor(h: &mut Fnv64, t: &Tensor) {
     }
 }
 
-/// Spatial bounding box of a set of flat offsets into a rank-4 NCHW tensor
-/// (`Region::All` for other ranks — no spatial structure to exploit), or
-/// `None` for an empty set.
+/// Bounding box of a set of flat offsets into a rank-4 NCHW tensor's
+/// spatial plane, or a rank-2 tensor's rows and columns (see
+/// [`plane_dims`]); `Region::All` for other ranks — no structure to
+/// exploit — and `None` for an empty set.
 fn sparse_region(shape: &[usize], neurons: impl IntoIterator<Item = usize>) -> Option<Region> {
     let mut neurons = neurons.into_iter().peekable();
     neurons.peek()?;
-    if shape.len() != 4 {
+    let Some([_, _, hh, ww]) = plane_dims(shape) else {
         return Some(Region::All);
-    }
-    let (hh, ww) = (shape[2], shape[3]);
+    };
     let (mut h0, mut h1, mut w0, mut w1) = (usize::MAX, 0usize, usize::MAX, 0usize);
     for off in neurons {
         let r = (off / ww) % hh;
@@ -323,16 +323,20 @@ fn sparse_region(shape: &[usize], neurons: impl IntoIterator<Item = usize>) -> O
 /// where it still diverges from golden, in one pass. Every element of the
 /// row band `rows` (all rows when `None`) is quantized with `quant` (when
 /// set), clamped to `bound` (when set) and written back, and the XOR of its
-/// bits with golden's is ORed into `mask` at its position in the plane.
-/// On a rank-4 NCHW output the band covers full rows, so it is one
-/// contiguous slice per channel plane, and the mask holds one word per
-/// (row, column) of the band. Other ranks settle in one flat pass that ORs
-/// into a single word.
+/// bits with golden's is ORed into a divergence word.
+/// * On a rank-4 NCHW output the band covers full rows, so it is one
+///   contiguous slice per channel plane, and `mask` holds one word per
+///   (row, column) of the band.
+/// * On a rank-2 `[tokens, features]` output each row of the band ORs into
+///   one word of its own: every consumer of a token row recomputes it full
+///   width, so only which rows diverge matters.
+/// * Other ranks settle in one flat pass that ORs into a single word.
 ///
 /// Returns the exact divergence: the bounding box (rank 4) of the elements
-/// whose bits differ from `gold`, `Region::All` for other ranks when any
-/// bit differs, and `None` when every bit matches — the fault is logically
-/// masked here. Elements outside the band must already hold golden bits.
+/// whose bits differ from `gold`, the full-width band of the diverging rows
+/// (rank 2), `Region::All` for other ranks when any bit differs, and
+/// `None` when every bit matches — the fault is logically masked here.
+/// Elements outside the band must already hold golden bits.
 fn settle(
     cur: &mut Tensor,
     gold: &Tensor,
@@ -377,20 +381,49 @@ fn settle_with(
 ) -> Option<Region> {
     let shape = gold.shape();
     let (cur, gold) = (cur.data_mut(), gold.data());
-    if shape.len() != 4 {
-        let mut diff = 0u32;
-        for (c, g) in cur.iter_mut().zip(gold) {
+    // Settles one run and returns the OR of its bit differences. The run
+    // goes in blocks of 8 with one accumulator per lane, so a short token
+    // row is whole vectors, not the scalar tail of a long vector loop.
+    let settle_run = |cur: &mut [f32], gold: &[f32]| {
+        let mut diff = [0u32; 8];
+        let (mut cur, mut gold) = (cur.chunks_exact_mut(8), gold.chunks_exact(8));
+        for (c, g) in (&mut cur).zip(&mut gold) {
+            for ((c, g), d) in c.iter_mut().zip(g).zip(&mut diff) {
+                let v = settle_value(*c);
+                *c = v;
+                *d |= v.to_bits() ^ g.to_bits();
+            }
+        }
+        let tail = cur.into_remainder().iter_mut().zip(gold.remainder());
+        for ((c, g), d) in tail.zip(&mut diff) {
             let v = settle_value(*c);
             *c = v;
-            diff |= v.to_bits() ^ g.to_bits();
+            *d |= v.to_bits() ^ g.to_bits();
         }
-        return (diff != 0).then_some(Region::All);
-    }
-    let (planes, hh, ww) = (shape[0] * shape[1], shape[2], shape[3]);
+        diff.iter().fold(0, |a, d| a | d)
+    };
+    let Some([n, c, hh, ww]) = plane_dims(shape) else {
+        return (settle_run(cur, gold) != 0).then_some(Region::All);
+    };
     let (h0, h1) = rows.map_or((0, hh), |(a, b)| (a.min(hh), b.min(hh)));
     if h0 >= h1 || ww == 0 {
         return None;
     }
+    if shape.len() == 2 {
+        let (mut r0, mut r1) = (usize::MAX, 0usize);
+        let band = cur[h0 * ww..h1 * ww].chunks_exact_mut(ww);
+        for (r, (cur, gold)) in (h0..).zip(band.zip(gold[h0 * ww..].chunks_exact(ww))) {
+            if settle_run(cur, gold) != 0 {
+                r0 = r0.min(r);
+                r1 = r + 1;
+            }
+        }
+        return (r0 < r1).then_some(Region::Window {
+            h: (r0, r1),
+            w: (0, ww),
+        });
+    }
+    let planes = n * c;
     let band = (h1 - h0) * ww;
     mask.clear();
     mask.resize(band, 0);
@@ -462,21 +495,18 @@ fn repair_overlay(overlay: &mut GoldenOverlay, trace: &Trace) {
         let Some(region) = dirty.take() else {
             continue;
         };
+        let shape = trace.node_outputs[idx].shape();
         let src = trace.node_outputs[idx].data();
         let dst = overlay.slots[idx].data_mut();
-        match region {
-            Region::All => dst.copy_from_slice(src),
-            Region::Window { h, .. } => {
-                let dims = {
-                    let s = trace.node_outputs[idx].shape();
-                    [s[0], s[1], s[2], s[3]]
-                };
-                // Elements outside the window hold golden bits, so copying
-                // the dirty rows' full-width band is one slice per plane.
-                for_each_window_row(&dims, h, (0, dims[3]), |a, b| {
+        match (region, plane_dims(shape)) {
+            // Elements outside the window hold golden bits, so copying the
+            // dirty rows' full-width band is one slice per plane.
+            (Region::Window { h, .. }, Some([_, _, _, cols])) => {
+                for_each_window_row(shape, h, (0, cols), |a, b| {
                     dst[a..b].copy_from_slice(&src[a..b]);
                 });
             }
+            _ => dst.copy_from_slice(src),
         }
     }
 }
@@ -867,23 +897,27 @@ impl Engine {
     /// as "offset `neurons[i]` holds `values[i]` instead of its clean
     /// value". The engine patches the overlay's copy of that node, walks the
     /// downstream cone recomputing each affected node — restricted to the
-    /// spatial window wherever the layer's [`Layer::region_map`] provides
-    /// one, a full forward otherwise — calls `judge` on the resulting
-    /// network output, then repairs every touched overlay region back to
-    /// golden bits and returns the judge's verdict. Conv and pool windows
-    /// are exact; every other windowed layer is handed the window's
-    /// full-width row band, one contiguous slice per channel plane.
+    /// window wherever the layer's [`Layer::region_map`] provides one, a
+    /// full forward otherwise — calls `judge` on the resulting network
+    /// output, then repairs every touched overlay region back to golden
+    /// bits and returns the judge's verdict. Windows exist on rank-4 NCHW
+    /// tensors (spatial rows × columns) and on rank-2 `[tokens, features]`
+    /// tensors, viewed as one plane (token rows × feature columns). Conv
+    /// and pool windows are exact; every other windowed layer is handed the
+    /// window's full-width row band, one contiguous slice per channel plane.
     ///
     /// Each recompute is settled in one pass over its row band: quantize
     /// (unless the node is on grid), clamp (when bounded), write back, and
-    /// OR the bits that differ from golden into a band-sized mask. The
-    /// dirty region of a node comes from that mask, so it is an exact
-    /// diff, not an estimate: the bounding box (rank-4 outputs; the whole
-    /// tensor otherwise) of the elements whose bits differ from the golden
-    /// trace, and no region at all when none do. So a fault that ReLU,
-    /// max-pool or quantization masks ends the walk at that node, and a
-    /// rank-4 node that fell back to a full forward still hands only a
-    /// window to its consumers.
+    /// OR the bits that differ from golden into divergence words: a
+    /// band-sized mask of one word per (row, column) on rank 4, one word
+    /// per token row on rank 2. The dirty region of a node comes from those
+    /// words, so it is an exact diff, not an estimate: the bounding box of
+    /// the elements whose bits differ from the golden trace (rank 4), the
+    /// full-width band of the rows holding them (rank 2), the whole tensor
+    /// (other ranks), and no region at all when none differ. So a fault that ReLU, max-pool or quantization
+    /// masks ends the walk at that node, and a node that fell back to a
+    /// full forward (a MatMul, say) still hands only a window to its
+    /// consumers.
     ///
     /// Results are bit-identical to building the dense replacement tensor
     /// and calling [`Engine::resume`]:
@@ -1049,14 +1083,17 @@ impl Engine {
                 Region::Window { h, w } if h.0 >= h.1 || w.0 >= w.1 => {
                     continue; // window fell off the grid: provably clean
                 }
-                // Pointwise and bookkeeping layers recompute the full-width
-                // row band: one contiguous slice per channel plane, where a
-                // narrow window is one short slice per row. Conv and pool
-                // keep exact windows, since their work is per output.
+                // Pointwise, token-wise and bookkeeping layers recompute the
+                // full-width row band: one contiguous slice per channel
+                // plane (or one per band of token rows), where a narrow
+                // window is one short slice per row. Conv and pool keep
+                // exact windows, since their work is per output. This is
+                // the one place a token-wise layer's window gets its width:
+                // its `region_map` answers every column.
                 Region::Window { h, .. }
                     if !matches!(node.layer.kind(), LayerKind::Conv | LayerKind::Pool) =>
                 {
-                    let out_w = trace.node_outputs[idx].shape().get(3).copied();
+                    let out_w = plane_dims(trace.node_outputs[idx].shape()).map(|d| d[3]);
                     Region::Window {
                         h,
                         w: (0, out_w.unwrap_or(usize::MAX)),
@@ -1872,32 +1909,183 @@ mod tests {
                         patches.push(relu_masked.clone());
                     }
                     for (neurons, values) in patches {
-                        let delta = engine
-                            .resume_delta(&trace, node, &neurons, &values, None, &mut ws, bits_of)
-                            .unwrap();
-
-                        let mut repl = trace.node_outputs[node].clone();
-                        for (&off, &v) in neurons.iter().zip(&values) {
-                            repl.data_mut()[off] = v;
-                        }
-                        let mut ws2 = Workspace::new();
-                        let dense = engine.resume(&trace, node, repl, None, &mut ws2).unwrap();
-                        assert_eq!(
-                            delta,
-                            bits_of(dense.tensor()),
-                            "delta != dense at node {node} (precision {precision:?}, \
-                             bounded {bounded})"
+                        let context = format!("precision {precision:?}, bounded {bounded}");
+                        assert_delta_matches_dense(
+                            &engine, &trace, &mut ws, node, &neurons, &values, &context,
                         );
-
-                        // Overlay must be bit-golden again, worklist empty.
-                        let overlay = ws.take_golden();
-                        assert_eq!(overlay.key, Some(golden_key(&trace)));
-                        for (slot, gold) in overlay.slots.iter().zip(&trace.node_outputs) {
-                            assert_eq!(bits_of(slot), bits_of(gold), "overlay not repaired");
-                        }
-                        assert!(overlay.dirty.iter().all(Option::is_none));
-                        ws.put_golden(overlay);
                     }
+                }
+            }
+        }
+    }
+
+    /// Evaluates one sparse fault through `resume_delta` and through the
+    /// dense `resume` on a clone, and asserts that the two outputs agree
+    /// bit for bit and that the overlay is bit-golden again afterwards,
+    /// with an empty worklist.
+    fn assert_delta_matches_dense(
+        engine: &Engine,
+        trace: &Trace,
+        ws: &mut Workspace,
+        node: usize,
+        neurons: &[usize],
+        values: &[f32],
+        context: &str,
+    ) {
+        let delta = engine
+            .resume_delta(trace, node, neurons, values, None, ws, bits_of)
+            .unwrap();
+        let mut repl = trace.node_outputs[node].clone();
+        for (&off, &v) in neurons.iter().zip(values) {
+            repl.data_mut()[off] = v;
+        }
+        let dense = resume_owned(engine, trace, node, repl);
+        assert_eq!(
+            delta,
+            bits_of(&dense),
+            "delta != dense at node {node} ({context}), fault {neurons:?} = {values:?}"
+        );
+        let overlay = ws.take_golden();
+        assert_eq!(overlay.key, Some(golden_key(trace)));
+        for (slot, gold) in overlay.slots.iter().zip(&trace.node_outputs) {
+            assert_eq!(bits_of(slot), bits_of(gold), "overlay not repaired");
+        }
+        assert!(overlay.dirty.iter().all(Option::is_none));
+        ws.put_golden(overlay);
+    }
+
+    /// A one-block attention encoder over `[tokens, features]` rows with
+    /// every token-wise layer the delta walk windows by rows (dense, scale,
+    /// softmax, feature concat, add, layer norm, ReLU) and both MatMul
+    /// forms, which mix tokens and so recompute in full.
+    fn attention_net(seed: u64) -> Network {
+        use crate::layers::{Concat, LayerNorm, MatMul, Scale, Softmax};
+        let (d, d_head, d_ffn) = (8, 4, 12);
+        let mut s = seed;
+        let mut b = NetworkBuilder::new("attention").input("x");
+        let mut heads = Vec::new();
+        for h in 0..2 {
+            let name = |part: &str| format!("h{h}_{part}");
+            for part in ["q", "k", "v"] {
+                let w = lcg_fill(&mut s, vec![d_head, d]);
+                b = b.layer(Dense::new(name(part), w).unwrap(), &["x"]).unwrap();
+            }
+            b = b
+                .layer(
+                    MatMul::transposed(name("scores")),
+                    &[&name("q"), &name("k")],
+                )
+                .unwrap()
+                .layer(Scale::new(name("scaled"), 0.5), &[&name("scores")])
+                .unwrap()
+                .layer(Softmax::new(name("attn")), &[&name("scaled")])
+                .unwrap()
+                .layer(MatMul::new(name("ctx")), &[&name("attn"), &name("v")])
+                .unwrap();
+            heads.push(name("ctx"));
+        }
+        let heads: Vec<&str> = heads.iter().map(String::as_str).collect();
+        let norm = |s: &mut u64, name: &str| {
+            let gamma = lcg_fill(s, vec![d]).map(|v| 1.0 + v / 4.0);
+            LayerNorm::new(name, gamma, lcg_fill(s, vec![d])).unwrap()
+        };
+        b.layer(Concat::new("heads", 1), &heads)
+            .unwrap()
+            .layer(
+                Dense::new("proj", lcg_fill(&mut s, vec![d, d])).unwrap(),
+                &["heads"],
+            )
+            .unwrap()
+            .layer(Add::new("res"), &["proj", "x"])
+            .unwrap()
+            .layer(norm(&mut s, "ln"), &["res"])
+            .unwrap()
+            .layer(
+                Dense::new("ffn1", lcg_fill(&mut s, vec![d_ffn, d])).unwrap(),
+                &["ln"],
+            )
+            .unwrap()
+            .layer(Activation::new("relu", ActivationKind::Relu), &["ffn1"])
+            .unwrap()
+            .layer(
+                Dense::new("ffn2", lcg_fill(&mut s, vec![d, d_ffn])).unwrap(),
+                &["relu"],
+            )
+            .unwrap()
+            .layer(Add::new("ffn_res"), &["ffn2", "ln"])
+            .unwrap()
+            .layer(norm(&mut s, "ffn_ln"), &["ffn_res"])
+            .unwrap()
+            .build()
+            .unwrap()
+    }
+
+    /// The delta walk over rank-2 token rows is byte-identical to the dense
+    /// `resume` on an attention block, under random sparse faults at every
+    /// node — NaN, ±∞, ±0, subnormals, huge and near-golden values — in
+    /// FP16, and in INT8 with and without range bounding.
+    #[test]
+    fn resume_delta_matches_resume_bitwise_on_token_rows() {
+        use crate::init::SplitMix64;
+        let x = {
+            let mut s = 0x70CE_u64;
+            lcg_fill(&mut s, vec![7, 8])
+        };
+        let mut rng = SplitMix64::new(0xA77E);
+        for (precision, bounded) in [
+            (Precision::Fp16, false),
+            (Precision::Int8, true),
+            (Precision::Int8, false),
+        ] {
+            let mut engine = Engine::new(attention_net(3), precision, &[vec![x.clone()]]).unwrap();
+            if bounded {
+                engine
+                    .enable_range_bounding(std::slice::from_ref(&x), 1.5)
+                    .unwrap();
+            }
+            let trace = engine.trace(std::slice::from_ref(&x)).unwrap();
+            let mut ws = Workspace::new();
+            ws.install_golden(golden_key(&trace), &trace.node_outputs);
+            for node in 0..engine.network().node_count() {
+                // Every layer but the two MatMuls has a row window here.
+                let layer = engine.network().layer(node);
+                let inputs = engine.node_inputs(node, &trace);
+                let shapes: Vec<&[usize]> = inputs.iter().map(|t| t.shape()).collect();
+                assert_eq!(
+                    layer.region_map(&shapes, (0, 1), (0, 1)).is_some(),
+                    layer.kind() != LayerKind::MatMul,
+                    "{}",
+                    layer.name()
+                );
+                let gold = trace.node_outputs[node].data();
+                for _ in 0..24 {
+                    let faults = 1 + rng.next_below(3) as usize;
+                    let mut neurons = Vec::new();
+                    let mut values = Vec::new();
+                    for _ in 0..faults {
+                        let off = rng.next_below(gold.len() as u64) as usize;
+                        if neurons.contains(&off) {
+                            continue;
+                        }
+                        let g = gold[off];
+                        neurons.push(off);
+                        values.push(match rng.next_below(10) {
+                            0 => f32::NAN,
+                            1 => f32::INFINITY,
+                            2 => f32::NEG_INFINITY,
+                            3 => 0.0,
+                            4 => -0.0,
+                            5 => f32::MIN_POSITIVE / 3.0,
+                            6 => -1.0e30,
+                            7 => g + g.abs() * 1e-6,
+                            8 => -g,
+                            _ => g * 4.0 + 1.0,
+                        });
+                    }
+                    let context = format!("precision {precision:?}, bounded {bounded}");
+                    assert_delta_matches_dense(
+                        &engine, &trace, &mut ws, node, &neurons, &values, &context,
+                    );
                 }
             }
         }
@@ -1940,8 +2128,27 @@ mod tests {
                 w: (2, 4)
             })
         );
-        assert_eq!(sparse_region(&[2, 10], [3]), Some(Region::All));
+        // Rank 2 is one plane of token rows × feature columns: 3 -> (row
+        // 0, col 3); 27 -> (row 2, col 7).
+        assert_eq!(
+            sparse_region(&[4, 10], [3]),
+            Some(Region::Window {
+                h: (0, 1),
+                w: (3, 4)
+            })
+        );
+        assert_eq!(
+            sparse_region(&[4, 10], [27, 3]),
+            Some(Region::Window {
+                h: (0, 3),
+                w: (3, 8)
+            })
+        );
+        // Other ranks have no window.
+        assert_eq!(sparse_region(&[2, 3, 10], [3]), Some(Region::All));
+        assert_eq!(sparse_region(&[10], [3]), Some(Region::All));
         assert_eq!(sparse_region(&[1, 1, 4, 4], []), None);
+        assert_eq!(sparse_region(&[4, 10], []), None);
 
         let w1 = Region::Window {
             h: (0, 2),
@@ -1963,15 +2170,16 @@ mod tests {
         assert_eq!(union_region(Some(w1), Region::All), Region::All);
     }
 
-    /// Flat index ranges of the window `h × w` of a rank-4 tensor, one per
-    /// (plane, row) and clipped to the shape: the row-by-row walk the
-    /// settle reference keeps.
+    /// Flat index ranges of the window `h × w` of a rank-4 tensor (or a
+    /// rank-2 one, as one plane), one per (plane, row) and clipped to the
+    /// shape: the row-by-row walk the settle reference keeps.
     fn window_row_ranges(
         shape: &[usize],
         (h0, h1): (usize, usize),
         (w0, w1): (usize, usize),
     ) -> Vec<(usize, usize)> {
-        let (planes, hh, ww) = (shape[0] * shape[1], shape[2], shape[3]);
+        let [n, c, hh, ww] = plane_dims(shape).expect("rank 2 or 4");
+        let planes = n * c;
         let (h0, h1, w0, w1) = (h0.min(hh), h1.min(hh), w0.min(ww), w1.min(ww));
         let mut out = Vec::new();
         if h0 < h1 && w0 < w1 {
@@ -1991,20 +2199,19 @@ mod tests {
     }
 
     /// The exact divergence of `cur` from `gold` within `within`, row by
-    /// row: the bounding box (rank 4) of the differing elements,
-    /// `Region::All` for other ranks when any bit differs, `None` when
-    /// every bit matches.
+    /// row: the bounding box (rank 4) of the differing elements, the
+    /// full-width band of the rows that hold them (rank 2), `Region::All`
+    /// for other ranks when any bit differs, `None` when every bit matches.
     fn diff_region(cur: &Tensor, gold: &Tensor, within: Region) -> Option<Region> {
         let (cur, gold_d) = (cur.data(), gold.data());
         let shape = gold.shape();
-        if shape.len() != 4 {
+        let Some([_, _, hh, ww]) = plane_dims(shape) else {
             return bits_differ(cur, gold_d).then_some(Region::All);
-        }
+        };
         let (h, w) = match within {
-            Region::All => ((0, shape[2]), (0, shape[3])),
+            Region::All => ((0, hh), (0, ww)),
             Region::Window { h, w } => (h, w),
         };
-        let (hh, ww) = (shape[2], shape[3]);
         let (mut h0, mut h1, mut w0, mut w1) = (usize::MAX, 0usize, usize::MAX, 0usize);
         for (a, b) in window_row_ranges(shape, h, w) {
             if !bits_differ(&cur[a..b], &gold_d[a..b]) {
@@ -2018,6 +2225,9 @@ mod tests {
             h1 = h1.max(r + 1);
             w0 = w0.min(first % ww);
             w1 = w1.max(last % ww + 1);
+        }
+        if shape.len() == 2 {
+            (w0, w1) = (0, ww);
         }
         (h0 < h1).then_some(Region::Window {
             h: (h0, h1),
@@ -2037,7 +2247,9 @@ mod tests {
     ) -> Option<Region> {
         let shape = gold.shape().to_vec();
         let ranges = match within {
-            Region::Window { h, w } if shape.len() == 4 => window_row_ranges(&shape, h, w),
+            Region::Window { h, w } if plane_dims(&shape).is_some() => {
+                window_row_ranges(&shape, h, w)
+            }
             _ => vec![(0, cur.len())],
         };
         let data = cur.data_mut();
@@ -2067,8 +2279,8 @@ mod tests {
         let mut rng = SplitMix64::new(seed);
         let mut below = |n: usize| rng.next_below(n as u64) as usize;
         let shape: Vec<usize> = match below(8) {
-            // Rank 2 and rank 3 settle in one flat pass.
-            0 => vec![1 + below(5), 1 + below(200)],
+            // Rank 2 settles token rows; rank 3 in one flat pass.
+            0 => vec![1 + below(17), 1 + below(200)],
             1 => vec![1 + below(3), 1 + below(9), 1 + below(70)],
             // A band far longer than any fixed-size mask buffer.
             2 => vec![1, 1 + below(3), 33 + below(32), 33 + below(32)],
@@ -2098,10 +2310,7 @@ mod tests {
         let max_abs = gold.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let bound = (below(2) == 0).then(|| max_abs.max(1e-3) * (1.0 + below(100) as f32 / 100.0));
 
-        let window = if shape.len() != 4 {
-            Region::All
-        } else {
-            let (hh, ww) = (shape[2], shape[3]);
+        let window = if let Some([_, _, hh, ww]) = plane_dims(&shape) {
             let (r, c) = (below(hh), below(ww));
             match below(6) {
                 0 => Region::Window {
@@ -2126,6 +2335,8 @@ mod tests {
                     w: (c, c + 1 + below(ww - c)),
                 },
             }
+        } else {
+            Region::All
         };
         let inside: Vec<usize> = match window {
             Region::All => (0..len).collect(),

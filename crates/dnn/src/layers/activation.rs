@@ -1,7 +1,7 @@
 //! Pointwise non-linearities and softmax.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind};
+use crate::layers::{check_arity, for_each_window_row, plane_dims, Layer, LayerKind, ALL_COLUMNS};
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
@@ -102,7 +102,7 @@ impl Layer for Activation {
         w: (usize, usize),
     ) -> Option<((usize, usize), (usize, usize))> {
         // Pointwise: the output window is exactly the input window.
-        (input_shapes.first()?.len() == 4).then_some((h, w))
+        plane_dims(input_shapes.first()?).map(|_| (h, w))
     }
 
     fn forward_region(
@@ -116,12 +116,12 @@ impl Layer for Activation {
         let _ = ws;
         check_arity(&self.name, 1, inputs.len())?;
         let x = inputs[0];
-        if x.rank() != 4 || out.shape() != x.shape() {
+        if plane_dims(x.shape()).is_none() || out.shape() != x.shape() {
             return Ok(false);
         }
         let src = x.data();
         let dst = out.data_mut();
-        crate::layers::for_each_window_row(x.shape(), h, w, |a, b| {
+        for_each_window_row(x.shape(), h, w, |a, b| {
             for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
                 *d = self.kind.apply(*s);
             }
@@ -157,26 +157,66 @@ impl Layer for Softmax {
         check_arity(&self.name, 1, inputs.len())?;
         let x = inputs[0];
         let last = *x.shape().last().unwrap_or(&1);
-        if last == 0 {
-            return Ok(ws.clone_of(x));
-        }
         let mut out = ws.clone_of(x);
-        let rows = x.len() / last;
-        for r in 0..rows {
-            let row = &mut out.data_mut()[r * last..(r + 1) * last];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            if sum > 0.0 && sum.is_finite() {
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-            }
+        if last > 0 {
+            out.data_mut().chunks_exact_mut(last).for_each(softmax_row);
         }
         Ok(out)
+    }
+
+    fn region_map(
+        &self,
+        input_shapes: &[&[usize]],
+        h: (usize, usize),
+        w: (usize, usize),
+    ) -> Option<((usize, usize), (usize, usize))> {
+        // Each row is normalized on its own, so a dirty element dirties
+        // exactly its row.
+        let _ = w;
+        plane_dims(input_shapes.first()?)?;
+        Some((h, ALL_COLUMNS))
+    }
+
+    fn forward_region(
+        &self,
+        inputs: &[&Tensor],
+        h: (usize, usize),
+        w: (usize, usize),
+        out: &mut Tensor,
+        ws: &mut Workspace,
+    ) -> Result<bool, DnnError> {
+        let _ = (w, ws);
+        check_arity(&self.name, 1, inputs.len())?;
+        let x = inputs[0];
+        let Some([_, _, _, cols]) = plane_dims(x.shape()) else {
+            return Ok(false);
+        };
+        if out.shape() != x.shape() {
+            return Ok(false);
+        }
+        let src = x.data();
+        let dst = out.data_mut();
+        for_each_window_row(x.shape(), h, (0, cols), |a, b| {
+            dst[a..b].copy_from_slice(&src[a..b]);
+            dst[a..b].chunks_exact_mut(cols).for_each(softmax_row);
+        });
+        Ok(true)
+    }
+}
+
+/// Softmax of one row in place, the max-subtraction form; a row whose sum
+/// is 0 or not finite keeps its exponentials unnormalized.
+fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 && sum.is_finite() {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
     }
 }
 

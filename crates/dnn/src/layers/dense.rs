@@ -1,7 +1,7 @@
 //! Fully-connected and matrix-multiplication layers.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind};
+use crate::layers::{check_arity, Layer, LayerKind, ALL_COLUMNS};
 use crate::macspec::{DenseSpec, LanePanel, MacSpec, MatMulSpec, Operands};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
@@ -128,6 +128,48 @@ impl Layer for Dense {
     fn quantize_weights(&mut self, codec: &ValueCodec) {
         codec.quantize_slice(self.weight.data_mut());
         self.pack();
+    }
+
+    fn region_map(
+        &self,
+        input_shapes: &[&[usize]],
+        h: (usize, usize),
+        w: (usize, usize),
+    ) -> Option<((usize, usize), (usize, usize))> {
+        // Every output of a row reads the whole row and nothing else.
+        let _ = w;
+        self.spec_for(input_shapes.first()?).ok()?;
+        Some((h, ALL_COLUMNS))
+    }
+
+    fn forward_region(
+        &self,
+        inputs: &[&Tensor],
+        (h0, h1): (usize, usize),
+        w: (usize, usize),
+        out: &mut Tensor,
+        ws: &mut Workspace,
+    ) -> Result<bool, DnnError> {
+        let _ = (w, ws);
+        check_arity(&self.name, 1, inputs.len())?;
+        let d = self.spec_for(inputs[0].shape())?;
+        if out.shape() != [d.batch, d.out_features] {
+            return Ok(false);
+        }
+        // The band's rows as a batch of their own: a row's outputs do not
+        // depend on which rows share its tile, so they keep their bits.
+        let (h0, h1) = (h0.min(d.batch), h1.min(d.batch));
+        if h0 >= h1 {
+            return Ok(true);
+        }
+        let (k, n) = (d.in_features, d.out_features);
+        let band = DenseSpec {
+            batch: h1 - h0,
+            ..d
+        };
+        let x = &inputs[0].data()[h0 * k..h1 * k];
+        band.forward_packed(x, &self.panel, &mut out.data_mut()[h0 * n..h1 * n]);
+        Ok(true)
     }
 }
 

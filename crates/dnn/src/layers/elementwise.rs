@@ -1,7 +1,7 @@
 //! Element-wise arithmetic, bias addition, and concatenation.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind};
+use crate::layers::{check_arity, for_each_window_row, plane_dims, Layer, LayerKind, ALL_COLUMNS};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -139,7 +139,7 @@ impl Layer for BiasAdd {
         let src = x.data();
         let bias = self.bias.data();
         let dst = out.data_mut();
-        crate::layers::for_each_window_row(x.shape(), h, w, |a, b| {
+        for_each_window_row(x.shape(), h, w, |a, b| {
             let ch = (a / hw) % c;
             let bv = bias[ch];
             for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
@@ -187,7 +187,7 @@ impl Layer for Add {
         h: (usize, usize),
         w: (usize, usize),
     ) -> Option<((usize, usize), (usize, usize))> {
-        (input_shapes.first()?.len() == 4).then_some((h, w))
+        plane_dims(input_shapes.first()?).map(|_| (h, w))
     }
 
     fn forward_region(
@@ -241,7 +241,7 @@ impl Layer for Mul {
         h: (usize, usize),
         w: (usize, usize),
     ) -> Option<((usize, usize), (usize, usize))> {
-        (input_shapes.first()?.len() == 4).then_some((h, w))
+        plane_dims(input_shapes.first()?).map(|_| (h, w))
     }
 
     fn forward_region(
@@ -258,7 +258,8 @@ impl Layer for Mul {
     }
 }
 
-/// Windowed counterpart of [`binary_elementwise`] for rank-4 operands.
+/// Windowed counterpart of [`binary_elementwise`] for rank-4 and rank-2
+/// operands.
 fn binary_elementwise_region(
     a: &Tensor,
     b: &Tensor,
@@ -267,13 +268,13 @@ fn binary_elementwise_region(
     out: &mut Tensor,
     f: impl Fn(f32, f32) -> f32,
 ) -> Result<bool, DnnError> {
-    if a.rank() != 4 || a.shape() != b.shape() || out.shape() != a.shape() {
+    if plane_dims(a.shape()).is_none() || a.shape() != b.shape() || out.shape() != a.shape() {
         return Ok(false);
     }
     let ad = a.data();
     let bd = b.data();
     let dst = out.data_mut();
-    crate::layers::for_each_window_row(a.shape(), h, w, |lo, hi| {
+    for_each_window_row(a.shape(), h, w, |lo, hi| {
         for i in lo..hi {
             dst[i] = f(ad[i], bd[i]);
         }
@@ -341,7 +342,7 @@ impl Layer for Scale {
         h: (usize, usize),
         w: (usize, usize),
     ) -> Option<((usize, usize), (usize, usize))> {
-        (input_shapes.first()?.len() == 4).then_some((h, w))
+        plane_dims(input_shapes.first()?).map(|_| (h, w))
     }
 
     fn forward_region(
@@ -355,12 +356,12 @@ impl Layer for Scale {
         let _ = ws;
         check_arity(&self.name, 1, inputs.len())?;
         let x = inputs[0];
-        if x.rank() != 4 || out.shape() != x.shape() {
+        if plane_dims(x.shape()).is_none() || out.shape() != x.shape() {
             return Ok(false);
         }
         let src = x.data();
         let dst = out.data_mut();
-        crate::layers::for_each_window_row(x.shape(), h, w, |a, b| {
+        for_each_window_row(x.shape(), h, w, |a, b| {
             for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
                 *d = s * self.factor;
             }
@@ -462,9 +463,14 @@ impl Layer for Concat {
         w: (usize, usize),
     ) -> Option<((usize, usize), (usize, usize))> {
         // Channel concat of NCHW tensors preserves spatial coordinates, so
-        // the output window is the input window. Other axes reshuffle flat
-        // layout and fall back to a full recompute.
-        (self.axis == 1 && input_shapes.first()?.len() == 4).then_some((h, w))
+        // the output window is the input window; feature concat of token
+        // rows keeps each row a row, across every input's features. Other
+        // axes reshuffle flat layout and fall back to a full recompute.
+        match (self.axis, input_shapes.first()?.len()) {
+            (1, 4) => Some((h, w)),
+            (1, 2) => Some((h, ALL_COLUMNS)),
+            _ => None,
+        }
     }
 
     fn forward_region(
@@ -480,6 +486,9 @@ impl Layer for Concat {
             return Ok(false);
         }
         let s0 = inputs[0].shape();
+        if s0.len() == 2 {
+            return Ok(concat_feature_rows(inputs, (h0, h1), out));
+        }
         if s0.len() != 4 {
             return Ok(false);
         }
@@ -526,6 +535,35 @@ impl Layer for Concat {
         }
         Ok(true)
     }
+}
+
+/// Windowed feature concat of rank-2 `[tokens, features]` inputs: rows
+/// `h` of each input, copied side by side into the same rows of `out`.
+/// `false`, without writing, when the inputs do not share a row count or
+/// `out` is not their concatenation.
+fn concat_feature_rows(inputs: &[&Tensor], (h0, h1): (usize, usize), out: &mut Tensor) -> bool {
+    let rows = inputs[0].shape()[0];
+    let mut total = 0usize;
+    for t in inputs {
+        match *t.shape() {
+            [r, f] if r == rows => total += f,
+            _ => return false,
+        }
+    }
+    if out.shape() != [rows, total] {
+        return false;
+    }
+    let od = out.data_mut();
+    for r in h0.min(rows)..h1.min(rows) {
+        let mut dst = &mut od[r * total..(r + 1) * total];
+        for t in inputs {
+            let f = t.shape()[1];
+            let (head, rest) = dst.split_at_mut(f);
+            head.copy_from_slice(&t.data()[r * f..(r + 1) * f]);
+            dst = rest;
+        }
+    }
+    true
 }
 
 #[cfg(test)]

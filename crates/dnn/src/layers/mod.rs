@@ -163,10 +163,19 @@ pub trait Layer: Send + Sync {
     }
 
     /// Maps a spatial window of the layer's inputs to the window of outputs
-    /// that can depend on it, for layers whose inputs and output are rank-4
-    /// NCHW and whose dataflow is spatially local. `h`/`w` are half-open
-    /// `[lo, hi)` row/column ranges shared by every input (multi-input
-    /// layers that support regions have equal spatial dims across inputs).
+    /// that can depend on it, for layers whose dataflow is local in rows.
+    /// `h`/`w` are half-open `[lo, hi)` row/column ranges shared by every
+    /// input (multi-input layers that support regions have equal row
+    /// counts, and equal spatial dims on rank 4, across inputs). On a
+    /// rank-4 NCHW tensor they index its spatial rows and columns; on a
+    /// rank-2 `[tokens, features]` tensor, viewed as one plane, its token
+    /// rows and feature columns. Pointwise layers map a window to itself;
+    /// layers whose outputs read a whole token row (dense, layer norm,
+    /// softmax, concat on features) map rows `h` to the same rows and every
+    /// column, `(0, usize::MAX)`, which window consumers clamp to the
+    /// output's width. The delta walk widens every window but a conv's or
+    /// a pool's to full-width rows, so it reads only the rows of such a
+    /// window.
     ///
     /// The input window the delta resume path passes in is exact: the
     /// bounding box of the elements whose bits differ from golden (see
@@ -188,11 +197,13 @@ pub trait Layer: Send + Sync {
         None
     }
 
-    /// Recomputes only the output elements in the spatial window `h × w`
-    /// (all batches and channels), writing them into `out` and leaving every
-    /// other element untouched. Returns `Ok(false)` — without writing — when
-    /// the layer does not support windowed recomputation; the caller then
-    /// falls back to a full [`Layer::forward`].
+    /// Recomputes only the output elements in the window `h × w` (all
+    /// batches and channels of a rank-4 output; the rows × columns of a
+    /// rank-2 one), writing them into `out` and leaving every other element
+    /// untouched. A layer whose [`Layer::region_map`] answers full rows
+    /// writes every column of the rows `h`. Returns `Ok(false)` — without
+    /// writing — when the layer does not support windowed recomputation;
+    /// the caller then falls back to a full [`Layer::forward`].
     ///
     /// Implementations must produce values byte-identical to what
     /// [`Layer::forward`] would place at the same offsets: the walk compares
@@ -215,19 +226,42 @@ pub trait Layer: Send + Sync {
     }
 }
 
+/// The column range of a window that spans every column of its rows, for
+/// [`Layer::region_map`]s whose outputs read whole rows; consumers clamp it
+/// to the tensor's width.
+pub(crate) const ALL_COLUMNS: (usize, usize) = (0, usize::MAX);
+
+/// The `[batch, channels, rows, cols]` view the delta walk windows a
+/// tensor through: a rank-4 NCHW tensor as it is, a rank-2
+/// `[tokens, features]` tensor as one plane `[1, 1, tokens, features]`, and
+/// `None` for every other rank (no window: the walk treats it whole).
+pub(crate) fn plane_dims(shape: &[usize]) -> Option<[usize; 4]> {
+    match *shape {
+        [n, c, h, w] => Some([n, c, h, w]),
+        [h, w] => Some([1, 1, h, w]),
+        _ => None,
+    }
+}
+
 /// Calls `f(start, end)` with the flat index range of each spatial row
-/// segment in the window `h × w` of a rank-4 NCHW tensor, for every batch
-/// and channel. Ranges are clamped to the shape; an empty window calls `f`
-/// zero times. A window spanning full rows is one contiguous band per
-/// channel plane, so it is emitted as one range per plane.
+/// segment in the window `h × w` of a rank-4 NCHW or rank-2 tensor (see
+/// [`plane_dims`]), for every batch and channel. Ranges are clamped to the
+/// shape, and an empty window calls `f` zero times. A window spanning full
+/// rows is one contiguous band per channel plane, so it is emitted as one
+/// range per plane.
+///
+/// # Panics
+///
+/// On a tensor of any other rank: it has no window view, and writing
+/// nothing would leave stale bits behind.
 pub(crate) fn for_each_window_row(
     shape: &[usize],
     (h0, h1): (usize, usize),
     (w0, w1): (usize, usize),
     mut f: impl FnMut(usize, usize),
 ) {
-    debug_assert_eq!(shape.len(), 4);
-    let (planes, hh, ww) = (shape[0] * shape[1], shape[2], shape[3]);
+    let [n, c, hh, ww] = plane_dims(shape).expect("window view needs rank 2 or 4");
+    let planes = n * c;
     let (h0, h1) = (h0.min(hh), h1.min(hh));
     let (w0, w1) = (w0.min(ww), w1.min(ww));
     if h0 >= h1 || w0 >= w1 {

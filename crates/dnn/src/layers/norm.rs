@@ -1,7 +1,7 @@
 //! Normalization layers.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind};
+use crate::layers::{check_arity, for_each_window_row, plane_dims, Layer, LayerKind, ALL_COLUMNS};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -132,7 +132,7 @@ impl Layer for ScaleShift {
         let src = x.data();
         let (gamma, beta) = (self.gamma.data(), self.beta.data());
         let dst = out.data_mut();
-        crate::layers::for_each_window_row(x.shape(), h, w, |a, b| {
+        for_each_window_row(x.shape(), h, w, |a, b| {
             let ch = (a / hw) % c;
             let (g, bt) = (gamma[ch], beta[ch]);
             for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
@@ -176,6 +176,18 @@ impl LayerNorm {
             eps: 1e-5,
         })
     }
+
+    /// Normalizes one row of `gamma.len()` features in place: the math of
+    /// both [`Layer::forward`] and [`Layer::forward_region`].
+    fn normalize_row(&self, row: &mut [f32]) {
+        let last = row.len();
+        let mean: f32 = row.iter().sum::<f32>() / last as f32;
+        let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / last as f32;
+        let denom = (var + self.eps).sqrt();
+        for (i, v) in row.iter_mut().enumerate() {
+            *v = self.gamma.data()[i] * ((*v - mean) / denom) + self.beta.data()[i];
+        }
+    }
 }
 
 impl Layer for LayerNorm {
@@ -203,15 +215,8 @@ impl Layer for LayerNorm {
             });
         }
         let mut out = ws.clone_of(x);
-        let rows = x.len() / last;
-        for r in 0..rows {
-            let row = &mut out.data_mut()[r * last..(r + 1) * last];
-            let mean: f32 = row.iter().sum::<f32>() / last as f32;
-            let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / last as f32;
-            let denom = (var + self.eps).sqrt();
-            for (i, v) in row.iter_mut().enumerate() {
-                *v = self.gamma.data()[i] * ((*v - mean) / denom) + self.beta.data()[i];
-            }
+        for row in out.data_mut().chunks_exact_mut(last) {
+            self.normalize_row(row);
         }
         Ok(out)
     }
@@ -219,6 +224,47 @@ impl Layer for LayerNorm {
     fn quantize_weights(&mut self, codec: &ValueCodec) {
         codec.quantize_slice(self.gamma.data_mut());
         codec.quantize_slice(self.beta.data_mut());
+    }
+
+    fn region_map(
+        &self,
+        input_shapes: &[&[usize]],
+        h: (usize, usize),
+        w: (usize, usize),
+    ) -> Option<((usize, usize), (usize, usize))> {
+        // Each row is normalized on its own, so a dirty element dirties
+        // exactly its row.
+        let _ = w;
+        let [_, _, _, cols] = plane_dims(input_shapes.first()?)?;
+        (cols == self.gamma.len()).then_some((h, ALL_COLUMNS))
+    }
+
+    fn forward_region(
+        &self,
+        inputs: &[&Tensor],
+        h: (usize, usize),
+        w: (usize, usize),
+        out: &mut Tensor,
+        ws: &mut Workspace,
+    ) -> Result<bool, DnnError> {
+        let _ = (w, ws);
+        check_arity(&self.name, 1, inputs.len())?;
+        let x = inputs[0];
+        let Some([_, _, _, cols]) = plane_dims(x.shape()) else {
+            return Ok(false);
+        };
+        if cols != self.gamma.len() || out.shape() != x.shape() {
+            return Ok(false);
+        }
+        let src = x.data();
+        let dst = out.data_mut();
+        for_each_window_row(x.shape(), h, (0, cols), |a, b| {
+            dst[a..b].copy_from_slice(&src[a..b]);
+            for row in dst[a..b].chunks_exact_mut(cols) {
+                self.normalize_row(row);
+            }
+        });
+        Ok(true)
     }
 }
 

@@ -24,12 +24,15 @@ use crate::tensor::Tensor;
 /// The part of one node's output the delta resume path has modified
 /// relative to the golden trace: either the whole tensor, or — for rank-4
 /// NCHW outputs — every batch and channel of the spatial window
-/// `rows [h0, h1) × cols [w0, w1)`.
+/// `rows [h0, h1) × cols [w0, w1)`, or — for rank-2 `[tokens, features]`
+/// outputs, viewed as one plane — the token rows `[h0, h1)` × the feature
+/// columns `[w0, w1)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Region {
     /// The entire output may differ.
     All,
-    /// Only the spatial window differs (all batches / channels).
+    /// Only the window differs (all batches / channels of a rank-4
+    /// tensor; rows × columns of a rank-2 one).
     Window {
         /// `[h0, h1)` output rows.
         h: (usize, usize),

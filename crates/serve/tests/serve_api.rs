@@ -70,6 +70,27 @@ fn wait_running(client: &Client) {
     panic!("no job reached the running state");
 }
 
+/// Polls job `id` until its progress shows at least one committed cell
+/// (bounded).
+fn wait_cells_done(client: &Client, id: &str) {
+    let key = "\"cells_done\":";
+    for _ in 0..2000 {
+        let body = client.status(id).unwrap().body;
+        let done = body.find(key).map_or(0.0, |at| {
+            let rest = &body[at + key.len()..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .unwrap_or(rest.len());
+            rest[..end].parse::<f64>().unwrap_or(0.0)
+        });
+        if done >= 1.0 {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("job {id} committed no cell");
+}
+
 #[test]
 fn submit_poll_stream_and_graceful_shutdown() {
     let (handle, client) = daemon("e2e", 4);
@@ -189,11 +210,14 @@ fn cancellation_is_cooperative_and_checkpointed() {
     let (handle, client) = daemon("cancel", 4);
     let state_dir = scratch("cancel");
 
-    let reply = client.submit(&slow(31, 0)).unwrap();
+    // 63 cells of 20,000 injections each on 2 threads: once the first cell
+    // commits, some 30 cell-times of work remain, so the cancel lands long
+    // before the job could finish, however fast a cell runs.
+    let body = "{\"network\":\"lstm\",\"samples\":20000,\"seed\":31}";
+    let reply = client.submit(body).unwrap();
     assert_eq!(reply.status, 202);
     let id = id_of(&reply.body);
-    wait_running(&client);
-    std::thread::sleep(Duration::from_millis(300)); // let some cells commit
+    wait_cells_done(&client, &id);
 
     let cancel = client.cancel(&id).unwrap();
     assert_eq!(cancel.status, 202, "{}", cancel.body);

@@ -11,22 +11,60 @@ use fidelity_core::outcome::CorrectnessMetric;
 use fidelity_dnn::tensor::Tensor;
 
 /// Greedy per-position decode of a `[seq, vocab]` logit matrix into token
-/// ids.
+/// ids: each row's largest non-NaN logit in [`f32::total_cmp`] order (so
+/// −0 < +0), the last of equal maxima, and token 0 for a row with none.
 pub fn decode_tokens(logits: &Tensor) -> Vec<usize> {
-    if logits.rank() != 2 {
-        return Vec::new();
+    let mut tokens = vec![0; seq_len(logits)];
+    decode_into(logits, &mut tokens);
+    tokens
+}
+
+/// Rows of a rank-2 logit matrix; 0 for any other rank.
+fn seq_len(logits: &Tensor) -> usize {
+    if logits.rank() == 2 {
+        logits.shape()[0]
+    } else {
+        0
     }
-    let (seq, vocab) = (logits.shape()[0], logits.shape()[1]);
-    (0..seq)
-        .map(|t| {
-            let row = &logits.data()[t * vocab..(t + 1) * vocab];
-            row.iter()
-                .enumerate()
-                .filter(|(_, v)| !v.is_nan())
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map_or(0, |(i, _)| i)
+}
+
+/// [`decode_tokens`] into `tokens`, which holds [`seq_len`] ids.
+fn decode_into(logits: &Tensor, tokens: &mut [usize]) {
+    if tokens.is_empty() {
+        return;
+    }
+    let vocab = logits.shape()[1];
+    for (t, token) in tokens.iter_mut().enumerate() {
+        *token = argmax(&logits.data()[t * vocab..][..vocab]);
+    }
+}
+
+/// The index [`decode_tokens`] picks in one row, as one max-reduction that
+/// vectorizes: each logit becomes a signed integer key that orders like
+/// [`f32::total_cmp`], in the high half of an `i64` whose low half is its
+/// index, so the largest word is the largest key and, among equal keys,
+/// the last index (rows are far shorter than the 2³² indices the low half
+/// holds). A NaN takes the key `i32::MIN`, which no other value has, so it
+/// never wins and a row of NaNs keeps token 0.
+fn argmax(row: &[f32]) -> usize {
+    let best = row
+        .iter()
+        .zip(0u32..)
+        .map(|(&v, i)| {
+            // `total_cmp`'s key: negative values have their magnitude bits
+            // flipped, so the signed order of keys is the total order.
+            let bits = v.to_bits() as i32;
+            let key = bits ^ (((bits >> 31) as u32) >> 1) as i32;
+            let key = if v.is_nan() { i32::MIN } else { key };
+            (i64::from(key) << 32) | i64::from(i)
         })
-        .collect()
+        .max()
+        .unwrap_or(i64::MIN);
+    if (best >> 32) as i32 == i32::MIN {
+        0
+    } else {
+        (best & 0xFFFF_FFFF) as usize
+    }
 }
 
 /// BLEU-4 with uniform n-gram weights and brevity penalty, computed from
@@ -38,10 +76,16 @@ pub fn bleu4(reference: &[usize], hypothesis: &[usize]) -> f64 {
         return if reference == hypothesis { 1.0 } else { 0.0 };
     }
     const EPS: f64 = 1e-7;
+    let matched = clipped_matches(reference, hypothesis);
     let mut log_sum = 0.0;
-    for n in 1..=4usize {
-        let p = ngram_precision(reference, hypothesis, n).max(EPS);
-        log_sum += p.ln() / 4.0;
+    for (n, &m) in (1..=4usize).zip(&matched) {
+        // Order-n precision: clipped matches over the hypothesis's n-grams.
+        let p = if hypothesis.len() < n {
+            0.0
+        } else {
+            m as f64 / (hypothesis.len() - n + 1) as f64
+        };
+        log_sum += p.max(EPS).ln() / 4.0;
     }
     let bp = if hypothesis.len() >= reference.len() {
         1.0
@@ -51,25 +95,49 @@ pub fn bleu4(reference: &[usize], hypothesis: &[usize]) -> f64 {
     (bp * log_sum.exp()).clamp(0.0, 1.0)
 }
 
-fn ngram_precision(reference: &[usize], hypothesis: &[usize], n: usize) -> f64 {
-    if hypothesis.len() < n {
-        return 0.0;
-    }
-    let count = |s: &[usize]| {
-        let mut map = std::collections::HashMap::new();
-        for w in s.windows(n) {
-            *map.entry(w.to_vec()).or_insert(0usize) += 1;
+/// Clipped n-gram matches of orders 1 to 4, without counting n-grams in
+/// tables: `Σ_g min(count_hyp(g), count_ref(g))` over the distinct n-grams
+/// `g` of the hypothesis, for each `n`.
+///
+/// The common run of the hypothesis at `i` and a sequence at `j` (how many
+/// tokens agree from there on, capped at 4) says at once for which orders
+/// the n-grams starting there are equal. Counting runs against every
+/// reference position gives each order's reference count of the n-gram at
+/// `i`; counting them against the earlier hypothesis positions gives how
+/// many equal n-grams came before it. The occurrence at `i` is matched when
+/// fewer came before it than the reference holds, which over a group of
+/// equal n-grams sums to the clipped count.
+fn clipped_matches(reference: &[usize], hypothesis: &[usize]) -> [usize; 4] {
+    let run = |a: &[usize], b: &[usize]| {
+        let mut n = 0;
+        while n < 4 && n < a.len() && n < b.len() && a[n] == b[n] {
+            n += 1;
         }
-        map
+        n
     };
-    let ref_counts = count(reference);
-    let hyp_counts = count(hypothesis);
-    let total: usize = hyp_counts.values().sum();
-    let matched: usize = hyp_counts
-        .iter()
-        .map(|(g, c)| (*c).min(ref_counts.get(g).copied().unwrap_or(0)))
-        .sum();
-    matched as f64 / total as f64
+    let mut matched = [0usize; 4];
+    for i in 0..hypothesis.len() {
+        let gram = &hypothesis[i..];
+        let mut in_ref = [0usize; 4];
+        for j in 0..reference.len() {
+            for count in &mut in_ref[..run(gram, &reference[j..])] {
+                *count += 1;
+            }
+        }
+        if in_ref[0] == 0 {
+            continue; // no order can match: the token is not in the reference
+        }
+        let mut before = [0usize; 4];
+        for k in 0..i {
+            for count in &mut before[..run(gram, &hypothesis[k..])] {
+                *count += 1;
+            }
+        }
+        for ((m, &r), &b) in matched.iter_mut().zip(&in_ref).zip(&before) {
+            *m += usize::from(b < r);
+        }
+    }
+    matched
 }
 
 /// Translation metric: the faulty output is correct when its BLEU score
@@ -105,8 +173,11 @@ impl CorrectnessMetric for BleuThreshold {
     }
 
     fn is_correct(&self, golden: &Tensor, observed: &Tensor) -> bool {
-        let reference = decode_tokens(golden);
-        let hypothesis = decode_tokens(observed);
+        // Both decodes share one buffer.
+        let mut tokens = vec![0; seq_len(golden) + seq_len(observed)];
+        let (reference, hypothesis) = tokens.split_at_mut(seq_len(golden));
+        decode_into(golden, reference);
+        decode_into(observed, hypothesis);
         // Identical decodes of length ≥ 4 score exactly 1: every n-gram
         // precision is 1, ln 1 = 0, exp 0 = 1 and there is no brevity
         // penalty. Shorter ones take the full path, where a missing n-gram
@@ -115,7 +186,7 @@ impl CorrectnessMetric for BleuThreshold {
             return true;
         }
         // Fault-free score is BLEU(ref, ref) = 1; the difference is 1 − BLEU.
-        1.0 - bleu4(&reference, &hypothesis) <= self.threshold
+        1.0 - bleu4(reference, hypothesis) <= self.threshold
     }
 }
 
@@ -270,6 +341,136 @@ impl CorrectnessMetric for DetectionThreshold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fidelity_dnn::init::SplitMix64;
+
+    /// The decode [`decode_tokens`] replaced, kept as its reference:
+    /// `max_by(total_cmp)` over each row's non-NaN logits.
+    fn decode_reference(logits: &Tensor) -> Vec<usize> {
+        if logits.rank() != 2 {
+            return Vec::new();
+        }
+        let (seq, vocab) = (logits.shape()[0], logits.shape()[1]);
+        (0..seq)
+            .map(|t| {
+                let row = &logits.data()[t * vocab..(t + 1) * vocab];
+                row.iter()
+                    .enumerate()
+                    .filter(|(_, v)| !v.is_nan())
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .map_or(0, |(i, _)| i)
+            })
+            .collect()
+    }
+
+    /// The BLEU-4 [`bleu4`] replaced, kept as its reference: n-gram count
+    /// tables in hash maps.
+    fn bleu4_reference(reference: &[usize], hypothesis: &[usize]) -> f64 {
+        if reference.is_empty() || hypothesis.is_empty() {
+            return if reference == hypothesis { 1.0 } else { 0.0 };
+        }
+        const EPS: f64 = 1e-7;
+        let mut log_sum = 0.0;
+        for n in 1..=4usize {
+            let p = ngram_precision_reference(reference, hypothesis, n).max(EPS);
+            log_sum += p.ln() / 4.0;
+        }
+        let bp = if hypothesis.len() >= reference.len() {
+            1.0
+        } else {
+            (1.0 - reference.len() as f64 / hypothesis.len() as f64).exp()
+        };
+        (bp * log_sum.exp()).clamp(0.0, 1.0)
+    }
+
+    fn ngram_precision_reference(reference: &[usize], hypothesis: &[usize], n: usize) -> f64 {
+        if hypothesis.len() < n {
+            return 0.0;
+        }
+        let count = |s: &[usize]| {
+            let mut map = std::collections::HashMap::new();
+            for w in s.windows(n) {
+                *map.entry(w.to_vec()).or_insert(0usize) += 1;
+            }
+            map
+        };
+        let ref_counts = count(reference);
+        let hyp_counts = count(hypothesis);
+        let total: usize = hyp_counts.values().sum();
+        let matched: usize = hyp_counts
+            .iter()
+            .map(|(g, c)| (*c).min(ref_counts.get(g).copied().unwrap_or(0)))
+            .sum();
+        matched as f64 / total as f64
+    }
+
+    /// Random token sequence of length 0–20 over a vocabulary of 1–6, so
+    /// that n-grams repeat and lengths below 4 occur.
+    fn token_case(rng: &mut SplitMix64, vocab: u64) -> Vec<usize> {
+        let len = rng.next_below(21);
+        (0..len).map(|_| rng.next_below(vocab) as usize).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        /// The run-table BLEU gives the hash-map BLEU's f64 bits, on
+        /// unrelated sequences and on hypotheses edited from the
+        /// reference.
+        #[test]
+        fn bleu4_matches_hash_map_reference(seed in 0u64..u64::MAX) {
+            let mut rng = SplitMix64::new(seed);
+            let vocab = 1 + rng.next_below(6);
+            let reference = token_case(&mut rng, vocab);
+            let mut hypothesis = token_case(&mut rng, vocab);
+            if rng.next_below(2) == 0 {
+                hypothesis = reference.clone();
+                for _ in 0..rng.next_below(4) {
+                    if !hypothesis.is_empty() {
+                        let t = rng.next_below(hypothesis.len() as u64) as usize;
+                        hypothesis[t] = rng.next_below(vocab) as usize;
+                    }
+                }
+            }
+            for (r, h) in [(&reference, &hypothesis), (&hypothesis, &reference)] {
+                proptest::prop_assert_eq!(
+                    bleu4(r, h).to_bits(),
+                    bleu4_reference(r, h).to_bits(),
+                    "{:?} vs {:?}",
+                    r,
+                    h
+                );
+            }
+        }
+
+        /// The integer-key decode picks `max_by(total_cmp)`'s token on rows
+        /// of NaN, ±0, ±∞, subnormals and ties.
+        #[test]
+        fn decode_matches_max_by_reference(seed in 0u64..u64::MAX) {
+            let mut rng = SplitMix64::new(seed);
+            let (seq, vocab) = (rng.next_below(5) as usize, rng.next_below(9) as usize);
+            let pool = [
+                f32::NAN,
+                -f32::NAN,
+                f32::from_bits(0xFFFF_FFFF),
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f32::MIN_POSITIVE / 4.0,
+                -f32::MIN_POSITIVE / 4.0,
+                f32::MAX,
+                f32::MIN,
+                1.0,
+                -1.0,
+                0.5,
+            ];
+            let data: Vec<f32> = (0..seq * vocab)
+                .map(|_| pool[rng.next_below(pool.len() as u64) as usize])
+                .collect();
+            let logits = Tensor::from_vec(vec![seq, vocab], data).unwrap();
+            proptest::prop_assert_eq!(decode_tokens(&logits), decode_reference(&logits));
+        }
+    }
 
     #[test]
     fn bleu_identity_is_one() {

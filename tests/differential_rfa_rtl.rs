@@ -35,7 +35,10 @@ use fidelity::core::validate::{random_sites, validate_many, ValidationReport};
 use fidelity::core::validate_systolic::{random_systolic_sites, validate_systolic_many};
 use fidelity::dnn::graph::{golden_key, Engine, NetworkBuilder, Trace};
 use fidelity::dnn::init::{uniform_tensor, SplitMix64};
-use fidelity::dnn::layers::{Activation, ActivationKind, Conv2d, Dense, Flatten, GlobalAvgPool};
+use fidelity::dnn::layers::{
+    Activation, ActivationKind, Add, Conv2d, Dense, Flatten, GlobalAvgPool, LayerNorm, MatMul,
+    Scale, Softmax,
+};
 use fidelity::dnn::macspec::{ConvSpec, DenseSpec, MacSpec, MatMulSpec};
 use fidelity::dnn::precision::{Precision, ValueCodec};
 use fidelity::dnn::workspace::Workspace;
@@ -383,6 +386,57 @@ fn seeded_engine_with_traces(seed: u64) -> (Engine, Vec<Trace>) {
     (engine, traces)
 }
 
+/// A small seeded attention engine over `[tokens, features]` rows — Q/K/V
+/// projections, `Q·Kᵀ`, scale, softmax, `·V`, output projection, residual
+/// and layer norm — and two traces on different token embeddings: the
+/// rank-2 sites of the batched sweep.
+fn seeded_attention_with_traces(seed: u64) -> (Engine, Vec<Trace>) {
+    let (tokens, d) = (5, 8);
+    let proj = |name: &str, s: u64| Dense::new(name, uniform_tensor(s, vec![d, d], 0.6)).unwrap();
+    let net = NetworkBuilder::new("diff_attn")
+        .input("x")
+        .layer(proj("q", seed ^ 4), &["x"])
+        .unwrap()
+        .layer(proj("k", seed ^ 5), &["x"])
+        .unwrap()
+        .layer(proj("v", seed ^ 6), &["x"])
+        .unwrap()
+        .layer(MatMul::transposed("scores"), &["q", "k"])
+        .unwrap()
+        .layer(Scale::new("scaled", 0.35), &["scores"])
+        .unwrap()
+        .layer(Softmax::new("attn"), &["scaled"])
+        .unwrap()
+        .layer(MatMul::new("ctx"), &["attn", "v"])
+        .unwrap()
+        .layer(proj("out", seed ^ 7), &["ctx"])
+        .unwrap()
+        .layer(Add::new("res"), &["out", "x"])
+        .unwrap()
+        .layer(
+            LayerNorm::new(
+                "ln",
+                uniform_tensor(seed ^ 8, vec![d], 0.1).map(|v| 1.0 + v),
+                uniform_tensor(seed ^ 9, vec![d], 0.1),
+            )
+            .unwrap(),
+            &["res"],
+        )
+        .unwrap()
+        .build()
+        .unwrap();
+    let engine = Engine::new(net, Precision::Fp16, &[]).unwrap();
+    let traces = [seed ^ 10, seed ^ 11]
+        .iter()
+        .map(|&s| {
+            engine
+                .trace(&[uniform_tensor(s, vec![tokens, d], 1.0)])
+                .unwrap()
+        })
+        .collect();
+    (engine, traces)
+}
+
 /// Canonical byte record of one injection outcome — the unit the batched
 /// sweep's "first divergent byte" diagnostics are stated in.
 fn injection_record(inj: &Injection) -> Vec<u8> {
@@ -398,19 +452,34 @@ fn injection_record(inj: &Injection) -> Vec<u8> {
 /// census category with a software model, and batch sizes straddling the
 /// re-ensure cadence, injections driven through `BatchedInjectionRunner`
 /// (alternating between two trace groups) must be byte-identical to the
-/// serial pooled oracle on a fresh workspace. A mismatch names the group
-/// (golden key), the cell (node, category, sample), and the first divergent
-/// byte of the canonical record.
+/// serial pooled oracle on a fresh workspace — at the conv classifier's
+/// first node, and at every MAC node of the attention engine, whose cones
+/// walk rank-2 token-row windows. A mismatch names the group (golden key),
+/// the cell (node, category, sample), and the first divergent byte of the
+/// canonical record.
 #[test]
 fn batched_runner_matches_serial_oracle_over_corpus() {
-    const SAMPLES: usize = 8;
-    let cfg = presets::nvdla_like();
     for &seed in &golden_seeds() {
         let (engine, traces) = seeded_engine_with_traces(seed);
-        let keys: Vec<u64> = traces.iter().map(golden_key).collect();
-        for batch in [1usize, 7, 64] {
-            let mut runner = BatchedInjectionRunner::new(batch);
-            let mut oracle_ws = Workspace::new();
+        assert_batched_matches_serial(seed, &engine, &traces, &[0]);
+        let (engine, traces) = seeded_attention_with_traces(seed);
+        let mac_nodes: Vec<usize> = (0..engine.network().node_count())
+            .filter(|&i| engine.network().layer(i).kind().is_mac())
+            .collect();
+        assert_eq!(mac_nodes.len(), 6, "q, k, v, scores, ctx, out");
+        assert_batched_matches_serial(seed, &engine, &traces, &mac_nodes);
+    }
+}
+
+/// The batched sweep of one engine and its trace groups at `nodes`.
+fn assert_batched_matches_serial(seed: u64, engine: &Engine, traces: &[Trace], nodes: &[usize]) {
+    const SAMPLES: usize = 8;
+    let cfg = presets::nvdla_like();
+    let keys: Vec<u64> = traces.iter().map(golden_key).collect();
+    for batch in [1usize, 7, 64] {
+        let mut runner = BatchedInjectionRunner::new(batch);
+        let mut oracle_ws = Workspace::new();
+        for &node in nodes {
             for (category, _) in cfg.census.iter() {
                 let Some(model) = model_for(category, &cfg) else {
                     continue;
@@ -421,12 +490,12 @@ fn batched_runner_matches_serial_oracle_over_corpus() {
                     let mut rng_s = SplitMix64::new(seed ^ (group as u64) << 8);
                     for sample in 0..SAMPLES {
                         let batched = runner
-                            .run(&engine, trace, 0, model, &TopOneMatch, &mut rng_b, None)
+                            .run(engine, trace, node, model, &TopOneMatch, &mut rng_b, None)
                             .unwrap();
                         let serial = inject_once_pooled(
-                            &engine,
+                            engine,
                             trace,
-                            0,
+                            node,
                             model,
                             &TopOneMatch,
                             &mut rng_s,
@@ -443,7 +512,7 @@ fn batched_runner_matches_serial_oracle_over_corpus() {
                                 .unwrap_or_else(|| rb.len().min(rs.len()));
                             panic!(
                                 "batched sweep mismatch: seed {seed}, batch {batch}, \
-                                 group {group} (golden key {:#018x}), cell (node 0, \
+                                 group {group} (golden key {:#018x}), cell (node {node}, \
                                  category {category:?}, sample {sample}): first divergent \
                                  byte at offset {byte} (batched {:#04x} vs serial {:#04x})",
                                 keys[group],
@@ -454,15 +523,15 @@ fn batched_runner_matches_serial_oracle_over_corpus() {
                     }
                 }
             }
-            let stats = runner.stats();
-            assert_eq!(
-                stats.delta_eligible, stats.injections,
-                "seed {seed} batch {batch}: every injection should take the delta path"
-            );
-            assert!(
-                stats.groups >= 2,
-                "seed {seed} batch {batch}: alternating traces must form >= 2 groups"
-            );
         }
+        let stats = runner.stats();
+        assert_eq!(
+            stats.delta_eligible, stats.injections,
+            "seed {seed} batch {batch}: every injection should take the delta path"
+        );
+        assert!(
+            stats.groups >= 2,
+            "seed {seed} batch {batch}: alternating traces must form >= 2 groups"
+        );
     }
 }
