@@ -324,12 +324,10 @@ fn sparse_region(shape: &[usize], neurons: impl IntoIterator<Item = usize>) -> O
 /// row band `rows` (all rows when `None`) is quantized with `quant` (when
 /// set), clamped to `bound` (when set) and written back, and the XOR of its
 /// bits with golden's is ORed into a divergence word.
-/// * On a rank-4 NCHW output the band covers full rows, so it is one
+/// * On a rank-4 NCHW output, or a rank-2 `[tokens, features]` output
+///   viewed as one plane, the band covers full rows, so it is one
 ///   contiguous slice per channel plane, and `mask` holds one word per
 ///   (row, column) of the band.
-/// * On a rank-2 `[tokens, features]` output each row of the band ORs into
-///   one word of its own: every consumer of a token row recomputes it full
-///   width, so only which rows diverge matters.
 /// * Other ranks settle in one flat pass that ORs into a single word.
 ///
 /// Returns the exact divergence: the bounding box (rank 4) of the elements
@@ -381,9 +379,8 @@ fn settle_with(
 ) -> Option<Region> {
     let shape = gold.shape();
     let (cur, gold) = (cur.data_mut(), gold.data());
-    // Settles one run and returns the OR of its bit differences. The run
-    // goes in blocks of 8 with one accumulator per lane, so a short token
-    // row is whole vectors, not the scalar tail of a long vector loop.
+    // Settles a flat run and returns the OR of its bit differences, in
+    // blocks of 8 with one accumulator per lane.
     let settle_run = |cur: &mut [f32], gold: &[f32]| {
         let mut diff = [0u32; 8];
         let (mut cur, mut gold) = (cur.chunks_exact_mut(8), gold.chunks_exact(8));
@@ -409,20 +406,6 @@ fn settle_with(
     if h0 >= h1 || ww == 0 {
         return None;
     }
-    if shape.len() == 2 {
-        let (mut r0, mut r1) = (usize::MAX, 0usize);
-        let band = cur[h0 * ww..h1 * ww].chunks_exact_mut(ww);
-        for (r, (cur, gold)) in (h0..).zip(band.zip(gold[h0 * ww..].chunks_exact(ww))) {
-            if settle_run(cur, gold) != 0 {
-                r0 = r0.min(r);
-                r1 = r + 1;
-            }
-        }
-        return (r0 < r1).then_some(Region::Window {
-            h: (r0, r1),
-            w: (0, ww),
-        });
-    }
     let planes = n * c;
     let band = (h1 - h0) * ww;
     mask.clear();
@@ -436,16 +419,25 @@ fn settle_with(
             *m |= v.to_bits() ^ g.to_bits();
         }
     }
+    // Every consumer of a token row recomputes it full width, so a rank-2
+    // divergence is the full-width band of its rows.
+    let full_width = shape.len() == 2;
     let (mut r0, mut r1, mut c0, mut c1) = (usize::MAX, 0usize, usize::MAX, 0usize);
     for (r, row) in mask.chunks_exact(ww).enumerate() {
-        let Some(first) = row.iter().position(|&m| m != 0) else {
+        // One OR over the row first, which vectorizes; most rows match.
+        if row.iter().fold(0, |a, &m| a | m) == 0 {
             continue;
-        };
-        let last = row.iter().rposition(|&m| m != 0).unwrap_or(first);
+        }
         r0 = r0.min(h0 + r);
         r1 = h0 + r + 1;
-        c0 = c0.min(first);
-        c1 = c1.max(last + 1);
+        if full_width {
+            (c0, c1) = (0, ww);
+        } else {
+            let first = row.iter().position(|&m| m != 0).unwrap_or(0);
+            let last = row.iter().rposition(|&m| m != 0).unwrap_or(first);
+            c0 = c0.min(first);
+            c1 = c1.max(last + 1);
+        }
     }
     (r0 < r1).then_some(Region::Window {
         h: (r0, r1),
@@ -909,8 +901,8 @@ impl Engine {
     /// Each recompute is settled in one pass over its row band: quantize
     /// (unless the node is on grid), clamp (when bounded), write back, and
     /// OR the bits that differ from golden into divergence words: a
-    /// band-sized mask of one word per (row, column) on rank 4, one word
-    /// per token row on rank 2. The dirty region of a node comes from those
+    /// band-sized mask of one word per (row, column) on ranks 4 and 2.
+    /// The dirty region of a node comes from those
     /// words, so it is an exact diff, not an estimate: the bounding box of
     /// the elements whose bits differ from the golden trace (rank 4), the
     /// full-width band of the rows holding them (rank 2), the whole tensor

@@ -178,8 +178,6 @@ impl Layer for Conv2d {
             weight: &self.weight,
         };
         let mut out = ws.zeros(&dims);
-        // Conv has one tier: its lane kernel is output-parallel, so `Fast`
-        // runs the same bits as `Bitwise`.
         c.forward_window_packed(
             &ops,
             &self.panel,

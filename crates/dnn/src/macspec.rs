@@ -152,10 +152,11 @@ impl<'a> MacNode<'a> {
     /// Every value is bit-identical to [`MacSpec::compute_at`] with the
     /// same substitution. Conv layers with more than one output channel per
     /// group and dense layers run the lane micro-kernel over the layer's
-    /// own packed panel: positions go in tiles of up to 4 that share a
-    /// valid tap range, and only the lane blocks that overlap the window's
-    /// channels run. An input substitution is applied as each tile gathers
-    /// its taps' inputs; a weight substitution replaces one lane of one
+    /// own packed panel, through the driver their forwards take: conv
+    /// positions in tiles of up to 4 that share a valid tap range, dense
+    /// rows in tiles of up to 4, and only the lane blocks that overlap the
+    /// window's channels run. An input substitution is applied as a tile
+    /// gathers its inputs; a weight substitution replaces one lane of one
     /// step's weight vector. Each lane still adds its neuron's non-gated
     /// terms in ascending kernel-step order. No operand is copied and no
     /// panel is packed. Depthwise conv and matmul (whose `B` is an
@@ -165,7 +166,7 @@ impl<'a> MacNode<'a> {
     /// # Panics
     ///
     /// Panics if the window is not one of this node's (positions or
-    /// channels out of range, or channels spanning two conv groups).
+    /// channels out of range).
     pub fn recompute(&self, subst: &Substitution, window: &UseWindow, out: &mut Vec<f32>) {
         out.clear();
         out.resize(window.len(), 0.0);
@@ -173,19 +174,17 @@ impl<'a> MacNode<'a> {
             return;
         }
         let x = self.operands.input.data();
+        let (c0, c1) = window.channels;
         match (&self.spec, self.panel) {
             (MacSpec::Conv(c), Some(panel)) if c.group_out_c() > 1 => {
-                let steps = c.group_in_c() * c.kh * c.kw;
-                assert_eq!(
-                    panel.geometry,
-                    (c.out_c, c.groups, steps),
-                    "conv panel packed for a different geometry"
-                );
-                if lanes_for(c.group_out_c()) == 8 {
-                    conv_recompute::<8>(c, x, &panel.data, subst, window, out);
-                } else {
-                    conv_recompute::<16>(c, x, &panel.data, subst, window, out);
-                }
+                c.check_panel(panel);
+                let put = |i: usize, oc: usize, row: &[f32]| {
+                    out[i * (c1 - c0) + oc - c0..][..row.len()].copy_from_slice(row);
+                };
+                // A position's id is its index in the window.
+                let id = |i, _| i;
+                let tiler = &mut ConvTiler::default();
+                conv_lanes(c, x, panel, window, Some(subst), tiler, id, put);
             }
             (MacSpec::Dense(d), Some(panel)) => {
                 assert_eq!(
@@ -193,11 +192,13 @@ impl<'a> MacNode<'a> {
                     (d.out_features, 1, d.in_features),
                     "dense panel packed for a different geometry"
                 );
-                if lanes_for(d.out_features) == 8 {
-                    dense_recompute::<8>(d, x, &panel.data, subst, window, out);
-                } else {
-                    dense_recompute::<16>(d, x, &panel.data, subst, window, out);
-                }
+                // A dense window's planes are its rows, consecutive.
+                let r0 = window.plane0 + window.span.0;
+                let rows = (r0, window.plane0 + window.span.1);
+                let put = |r: usize, j: usize, row: &[f32]| {
+                    out[(r - r0) * (c1 - c0) + j - c0..][..row.len()].copy_from_slice(row);
+                };
+                rows_lanes(x, panel, rows, d.batch, (c0, c1), Some(subst), put);
             }
             _ => {
                 for (v, off) in out.iter_mut().zip(window.neurons()) {
@@ -715,10 +716,15 @@ struct Axis {
 impl Axis {
     /// Every coordinate `0..len`.
     fn all(len: usize) -> Axis {
+        Axis::range((0, len))
+    }
+
+    /// Every coordinate in `[lo, hi)`.
+    fn range((lo, hi): (usize, usize)) -> Axis {
         Axis {
-            first: 0,
+            first: lo,
             step: 1,
-            len,
+            len: hi - lo,
         }
     }
 
@@ -798,12 +804,12 @@ impl UseWindow {
         cols: Axis,
         channels: (usize, usize),
     ) -> UseWindow {
-        let hw = c.out_h() * c.out_w();
+        let (oh, ow) = (c.out_h(), c.out_w());
         UseWindow {
             plane0: planes.0,
             rows,
             cols,
-            strides: (c.out_c * hw, hw, c.out_w()),
+            strides: (c.out_c * oh * ow, oh * ow, ow),
             span: (0, (planes.1 - planes.0) * rows.len * cols.len),
             channels,
         }
@@ -937,11 +943,7 @@ impl UseWindow {
 }
 
 /// Reusable scratch buffers for the [`MacSpec::forward_into_scratch`]
-/// kernels: the second operand packed for the lane kernel (re-packed on
-/// every call, since a raw-operand call cannot know whether its weights
-/// changed, and a matmul's `B` is an activation), the conv tiles and tap
-/// lists, and the row accumulator and per-`kw` column ranges of the
-/// depthwise kernel.
+/// kernels.
 ///
 /// Contents are transient — every kernel invocation fully re-derives what it
 /// reads — so one scratch can be reused across layers and specs of any
@@ -949,18 +951,17 @@ impl UseWindow {
 #[derive(Debug, Default)]
 pub struct KernelScratch {
     /// The second operand of the current raw-operand call or matmul,
-    /// packed on every call. `Conv2d` and `Dense` layers own their panels
-    /// and pack them only when their weights change.
+    /// packed on every call, since such a call cannot know whether its
+    /// weights changed and a matmul's `B` is an activation. `Conv2d` and
+    /// `Dense` layers own their panels and pack them only when their
+    /// weights change.
     panel: LanePanel,
+    /// The conv driver's row and column runs, tap lists and tiles.
+    tiler: ConvTiler,
     /// One accumulator per output column (depthwise conv).
     acc: Vec<f32>,
-    /// Per-`kw` valid `[lo, hi)` output-column ranges (depthwise).
+    /// Per-`kw` valid `[lo, hi)` output-column ranges (depthwise conv).
     ranges: Vec<(usize, usize)>,
-    /// The window's column tiles (conv lane kernel).
-    tiles: Vec<Tile>,
-    /// One tile's non-gated `(kernel step, input offset)` taps (conv lane
-    /// kernel).
-    taps: Vec<(usize, usize)>,
 }
 
 impl KernelScratch {
@@ -1134,11 +1135,38 @@ impl ConvSpec {
         h: (usize, usize),
         w: (usize, usize),
     ) {
+        let (oh_dim, ow_dim) = (self.out_h(), self.out_w());
+        let out_plane = oh_dim * ow_dim;
         assert_eq!(
             out.len(),
-            self.batch * self.out_c * self.out_h() * self.out_w(),
+            self.batch * self.out_c * out_plane,
             "output buffer size mismatch"
         );
+        self.check_panel(panel);
+        let h = (h.0.min(oh_dim), h.1.min(oh_dim));
+        let w = (w.0.min(ow_dim), w.1.min(ow_dim));
+        if h.0 >= h.1 || w.0 >= w.1 {
+            return;
+        }
+        let (x, weight) = (operands.input.data(), operands.weight.data());
+        if self.group_out_c() == 1 {
+            return conv_depthwise_window(self, x, weight, out, scratch, h, w);
+        }
+        let all = (0, self.out_c);
+        let win = UseWindow::conv(self, (0, self.batch), Axis::range(h), Axis::range(w), all);
+        let put = |a: usize, oc: usize, row: &[f32]| {
+            for (k, &v) in row.iter().enumerate() {
+                out[(oc + k) * out_plane + a] = v;
+            }
+        };
+        // A position's id is its output offset at channel 0.
+        let id = |_, base| base;
+        conv_lanes(self, x, panel, &win, None, &mut scratch.tiler, id, put);
+    }
+
+    /// Panics unless `panel` was packed for this conv's `(out_c, groups,
+    /// kernel steps)`.
+    fn check_panel(&self, panel: &LanePanel) {
         assert_eq!(
             panel.geometry,
             (
@@ -1148,20 +1176,6 @@ impl ConvSpec {
             ),
             "conv panel packed for a different geometry"
         );
-        let (oh_dim, ow_dim) = (self.out_h(), self.out_w());
-        let h = (h.0.min(oh_dim), h.1.min(oh_dim));
-        let w = (w.0.min(ow_dim), w.1.min(ow_dim));
-        if h.0 >= h.1 || w.0 >= w.1 {
-            return;
-        }
-        let (x, weight) = (operands.input.data(), operands.weight.data());
-        if self.group_out_c() == 1 {
-            conv_depthwise_window(self, x, weight, out, scratch, h, w);
-        } else if lanes_for(self.group_out_c()) == 8 {
-            conv_lanes::<8>(self, x, &panel.data, out, scratch, h, w);
-        } else {
-            conv_lanes::<16>(self, x, &panel.data, out, scratch, h, w);
-        }
     }
 }
 
@@ -1197,135 +1211,280 @@ fn taps_at(
     valid_taps((o * stride) as isize - pad as isize, dilation, taps, extent)
 }
 
-/// The conv lane kernel (every group with more than one output channel).
-/// The SIMD lanes are output channels: a block of `OCB` channels of one
-/// group accumulates a tile of up to `TILE` output positions in a
-/// `[[f32; OCB]; P]` register array, across every `(ic, kh, kw)` tap,
-/// broadcasting one input per position and loading one packed weight
-/// vector per tap. The positions of a tile share their valid tap range, so
-/// padding taps are skipped for all of them (never added as `+0.0`), and
-/// every neuron adds its terms in ascending kernel-step order into its own
-/// lane: the bits of [`MacSpec::compute_at`].
-fn conv_lanes<const OCB: usize>(
-    c: &ConvSpec,
-    x: &[f32],
-    panel: &[f32],
-    out: &mut [f32],
-    s: &mut KernelScratch,
-    h: (usize, usize),
-    w: (usize, usize),
-) {
-    let (gic, goc) = (c.group_in_c(), c.group_out_c());
-    let blocks = goc.div_ceil(OCB);
-    let steps = gic * c.kh * c.kw;
-    let plane = c.in_h * c.in_w;
-    let out_plane = c.out_h() * c.out_w();
-    let (panel, _) = panel.as_chunks::<OCB>();
-    let KernelScratch { tiles, taps, .. } = s;
-    conv_tiles(c, h, w, tiles);
+/// The conv tiler's buffers. Their contents are transient: each
+/// [`conv_lanes`] call clears them first, so one tiler serves convs of any
+/// shape, and reuse only saves the allocations.
+#[derive(Debug, Default)]
+struct ConvTiler {
+    /// The window's output rows in runs of equal valid kernel rows.
+    rows: Vec<Run>,
+    /// The window's output columns in runs of equal valid kernel columns.
+    cols: Vec<Run>,
+    /// The open tile of each (row run, column run), once a position needs
+    /// it.
+    open: Vec<Option<Tile>>,
+    /// The tiles' tap lists back to back: non-gated `(kernel step, input
+    /// offset from the position's first tap)` in ascending step order.
+    taps: Vec<(usize, usize)>,
+    /// The call's tiles, in the order they filled.
+    tiles: Vec<Tile>,
+    /// One tile's inputs gathered around an input substitution.
+    gathered: Vec<f32>,
+}
 
-    let mut taps_for = None;
-    for t in tiles.iter() {
-        // The tile's non-gated taps in ascending kernel-step order, as
-        // (step, input offset from the position's first tap): rebuilt only
-        // when the valid tap range changes.
-        if taps_for != Some((t.kh, t.kw)) {
-            taps_for = Some((t.kh, t.kw));
-            taps.clear();
-            push_taps(c, t.kh, t.kw, taps);
-        }
-        for b in 0..c.batch {
-            for group in 0..c.groups {
-                let xg = &x[(b * c.in_c + group * gic) * plane..][..gic * plane];
-                let gpanel = &panel[group * blocks * steps..][..blocks * steps];
-                // Lane `l` of position `p` is output channel `oc0 + l` at
-                // `out_at[p]`; padded lanes are dropped.
-                let store = |block: usize, acc: &[[f32; OCB]]| {
-                    let oc0 = group * goc + block * OCB;
-                    let dst = &mut out[(b * c.out_c + oc0) * out_plane..];
-                    for l in 0..OCB.min(goc - block * OCB) {
-                        for (&at, a) in t.out_at.iter().zip(acc) {
-                            dst[l * out_plane + at] = a[l];
-                        }
-                    }
-                };
-                let xs = |p: usize| &xg[t.x_at[p]..];
-                let terms = taps.iter().copied();
-                run_tile(t.n, xs, terms, gpanel, steps, (0, goc), None, store);
+/// A run of a window's consecutive output rows (or columns) with the same
+/// valid kernel rows (columns).
+#[derive(Debug)]
+struct Run {
+    /// Indices `[k0, k1)` along the window's axis.
+    at: (usize, usize),
+    /// The valid kernel taps along the axis.
+    taps: (usize, usize),
+    /// The first coordinate's first valid tap, as an input coordinate, and
+    /// the input coordinates from one output coordinate's to the next
+    /// (both 0 when every tap is gated).
+    x: (usize, usize),
+}
+
+impl Run {
+    /// Appends the runs of `axis`, a progression of output coordinates
+    /// along a conv input axis of `extent` with `taps` kernel taps.
+    fn push_runs(
+        runs: &mut Vec<Run>,
+        axis: &Axis,
+        (stride, pad, dilation): (usize, usize, usize),
+        taps: usize,
+        extent: usize,
+    ) {
+        for k in 0..axis.len {
+            let o = axis.at(k);
+            let range = taps_at(o, stride, pad, dilation, taps, extent);
+            match runs.last_mut() {
+                Some(run) if run.taps == range => run.at.1 = k + 1,
+                _ => runs.push(Run {
+                    at: (k, k + 1),
+                    taps: range,
+                    x: if range.0 < range.1 {
+                        (o * stride + range.0 * dilation - pad, axis.step * stride)
+                    } else {
+                        (0, 0)
+                    },
+                }),
             }
         }
     }
+
+    /// The first valid tap of the run's `k`-th coordinate, as an input
+    /// coordinate.
+    fn x_at(&self, k: usize) -> usize {
+        self.x.0 + (k - self.at.0) * self.x.1
+    }
 }
 
-/// Up to `TILE` output positions sharing their valid kernel rows `kh` and
-/// columns `kw`: one tile of the lane kernel.
-#[derive(Debug)]
+/// Up to [`TILE`] positions sharing a valid tap range: one tile of the
+/// conv driver.
+#[derive(Clone, Copy, Debug, Default)]
 struct Tile {
-    kh: (usize, usize),
-    kw: (usize, usize),
+    /// The tile's tap list, `[lo, hi)` in [`ConvTiler::taps`].
+    taps: (usize, usize),
     n: usize,
-    /// Each position's offset within an output channel plane.
-    out_at: [usize; TILE],
-    /// Each position's first valid tap within an input channel plane.
+    /// Each position's id, handed back to the store.
+    at: [usize; TILE],
+    /// Each position's first valid tap in group 0's first input channel
+    /// of its batch image, as an offset into the input.
     x_at: [usize; TILE],
 }
 
-/// Splits the output window `h × w` into tiles, grouped by valid tap range
-/// so that each range's tap list is built once. Rows with equal valid
-/// kernel rows are contiguous (both ends of the range only move one way
-/// as the row grows), and so are columns; each (row run × column run)
-/// block is tiled in row-major order.
-fn conv_tiles(
+/// The conv driver of the lane kernel, behind the forwards, the forward
+/// windows and the fault recomputes of every conv group with more than one
+/// output channel. The SIMD lanes are output channels: a block of 8 or 16
+/// channels of one group accumulates a tile of up to [`TILE`] positions in
+/// registers, across every `(ic, kh, kw)` tap, broadcasting one input per
+/// position and loading one packed weight vector per tap.
+///
+/// The positions are those of `win`, row by row. A position joins the open
+/// tile of its valid tap range, wherever it sits, and the tiles run once
+/// every position is placed, in the order they filled, the partial ones
+/// last. Rows and columns with equal valid kernel ranges come in runs
+/// (both ends of a range only move one way as the coordinate grows), found
+/// once per call; a position's range is that of its row run and column
+/// run, and each range's tap list is built once. So padding taps
+/// are skipped for every position of a tile (never added as `+0.0`), and
+/// every neuron adds its terms in ascending kernel-step order into its own
+/// lane: the bits of [`MacSpec::compute_at`].
+///
+/// Each tile runs over the lane blocks that overlap the window's channels,
+/// in every group they touch. Each block calls `put(id, channel, values)`
+/// per position with the position's id, the block's first channel in
+/// range and the values of its consecutive channels from there on; a
+/// position's id is `id(index in the window, output offset at channel
+/// 0)`. `subst`, when given, applies as the tile gathers its inputs (an
+/// input substitution) or as one lane of one step's weight vector (a
+/// weight substitution).
+#[allow(clippy::too_many_arguments)]
+fn conv_lanes(
     c: &ConvSpec,
-    (h0, h1): (usize, usize),
-    (w0, w1): (usize, usize),
-    tiles: &mut Vec<Tile>,
+    x: &[f32],
+    panel: &LanePanel,
+    win: &UseWindow,
+    subst: Option<&Substitution>,
+    tiler: &mut ConvTiler,
+    id: impl Fn(usize, usize) -> usize,
+    put: impl FnMut(usize, usize, &[f32]),
 ) {
-    let row_taps = |oh| taps_at(oh, c.stride.0, c.padding.0, c.dilation.0, c.kh, c.in_h);
-    let col_taps = |ow| taps_at(ow, c.stride.1, c.padding.1, c.dilation.1, c.kw, c.in_w);
-    tiles.clear();
-    for (kh, r0, r1) in tap_runs(h0, h1, row_taps) {
-        for (kw, q0, q1) in tap_runs(w0, w1, col_taps) {
-            for oh in r0..r1 {
-                for ow in q0..q1 {
-                    let x_at = first_tap(c, (oh, ow), kh, kw);
-                    let out_at = oh * c.out_w() + ow;
-                    match tiles.last_mut() {
-                        Some(t) if t.kh == kh && t.kw == kw && t.n < TILE => {
-                            t.out_at[t.n] = out_at;
-                            t.x_at[t.n] = x_at;
-                            t.n += 1;
-                        }
-                        _ => tiles.push(Tile {
-                            kh,
-                            kw,
-                            n: 1,
-                            out_at: [out_at; TILE],
-                            x_at: [x_at; TILE],
-                        }),
-                    }
-                }
-            }
-        }
+    if lanes_for(c.group_out_c()) == 8 {
+        conv_lanes_at::<8>(c, x, panel, win, subst, tiler, id, put);
+    } else {
+        conv_lanes_at::<16>(c, x, panel, win, subst, tiler, id, put);
     }
 }
 
-/// The offset within an input channel plane of output position `(oh, ow)`'s
-/// first valid tap, given its valid kernel rows `kh` and columns `kw`;
-/// unused (and never formed) when every tap is gated.
-fn first_tap(
+/// [`conv_lanes`] at `OCB` lanes.
+#[allow(clippy::too_many_arguments)]
+fn conv_lanes_at<const OCB: usize>(
     c: &ConvSpec,
-    (oh, ow): (usize, usize),
-    kh: (usize, usize),
-    kw: (usize, usize),
-) -> usize {
-    if kh.0 < kh.1 && kw.0 < kw.1 {
-        (oh * c.stride.0 + kh.0 * c.dilation.0 - c.padding.0) * c.in_w
-            + ow * c.stride.1
-            + kw.0 * c.dilation.1
-            - c.padding.1
-    } else {
-        0
+    x: &[f32],
+    panel: &LanePanel,
+    win: &UseWindow,
+    subst: Option<&Substitution>,
+    tiler: &mut ConvTiler,
+    id: impl Fn(usize, usize) -> usize,
+    mut put: impl FnMut(usize, usize, &[f32]),
+) {
+    let (gic, goc) = (c.group_in_c(), c.group_out_c());
+    let (blocks, steps) = (goc.div_ceil(OCB), gic * c.kh * c.kw);
+    let plane = c.in_h * c.in_w;
+    let (panel, _) = panel.data.as_chunks::<OCB>();
+    let x_sub = subst
+        .filter(|s| s.kind == OperandKind::Input)
+        .map(|s| (s.offset, s.value));
+    let ConvTiler {
+        rows,
+        cols,
+        open,
+        taps,
+        tiles,
+        gathered,
+    } = tiler;
+    rows.clear();
+    cols.clear();
+    taps.clear();
+    tiles.clear();
+    Run::push_runs(
+        rows,
+        &win.rows,
+        (c.stride.0, c.padding.0, c.dilation.0),
+        c.kh,
+        c.in_h,
+    );
+    Run::push_runs(
+        cols,
+        &win.cols,
+        (c.stride.1, c.padding.1, c.dilation.1),
+        c.kw,
+        c.in_w,
+    );
+    open.clear();
+    open.resize(rows.len() * cols.len(), None);
+
+    // Row by row: the first and last rows may be partial.
+    let (nc, (s0, s1)) = (win.cols.len, win.span);
+    let per_plane = win.rows.len * nc;
+    let mut i = s0;
+    while i < s1 {
+        let (b, at) = (win.plane0 + i / per_plane, i % per_plane);
+        let (r, k0, k1) = (at / nc, at % nc, nc.min(at % nc + s1 - i));
+        let rr = rows.iter().position(|run| r < run.at.1).unwrap_or(0);
+        let row = &rows[rr];
+        let x_row = b * c.in_c * plane + row.x_at(r) * c.in_w;
+        let base = b * win.strides.0 + win.rows.at(r) * win.strides.2;
+        for (cr, col) in cols.iter().enumerate() {
+            let (lo, hi) = (col.at.0.max(k0), col.at.1.min(k1));
+            if lo >= hi {
+                continue;
+            }
+            let t = open[rr * cols.len() + cr].get_or_insert_with(|| {
+                let start = taps.len();
+                push_taps(c, row.taps, col.taps, taps);
+                Tile {
+                    taps: (start, taps.len()),
+                    ..Tile::default()
+                }
+            });
+            for k in lo..hi {
+                t.at[t.n] = id(i - s0 + k - k0, base + win.cols.at(k));
+                t.x_at[t.n] = x_row + col.x_at(k);
+                t.n += 1;
+                if t.n == TILE {
+                    tiles.push(*t);
+                    t.n = 0;
+                }
+            }
+        }
+        i += k1 - k0;
+    }
+    tiles.extend(open.iter().flatten().filter(|t| t.n > 0));
+
+    let (c0, c1) = win.channels;
+    let groups = c0 / goc..c1.div_ceil(goc);
+    for t in tiles.iter() {
+        let (at, x_at) = (&t.at[..t.n], &t.x_at[..t.n]);
+        let tl = &taps[t.taps.0..t.taps.1];
+        for group in groups.clone() {
+            let (first, gbase) = (group * goc, group * gic * plane);
+            let lanes = (c0.max(first) - first, c1.min(first + goc) - first);
+            let gpanel = &panel[group * blocks * steps..][..blocks * steps];
+            let patch = subst.and_then(|s| LanePatch::of(s, (first, goc), steps, OCB));
+            let xg = &x[gbase..];
+            // An input substitution inside some position's slab of the
+            // group's input channels.
+            let sub = x_sub
+                .and_then(|(e, v)| Some((e.checked_sub(gbase)?, v)))
+                .filter(|&(e, _)| x_at.iter().any(|&xa| (xa..xa + gic * plane).contains(&e)));
+            match sub {
+                Some((e, v)) => {
+                    // Each position's taps gathered, the faulty value in
+                    // place of the element it substitutes.
+                    gathered.clear();
+                    for &xa in x_at {
+                        gathered.extend(tl.iter().map(|&(_, off)| {
+                            if xa + off == e {
+                                v
+                            } else {
+                                xg[xa + off]
+                            }
+                        }));
+                    }
+                    let nt = tl.len();
+                    let terms = tl.iter().enumerate().map(|(k, &(step, _))| (step, k));
+                    let xs = |p: usize| &gathered[p * nt..][..nt];
+                    run_tile(
+                        at,
+                        xs,
+                        terms,
+                        gpanel,
+                        steps,
+                        (first, lanes),
+                        patch,
+                        &mut put,
+                    );
+                }
+                None => {
+                    let xs = |p: usize| &xg[x_at[p]..];
+                    let terms = tl.iter().copied();
+                    run_tile(
+                        at,
+                        xs,
+                        terms,
+                        gpanel,
+                        steps,
+                        (first, lanes),
+                        patch,
+                        &mut put,
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -1345,46 +1504,10 @@ fn push_taps(c: &ConvSpec, kh: (usize, usize), kw: (usize, usize), taps: &mut Ve
     }
 }
 
-/// The maximal runs `(taps, start, end)` of consecutive coordinates in
-/// `[lo, hi)` whose valid tap ranges `at(o)` are equal.
-fn tap_runs(
-    lo: usize,
-    hi: usize,
-    at: impl Fn(usize) -> (usize, usize),
-) -> impl Iterator<Item = ((usize, usize), usize, usize)> {
-    let mut o = lo;
-    core::iter::from_fn(move || {
-        if o >= hi {
-            return None;
-        }
-        let (start, taps) = (o, at(o));
-        o += 1;
-        while o < hi && at(o) == taps {
-            o += 1;
-        }
-        Some((taps, start, o))
-    })
-}
-
-/// The register-blocked micro-kernel of every non-depthwise MAC layer: `P`
-/// positions × `OCB` outputs over one block's packed weights `wts`.
-/// Position `p` reads term `(step, off)` at `xs[p][off]`; the terms come in
-/// ascending kernel-step order, gated ones left out, so each lane adds
-/// exactly the terms of [`MacSpec::compute_at`] in its order.
-#[inline(always)]
-fn lane_tile<const P: usize, const OCB: usize>(
-    xs: [&[f32]; P],
-    terms: impl Iterator<Item = (usize, usize)>,
-    wts: &[[f32; OCB]],
-) -> [[f32; OCB]; P] {
-    let mut acc = [[0.0f32; OCB]; P];
-    lane_acc(&mut acc, xs, terms, wts);
-    acc
-}
-
-/// [`lane_tile`] continuing from the running accumulators `acc`: a tile's
-/// terms may come in several runs, each over its own weights, as long as
-/// the runs keep ascending kernel-step order.
+/// Adds the terms `(step, off)` of a tile to the running accumulators
+/// `acc`: position `p` reads `xs[p][off]` against weight vector
+/// `wts[step]`. A tile's terms may come in several runs, each over its own
+/// weights, as long as the runs keep ascending kernel-step order.
 #[inline(always)]
 fn lane_acc<const P: usize, const OCB: usize>(
     acc: &mut [[f32; OCB]; P],
@@ -1424,12 +1547,11 @@ impl DenseSpec {
     }
 }
 
-/// Dense and matmul through the lane kernel: for each of the panel's
-/// groups, `rows` rows of `x` (each one kernel step per value) times the
-/// group's packed outputs. Row `r` of group `g` reads `x[(g·rows + r)·k..]`
-/// and writes `out[(g·rows + r)·n..][..n]`, for `k` steps and `n` outputs
-/// per group. Rows go in tiles of [`TILE`], the last holding the 1–3 left
-/// over.
+/// Dense and matmul forwards through the row driver: for each of the
+/// panel's groups, `rows` rows of `x` (each one kernel step per value)
+/// times the group's packed outputs. Row `r` of group `g` reads
+/// `x[(g·rows + r)·k..]` and writes `out[(g·rows + r)·n..][..n]`, for `k`
+/// steps and `n` outputs per group.
 fn rows_forward(x: &[f32], panel: &LanePanel, out: &mut [f32], groups: usize, rows: usize) {
     let (outs, panel_groups, k) = panel.geometry;
     assert_eq!(
@@ -1439,39 +1561,89 @@ fn rows_forward(x: &[f32], panel: &LanePanel, out: &mut [f32], groups: usize, ro
     let n = outs / groups.max(1);
     assert_eq!(x.len(), groups * rows * k, "input size mismatch");
     assert_eq!(out.len(), groups * rows * n, "output buffer size mismatch");
-    if lanes_for(n) == 8 {
-        rows_lanes::<8>(x, &panel.data, out, (groups, rows, k, n));
+    let put = |r: usize, j: usize, row: &[f32]| {
+        out[r * n + j..][..row.len()].copy_from_slice(row);
+    };
+    rows_lanes(x, panel, (0, groups * rows), rows, (0, n), None, put);
+}
+
+/// The row driver of the lane kernel, behind the dense and matmul forwards
+/// and the dense fault recompute: rows `[r0, r1)` of `x`, row `r` holding
+/// `x[r·k..][..k]` (one value per kernel step) and belonging to panel
+/// group `r / group_rows`. Rows go in tiles of up to [`TILE`] consecutive
+/// rows of one group, each over the lane blocks of its group that overlap
+/// the group's outputs `lanes`. Each block calls `put(row, j, values)` per
+/// row with the block's first output `j` in `lanes` and the row's values
+/// of its consecutive outputs from `j` on.
+///
+/// `subst`, when given, applies as a faulty copy of the one row an input
+/// substitution lands in, or as one lane of one step's weight vector (a
+/// weight substitution).
+fn rows_lanes(
+    x: &[f32],
+    panel: &LanePanel,
+    rows: (usize, usize),
+    group_rows: usize,
+    lanes: (usize, usize),
+    subst: Option<&Substitution>,
+    put: impl FnMut(usize, usize, &[f32]),
+) {
+    let (outs, groups, _) = panel.geometry;
+    if lanes_for(outs / groups.max(1)) == 8 {
+        rows_lanes_at::<8>(x, panel, rows, group_rows, lanes, subst, put);
     } else {
-        rows_lanes::<16>(x, &panel.data, out, (groups, rows, k, n));
+        rows_lanes_at::<16>(x, panel, rows, group_rows, lanes, subst, put);
     }
 }
 
-/// [`rows_forward`] at `OCB` lanes.
-fn rows_lanes<const OCB: usize>(
+/// [`rows_lanes`] at `OCB` lanes.
+fn rows_lanes_at<const OCB: usize>(
     x: &[f32],
-    panel: &[f32],
-    out: &mut [f32],
-    (groups, rows, k, n): (usize, usize, usize, usize),
+    panel: &LanePanel,
+    (r0, r1): (usize, usize),
+    group_rows: usize,
+    lanes: (usize, usize),
+    subst: Option<&Substitution>,
+    mut put: impl FnMut(usize, usize, &[f32]),
 ) {
+    let (outs, groups, k) = panel.geometry;
+    let n = outs / groups.max(1);
     let blocks = n.div_ceil(OCB);
-    let (panel, _) = panel.as_chunks::<OCB>();
-    for group in 0..groups {
-        for r0 in (group * rows..(group + 1) * rows).step_by(TILE) {
-            let tile = TILE.min((group + 1) * rows - r0);
-            let gpanel = &panel[group * blocks * k..][..blocks * k];
-            // Lane `l` of row `p` is output `block·OCB + l` of row `r0 + p`;
-            // padded lanes are dropped.
-            let store = |block: usize, acc: &[[f32; OCB]]| {
-                let (o0, lanes) = (block * OCB, OCB.min(n - block * OCB));
-                for (p, a) in acc.iter().enumerate() {
-                    out[(r0 + p) * n + o0..][..lanes].copy_from_slice(&a[..lanes]);
-                }
-            };
-            // Row terms: step `s` reads value `s` of the row.
-            let terms = (0..k).map(|s| (s, s));
-            let xs = |p: usize| &x[(r0 + p) * k..][..k];
-            run_tile(tile, xs, terms, gpanel, k, (0, n), None, store);
-        }
+    let (panel, _) = panel.data.as_chunks::<OCB>();
+    let mut faulty_row = Vec::new();
+    let sub_row = subst.filter(|s| s.kind == OperandKind::Input).map(|s| {
+        let r = s.offset / k;
+        faulty_row.extend_from_slice(&x[r * k..][..k]);
+        faulty_row[s.offset % k] = s.value;
+        r
+    });
+    let mut r = r0;
+    while r < r1 {
+        let group = r / group_rows;
+        let end = r1.min(r + TILE).min((group + 1) * group_rows);
+        let at: [usize; TILE] = from_fn(|p| r + p);
+        let xs = |p: usize| {
+            if sub_row == Some(r + p) {
+                &faulty_row[..]
+            } else {
+                &x[(r + p) * k..][..k]
+            }
+        };
+        let gpanel = &panel[group * blocks * k..][..blocks * k];
+        let patch = subst.and_then(|s| LanePatch::of(s, (group * n, n), k, OCB));
+        // Row terms: step `s` reads value `s` of the row.
+        let terms = (0..k).map(|s| (s, s));
+        run_tile(
+            &at[..end - r],
+            xs,
+            terms,
+            gpanel,
+            k,
+            (0, lanes),
+            patch,
+            &mut put,
+        );
+        r = end;
     }
 }
 
@@ -1508,204 +1680,32 @@ impl LanePatch {
     }
 }
 
-/// One tile of a fault recompute: up to `TILE` positions of batch image
-/// `b` sharing valid kernel rows `kh` and columns `kw`.
-#[derive(Debug)]
-struct FaultTile {
-    b: usize,
-    kh: (usize, usize),
-    kw: (usize, usize),
-    n: usize,
-    /// Each position's index in the window.
-    at: [usize; TILE],
-    /// Each position's first valid tap within an input channel plane.
-    x_at: [usize; TILE],
-}
-
-/// The taps of one valid tap range (kernel rows `kh`, columns `kw`), at
-/// `taps` in a list of several ranges' taps.
-#[derive(Debug)]
-struct TapSet {
-    kh: (usize, usize),
-    kw: (usize, usize),
-    taps: (usize, usize),
-}
-
-/// [`MacNode::recompute`] for a conv group of more than one output
-/// channel: the window's positions cut into tiles that share a batch image
-/// and a valid tap range, each run through [`run_tile`] over the lane
-/// blocks of `panel` that overlap the window's channels. A tap list is
-/// built once per distinct tap range.
-fn conv_recompute<const OCB: usize>(
-    c: &ConvSpec,
-    x: &[f32],
-    panel: &[f32],
-    subst: &Substitution,
-    win: &UseWindow,
-    out: &mut [f32],
-) {
-    let (gic, goc) = (c.group_in_c(), c.group_out_c());
-    let (blocks, steps) = (goc.div_ceil(OCB), gic * c.kh * c.kw);
-    let plane = c.in_h * c.in_w;
-    let (c0, c1) = win.channels;
-    let group = c0 / goc;
-    assert_eq!(
-        (c1 - 1) / goc,
-        group,
-        "window channels span two conv groups"
-    );
-    let lanes = (c0 - group * goc, c1 - group * goc);
-    let (panel, _) = panel.as_chunks::<OCB>();
-    let panel = &panel[group * blocks * steps..][..blocks * steps];
-    let patch = LanePatch::of(subst, (group * goc, goc), steps, OCB);
-    let x_sub = (subst.kind == OperandKind::Input).then_some((subst.offset, subst.value));
-
-    // Every distinct tap range's list, back to back in `taps`.
-    let mut taps = Vec::new();
-    let mut tap_sets: Vec<TapSet> = Vec::new();
-    let mut gathered = Vec::new();
-    let mut run = |t: &FaultTile| {
-        let set = match tap_sets.iter().find(|s| (s.kh, s.kw) == (t.kh, t.kw)) {
-            Some(set) => set,
-            None => {
-                let start = taps.len();
-                push_taps(c, t.kh, t.kw, &mut taps);
-                tap_sets.push(TapSet {
-                    kh: t.kh,
-                    kw: t.kw,
-                    taps: (start, taps.len()),
-                });
-                &tap_sets[tap_sets.len() - 1]
-            }
-        };
-        let tl = &taps[set.taps.0..set.taps.1];
-        let base = (t.b * c.in_c + group * gic) * plane;
-        let xg = &x[base..][..gic * plane];
-        let put = |p: usize, j: usize, v: f32| out[t.at[p] * (c1 - c0) + j] = v;
-        let store = window_store::<OCB>(lanes, put);
-        match x_sub.filter(|&(e, _)| (base..base + gic * plane).contains(&e)) {
-            Some((e, v)) => {
-                // Each position's taps gathered, the faulty value in place
-                // of the element it substitutes.
-                gathered.clear();
-                for &xa in &t.x_at[..t.n] {
-                    gathered.extend(tl.iter().map(|&(_, off)| {
-                        if base + xa + off == e {
-                            v
-                        } else {
-                            xg[xa + off]
-                        }
-                    }));
-                }
-                let nt = tl.len();
-                let terms = tl.iter().enumerate().map(|(k, &(step, _))| (step, k));
-                let xs = |p: usize| &gathered[p * nt..][..nt];
-                run_tile(t.n, xs, terms, panel, steps, lanes, patch, store);
-            }
-            None => {
-                let xs = |p: usize| &xg[t.x_at[p]..];
-                let terms = tl.iter().copied();
-                run_tile(t.n, xs, terms, panel, steps, lanes, patch, store);
-            }
-        }
-    };
-
-    // One open tile per (batch image, tap range): positions join the open
-    // tile of their key, wherever they sit in the window, and a tile runs
-    // once full. A window across rows fills tiles from several rows.
-    let mut open: Vec<FaultTile> = Vec::new();
-    for (i, (b, oh, ow)) in win.coords().enumerate() {
-        let kh = taps_at(oh, c.stride.0, c.padding.0, c.dilation.0, c.kh, c.in_h);
-        let kw = taps_at(ow, c.stride.1, c.padding.1, c.dilation.1, c.kw, c.in_w);
-        let x_at = first_tap(c, (oh, ow), kh, kw);
-        match open.iter().position(|t| (t.b, t.kh, t.kw) == (b, kh, kw)) {
-            Some(k) => {
-                let t = &mut open[k];
-                t.at[t.n] = i;
-                t.x_at[t.n] = x_at;
-                t.n += 1;
-                if t.n == TILE {
-                    run(&open.swap_remove(k));
-                }
-            }
-            None => open.push(FaultTile {
-                b,
-                kh,
-                kw,
-                n: 1,
-                at: [i; TILE],
-                x_at: [x_at; TILE],
-            }),
-        }
-    }
-    for t in &open {
-        run(t);
-    }
-}
-
-/// [`MacNode::recompute`] for a dense layer: the window's rows in tiles of
-/// up to `TILE`, each through [`run_tile`] over the lane blocks of `panel`
-/// that overlap the window's outputs. An input substitution gathers the
-/// one row it lands in.
-fn dense_recompute<const OCB: usize>(
-    d: &DenseSpec,
-    x: &[f32],
-    panel: &[f32],
-    subst: &Substitution,
-    win: &UseWindow,
-    out: &mut [f32],
-) {
-    let k = d.in_features;
-    let (c0, c1) = win.channels;
-    let (panel, _) = panel.as_chunks::<OCB>();
-    let patch = LanePatch::of(subst, (0, d.out_features), k, OCB);
-    let mut faulty_row = Vec::new();
-    let sub_row = (subst.kind == OperandKind::Input).then(|| {
-        let r = subst.offset / k;
-        faulty_row.extend_from_slice(&x[r * k..][..k]);
-        faulty_row[subst.offset % k] = subst.value;
-        r
-    });
-    // A dense window's planes are its rows, consecutive.
-    let rows = win.plane0 + win.span.0..win.plane0 + win.span.1;
-    for (t, r0) in rows.clone().step_by(TILE).enumerate() {
-        let xs = |p: usize| {
-            if sub_row == Some(r0 + p) {
-                &faulty_row[..]
-            } else {
-                &x[(r0 + p) * k..][..k]
-            }
-        };
-        let put = |p: usize, j: usize, v: f32| out[(t * TILE + p) * (c1 - c0) + j] = v;
-        let store = window_store::<OCB>((c0, c1), put);
-        let (n, terms) = (TILE.min(rows.end - r0), (0..k).map(|s| (s, s)));
-        run_tile(n, xs, terms, panel, k, (c0, c1), patch, store);
-    }
-}
-
-/// Runs one tile of `n` (1 to `TILE`) positions, position `p` reading its
-/// inputs from `xs(p)`, over the lane blocks of `panel` (each `steps`
-/// packed weight vectors) that overlap the group's outputs `lanes`, with
-/// `patch` applied when it is given. Hands each block's accumulators to
-/// `store(block, acc)`, `acc[p]` holding position `p`'s lanes: every
-/// lane-kernel caller, forward or recompute, goes through here.
+/// Runs one tile of positions with ids `at` (1 to `TILE` of them),
+/// position `p` reading its inputs from `xs(p)`, over the lane blocks of
+/// `panel` (each `steps` packed weight vectors) that overlap outputs
+/// `[j0, j1)` of `lanes = (first, (j0, j1))`, with `patch` applied when it
+/// is given. Each block calls `put(at[p], first + j, values)` for each
+/// position `p`, where `j` is the block's first output in range and
+/// `values` holds the position's outputs from `j` on, cut to the range.
+/// The conv driver and the row
+/// driver go through here.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn run_tile<'x, const OCB: usize>(
-    n: usize,
+    at: &[usize],
     xs: impl Fn(usize) -> &'x [f32],
     terms: impl Iterator<Item = (usize, usize)> + Clone,
     panel: &[[f32; OCB]],
     steps: usize,
-    lanes: (usize, usize),
+    lanes: (usize, (usize, usize)),
     patch: Option<LanePatch>,
-    store: impl FnMut(usize, &[[f32; OCB]]),
+    put: impl FnMut(usize, usize, &[f32]),
 ) {
-    match n {
-        1 => tile_blocks::<1, OCB>(from_fn(xs), terms, panel, steps, lanes, patch, store),
-        2 => tile_blocks::<2, OCB>(from_fn(xs), terms, panel, steps, lanes, patch, store),
-        3 => tile_blocks::<3, OCB>(from_fn(xs), terms, panel, steps, lanes, patch, store),
-        _ => tile_blocks::<TILE, OCB>(from_fn(xs), terms, panel, steps, lanes, patch, store),
+    match at.len() {
+        1 => tile_blocks::<1, OCB>(at, from_fn(xs), terms, panel, steps, lanes, patch, put),
+        2 => tile_blocks::<2, OCB>(at, from_fn(xs), terms, panel, steps, lanes, patch, put),
+        3 => tile_blocks::<3, OCB>(at, from_fn(xs), terms, panel, steps, lanes, patch, put),
+        _ => tile_blocks::<TILE, OCB>(at, from_fn(xs), terms, panel, steps, lanes, patch, put),
     }
 }
 
@@ -1713,58 +1713,48 @@ fn run_tile<'x, const OCB: usize>(
 /// around the patched step: the steps before it over the packed weights,
 /// that one step over its weight vector with one lane replaced, the steps
 /// after it over the packed weights again.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tile_blocks<const P: usize, const OCB: usize>(
+    at: &[usize],
     xs: [&[f32]; P],
     terms: impl Iterator<Item = (usize, usize)> + Clone,
     panel: &[[f32; OCB]],
     steps: usize,
-    (j0, j1): (usize, usize),
+    (first, (j0, j1)): (usize, (usize, usize)),
     patch: Option<LanePatch>,
-    mut store: impl FnMut(usize, &[[f32; OCB]]),
+    mut put: impl FnMut(usize, usize, &[f32]),
 ) {
     for block in j0 / OCB..j1.div_ceil(OCB) {
         let wts = &panel[block * steps..][..steps];
+        // Each arm owns its accumulators, so LLVM keeps the unpatched
+        // arm's in registers.
         let acc = match patch.filter(|pt| pt.block == block) {
-            None => lane_tile::<P, OCB>(xs, terms.clone(), wts),
+            None => {
+                let mut acc = [[0.0f32; OCB]; P];
+                lane_acc(&mut acc, xs, terms.clone(), wts);
+                acc
+            }
             Some(pt) => {
                 let mut acc = [[0.0f32; OCB]; P];
-                lane_acc(
-                    &mut acc,
-                    xs,
-                    terms.clone().take_while(|&(s, _)| s < pt.step),
-                    wts,
-                );
+                let before = terms.clone().take_while(|&(s, _)| s < pt.step);
+                lane_acc(&mut acc, xs, before, wts);
                 if let Some((_, off)) = terms.clone().find(|&(s, _)| s == pt.step) {
                     let mut w = wts[pt.step];
                     w[pt.lane] = pt.value;
                     lane_acc(&mut acc, xs, core::iter::once((0, off)), &[w]);
                 }
-                lane_acc(
-                    &mut acc,
-                    xs,
-                    terms.clone().skip_while(|&(s, _)| s <= pt.step),
-                    wts,
-                );
+                let after = terms.clone().skip_while(|&(s, _)| s <= pt.step);
+                lane_acc(&mut acc, xs, after, wts);
                 acc
             }
         };
-        store(block, &acc);
-    }
-}
-
-/// A [`run_tile`] store for a panel group's outputs `[j0, j1)`: calls
-/// `put(p, j − j0, value)` for every position `p` and output `j` in range.
-fn window_store<const OCB: usize>(
-    (j0, j1): (usize, usize),
-    mut put: impl FnMut(usize, usize, f32),
-) -> impl FnMut(usize, &[[f32; OCB]]) {
-    move |block, acc| {
-        let (lo, hi) = (j0.max(block * OCB), j1.min((block + 1) * OCB));
-        for (p, a) in acc.iter().enumerate() {
-            for j in lo..hi {
-                put(p, j - j0, a[j - block * OCB]);
-            }
+        let (lo, hi) = (
+            j0.max(block * OCB) - block * OCB,
+            j1.min((block + 1) * OCB) - block * OCB,
+        );
+        for (&id, a) in at.iter().zip(&acc) {
+            put(id, first + block * OCB + lo, &a[lo..hi]);
         }
     }
 }

@@ -228,13 +228,13 @@ proptest! {
         assert_kernel_matches_oracle(&spec, seed)?;
     }
 
-    /// The windowed conv kernel writes bits identical to the full kernel
-    /// inside the window and leaves everything outside untouched: grouped
+    /// The windowed conv kernel writes `compute_at`'s bits inside the
+    /// window and leaves everything outside untouched: grouped
     /// and depthwise, up to 40 output channels per group, stride and
     /// dilation 2, windows down to a single position (`hspan`/`wspan` of 1,
     /// drawn often) and empty ones.
     #[test]
-    fn conv_window_kernel_matches_full_kernel(
+    fn conv_window_kernel_matches_compute_at(
         in_c_per_group in prop_oneof![Just(1usize), 2usize..4],
         groups in 1usize..4,
         out_c_per_group in prop_oneof![Just(1usize), 2usize..9, 9usize..17, 17usize..41],
@@ -272,9 +272,6 @@ proptest! {
         let ops = Operands { input: &input, weight: &weight };
 
         let mut scratch = KernelScratch::new();
-        let mut full = vec![0.0f32; spec.out_len()];
-        spec.forward_into_scratch(&ops, &mut full, &mut scratch);
-
         const SENTINEL: f32 = 7777.5;
         let mut windowed = vec![SENTINEL; spec.out_len()];
         let window = ((h0, h0 + hspan), (w0, w0 + wspan));
@@ -289,7 +286,8 @@ proptest! {
             let x = off % ow;
             let inside = y >= h0c && y < h1c && x >= w0c && x < w1c;
             if inside {
-                prop_assert_eq!(canon_bits(*got), canon_bits(full[off]), "window bits at {}", off);
+                let want = spec.compute_at(&ops, off, None);
+                prop_assert_eq!(canon_bits(*got), canon_bits(want), "window bits at {}", off);
             } else {
                 prop_assert_eq!(got.to_bits(), SENTINEL.to_bits(), "outside window at {}", off);
             }
