@@ -9,10 +9,7 @@
 use fidelity_core::analysis::analyze;
 use fidelity_core::fit::PAPER_RAW_FIT_PER_MB;
 use fidelity_core::naive::naive_fit_rate;
-use fidelity_core::outcome::CorrectnessMetric;
-use fidelity_core::outcome::TopOneMatch;
 use fidelity_dnn::precision::Precision;
-use fidelity_workloads::metrics::DetectionThreshold;
 use fidelity_workloads::{classification_suite, yolo_workload};
 
 fn main() {
@@ -35,11 +32,7 @@ fn main() {
     let mut worst = 0.0f64;
     for workload in workloads {
         let name = workload.name.clone();
-        let metric: Box<dyn CorrectnessMetric> = if name == "yolo" {
-            Box::new(DetectionThreshold::ten_percent())
-        } else {
-            Box::new(TopOneMatch)
-        };
+        let metric = workload.kind.metric();
         let (engine, trace) = fidelity_bench::deploy(workload, Precision::Fp16);
         let analysis = analyze(
             &engine,

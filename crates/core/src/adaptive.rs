@@ -580,9 +580,34 @@ mod tests {
     use super::*;
     use crate::models::SoftwareFaultModel;
     use crate::resilience::{
-        write_cert_footer, write_header, write_wave, CertFooter, FailureReason, WaveBlock, WaveFail,
+        write_cert_footer, write_header, write_row, write_wave, write_wave_start, CertFooter,
+        FailureReason, WaveBlock, WaveFail,
     };
     use fidelity_accel::ff::{PipelineStage, VarType};
+    use fidelity_obs::record_log;
+
+    /// `log` with each record's payload passed through `edit` (`None`
+    /// drops the record) and framed again by the shared writer.
+    fn edit_records(log: &[u8], edit: impl Fn(&str) -> Option<String>) -> Vec<u8> {
+        let (header, records) = record_log::read(log).unwrap();
+        let mut out = Vec::new();
+        record_log::write_header(&mut out, &header).unwrap();
+        for record in records {
+            if let Some(payload) = edit(record.unwrap().1) {
+                record_log::write_record(&mut out, &payload).unwrap();
+            }
+        }
+        out
+    }
+
+    /// `log` with the first occurrence of `from` replaced by `to` in the raw
+    /// bytes, checksums untouched.
+    fn splice(log: &[u8], from: &str, to: &str) -> Vec<u8> {
+        String::from_utf8(log.to_vec())
+            .unwrap()
+            .replacen(from, to, 1)
+            .into_bytes()
+    }
 
     fn adaptive(plan: &AdaptivePlan) -> LogPlan {
         LogPlan::Adaptive {
@@ -727,23 +752,41 @@ mod tests {
             },
         )
         .unwrap();
-        let full = String::from_utf8(buf).unwrap();
-        // Kill mid-write of a second wave: header + partial tally row.
-        for torn_tail in ["wave 1\n", "wave 1\nw 0 64 3", "wav", "w 0 64 32 3"] {
-            let torn = format!("{full}{torn_tail}");
-            let parsed = parse_log(torn.as_bytes()).unwrap().unwrap();
-            assert_eq!(parsed.waves.len(), 1, "tail {torn_tail:?}");
+        // Kill mid-write of a second wave: its `wave` record and a tally
+        // row, cut at every byte short of the row's newline.
+        let mut tail = Vec::new();
+        write_wave_start(&mut tail, 1).unwrap();
+        let wave_start = tail.len();
+        let mut row64 = row.clone();
+        row64.samples = 64;
+        write_row(&mut tail, 0, &row64).unwrap();
+        for cut in 0..tail.len() {
+            let torn = [&buf[..], &tail[..cut]].concat();
+            let parsed = parse_log(&torn[..]).unwrap().unwrap();
+            assert_eq!(parsed.waves.len(), 1, "cut {cut}");
             assert_eq!(parsed.waves[0].rows[0].1, row);
             assert!(parsed.footer.is_none());
             // The torn row is dropped; the wave it opened stays open.
-            assert!(
-                parsed.open.is_none_or(|b| b.rows.is_empty()),
-                "tail {torn_tail:?}"
-            );
+            assert_eq!(parsed.open.is_some(), cut >= wave_start, "cut {cut}");
+            assert!(parsed.open.is_none_or(|b| b.rows.is_empty()), "cut {cut}");
         }
-        // Genuine garbage still errors.
-        let garbage = format!("{full}lorem ipsum\n");
-        assert!(parse_log(garbage.as_bytes()).is_err());
+        // The same records spliced in unframed fail their checksum.
+        for unframed in [
+            "wave 1\n",
+            "wave 1\nw 0 64 3",
+            "w 0 64 32 32 0 0000000000000007\n",
+        ] {
+            let spliced = [&buf[..], unframed.as_bytes()].concat();
+            let err = parse_log(&spliced[..]).unwrap_err().to_string();
+            assert!(err.contains("checksum"), "{unframed:?}: {err}");
+        }
+        // Genuine garbage still errors, framed or not.
+        let garbage = [&buf[..], b"lorem ipsum\n"].concat();
+        assert!(parse_log(&garbage[..]).is_err());
+        let mut framed = buf.clone();
+        record_log::write_record(&mut framed, "lorem ipsum").unwrap();
+        let err = parse_log(&framed[..]).unwrap_err().to_string();
+        assert!(err.contains("unrecognized record"), "{err}");
     }
 
     #[test]
@@ -785,33 +828,37 @@ mod tests {
             },
         )
         .unwrap();
-        let ok = String::from_utf8(buf).unwrap();
-        let verified = verify_checkpoint(ok.as_bytes()).unwrap();
+        let ok = buf;
+        let verified = verify_checkpoint(&ok[..]).unwrap();
         assert_eq!(verified, cert);
 
         // Tamper with the masked count: the stored bound no longer matches.
-        let tampered = ok.replace("w 0 40 30 10 0", "w 0 40 35 5 0");
-        let err = verify_checkpoint(tampered.as_bytes())
+        let (row, tampered_row) = ("w 0 40 30 10 0", "w 0 40 35 5 0");
+        let tampered = edit_records(&ok, |p| Some(p.replacen(row, tampered_row, 1)));
+        let err = verify_checkpoint(&tampered[..]).unwrap_err().to_string();
+        assert!(err.contains("total bound"), "unexpected: {err}");
+        let err = verify_checkpoint(&splice(&ok, row, tampered_row)[..])
             .unwrap_err()
             .to_string();
-        assert!(err.contains("total bound"), "unexpected: {err}");
+        assert!(err.contains("checksum mismatch"), "unexpected: {err}");
 
         // Tamper with the converged flag.
-        let unconverged = ok.replace(" 1\ndone cert", " 0\ndone cert");
-        let err = verify_checkpoint(unconverged.as_bytes())
+        let flag = |p: &str| match p.strip_prefix("cert ") {
+            Some(rest) => format!("cert {}0", &rest[..rest.len() - 1]),
+            None => p.to_owned(),
+        };
+        let unconverged = edit_records(&ok, |p| Some(flag(p)));
+        let err = verify_checkpoint(&unconverged[..]).unwrap_err().to_string();
+        assert!(err.contains("converged flag"), "unexpected: {err}");
+        let err = verify_checkpoint(&splice(&ok, " 1\n", " 0\n")[..])
             .unwrap_err()
             .to_string();
-        assert!(err.contains("converged flag"), "unexpected: {err}");
+        assert!(err.contains("checksum mismatch"), "unexpected: {err}");
 
         // An unfinished checkpoint (no footer) cannot certify anything.
-        let unfinished = ok
-            .lines()
-            .take_while(|l| !l.starts_with("cert "))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let err = verify_checkpoint(unfinished.as_bytes())
-            .unwrap_err()
-            .to_string();
+        let footer = |p: &str| p.starts_with("cert ") || p == "done cert";
+        let unfinished = edit_records(&ok, |p| (!footer(p)).then(|| p.to_owned()));
+        let err = verify_checkpoint(&unfinished[..]).unwrap_err().to_string();
         assert!(err.contains("no certificate footer"), "unexpected: {err}");
     }
 

@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -39,6 +39,7 @@ use fidelity_dnn::DnnError;
 use fidelity_obs::event;
 use fidelity_obs::metrics::{Counter, Histogram};
 use fidelity_obs::progress::{CampaignProgress, CategoryKind, OutcomeKind, ProgressSpec};
+use fidelity_obs::record_log::RecordLog;
 use fidelity_obs::trace::{self, Field, Value};
 use fidelity_obs::{clock, prof, timing_enabled};
 use fidelity_par::{sleep_unless, CancelToken, PoolSpec, ShardPlan, WorkStealPool};
@@ -51,10 +52,9 @@ use crate::batch::BatchedInjectionRunner;
 use crate::models::{model_for, SoftwareFaultModel};
 use crate::outcome::{CorrectnessMetric, Outcome};
 use crate::resilience::{
-    campaign_fingerprint, cat_code, fold_wave, parse_log, write_cert_footer, write_header,
-    write_row, write_wave, write_wave_end, write_wave_start, CellFailure, CertFooter, ChaosMode,
-    ChaosSpec, FailureReason, LogPlan, ResilienceSpec, StratumMeta, StratumRow, WaveBlock,
-    WaveFail,
+    campaign_fingerprint, cat_code, create_log, fold_wave, parse_log, write_cert_footer, write_row,
+    write_wave, write_wave_end, write_wave_start, CellFailure, CertFooter, ChaosMode, ChaosSpec,
+    FailureReason, LogPlan, ResilienceSpec, StratumMeta, StratumRow, WaveBlock, WaveFail,
 };
 
 /// Campaign configuration.
@@ -244,7 +244,7 @@ fn apply_chaos(chaos: Option<&ChaosSpec>, i: usize, node: usize, category: FfCat
 /// a skip: the cursor advances without writing a row, and its `wfail` line
 /// is written at the wave's barrier.
 struct OrderedCommit {
-    writer: BufWriter<File>,
+    writer: RecordLog,
     /// Lowest task index of the current wave not yet committed or skipped.
     cursor: usize,
     /// Out-of-order completions waiting for the cursor: the stratum's row,
@@ -519,6 +519,7 @@ impl<'a> CampaignRunner<'a> {
             }
             None => None,
         };
+        let rewrite = resumed.is_some();
         if let Some((path, log)) = resumed {
             if log.fingerprint != fingerprint {
                 return Err(bad(format!(
@@ -646,7 +647,10 @@ impl<'a> CampaignRunner<'a> {
         // Canonical rewrite: the checkpoint is recreated from the closed
         // waves (the open wave's rows re-commit when it restarts), so a torn
         // tail from the previous process never lingers and resumed files
-        // stay bit-identical to uninterrupted ones.
+        // stay bit-identical to uninterrupted ones. A log that held
+        // committed records is rewritten beside itself and renamed over
+        // it, so a kill mid-rewrite keeps every committed wave; a fresh log
+        // is created in place.
         let ckpt_path = spec
             .resilience
             .checkpoint
@@ -661,14 +665,20 @@ impl<'a> CampaignRunner<'a> {
                 if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
                     std::fs::create_dir_all(parent).map_err(|e| io_err("directory creation", e))?;
                 }
-                let file = File::create(path).map_err(|e| io_err("creation", e))?;
-                let mut writer = BufWriter::new(file);
-                write_header(&mut writer, fingerprint, &log_plan, &strata)
-                    .map_err(|e| io_err("header write", e))?;
+                let target = match rewrite {
+                    true => path.with_added_extension("tmp"),
+                    false => path.to_owned(),
+                };
+                let mut writer = create_log(&target, fingerprint, &log_plan, &strata)
+                    .map_err(|e| io_err("creation", e))?;
                 for block in &committed {
                     write_wave(&mut writer, block).map_err(|e| io_err("wave write", e))?;
                 }
-                writer.flush().map_err(|e| io_err("flush", e))?;
+                match rewrite {
+                    true => writer.commit_rename(path),
+                    false => writer.flush(),
+                }
+                .map_err(|e| io_err("rewrite", e))?;
                 Some(Mutex::new(OrderedCommit {
                     writer,
                     cursor: 0,

@@ -16,20 +16,24 @@
 //!   overruns classify as [`crate::outcome::Outcome::SystemAnomaly`], the
 //!   same verdict the hardware watchdog would deliver.
 //! * **Checkpoint/resume** — every campaign, fixed-count or adaptive, writes
-//!   one format: the `fidelity-ackpt v1` wave log. A wave's rows commit per
+//!   one format: the `fidelity-ackpt v2` wave log. A wave's rows commit per
 //!   stratum, in stratum order; a restarted campaign replays the closed
 //!   waves, keeps the rows of the wave in flight, and reruns only the
 //!   strata without one. Every row carries its stratum's RNG stream
 //!   position, so a resumed campaign is bit-identical to an uninterrupted
 //!   one.
 //!
-//! The log is hand-rolled and line-oriented (floats as exact bit patterns,
-//! fixed-width RNG states, `wdone` and `done cert` markers), so the torn
-//! tail a killed process leaves is detected and dropped on resume, while
-//! corruption anywhere else is a named error.
+//! The log is a [`record_log`]: a header line, then one record per line,
+//! each prefixed by the FNV-1a checksum of its payload (floats as exact bit
+//! patterns, fixed-width RNG states, `wdone` and `done cert` markers). The
+//! torn tail a killed process leaves is dropped on resume; a record that
+//! fails its checksum, does not parse or is out of place is a named error
+//! with its line number. A resume that finds committed records rewrites
+//! the log beside itself and renames it into place, so a kill mid-rewrite
+//! keeps the old file. The payloads, after the header:
 //!
 //! ```text
-//! fidelity-ackpt v1
+//! fidelity-ackpt v2
 //! fingerprint <hex>
 //! plan fixed <samples_per_cell> <strata>              (fixed-count plan)
 //! plan <ε> <confidence> <max> <floor> <strata>        (adaptive plan, bits)
@@ -52,6 +56,7 @@ use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::macspec::OperandKind;
 use fidelity_dnn::DnnError;
 use fidelity_obs::fnv::Fnv64;
+use fidelity_obs::record_log::{self, write_record, RecordLog};
 use fidelity_par::CancelToken;
 
 use crate::adaptive::AdaptivePlan;
@@ -107,8 +112,9 @@ impl Default for ResilienceSpec {
     }
 }
 
-/// Where a campaign persists its wave log. Every committed row is flushed
-/// to disk before the next one is written.
+/// Where a campaign persists its wave log. Committed rows are flushed to
+/// the OS as they land, so they survive a killed process; only the
+/// rewrite a resume makes is synced to disk.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Checkpoint file path (conventionally `results/<campaign>.ckpt`).
@@ -294,21 +300,39 @@ pub struct CellFailure {
 // Checkpoint encoding: the wave log
 // ---------------------------------------------------------------------------
 
-/// Magic + version line of the wave log.
-const HEADER: &str = "fidelity-ackpt v1";
+/// Magic + version line of the wave log. Version 2 is version 1's lines,
+/// each framed as a checksummed [`record_log`] record.
+const HEADER: &str = "fidelity-ackpt v2";
 
-/// Header of the retired per-cell format. Its files are rejected by name:
-/// they record neither RNG stream positions nor wave structure, so nothing
-/// in them can be resumed.
-const RETIRED_HEADER: &str = "fidelity-ckpt v1";
+/// The one header check: anything but [`HEADER`], the retired per-cell
+/// `fidelity-ckpt v1` and unframed `fidelity-ackpt v1` included, is
+/// refused by name.
+fn check_header(header: &str) -> Result<(), DnnError> {
+    let shown: String = header.chars().take(64).collect();
+    (header == HEADER)
+        .then_some(())
+        .ok_or_else(|| DnnError::Campaign {
+            message: format!(
+                "unsupported checkpoint format `{}`: this version reads only `{HEADER}`; \
+             delete the file and rerun",
+                shown.escape_debug()
+            ),
+        })
+}
 
-/// Whether the file at `path` is a checkpoint in the retired per-cell
-/// format. A missing or unreadable file is not.
-pub fn is_retired_checkpoint(path: &Path) -> bool {
+/// Checks the header of the checkpoint at `path`. A missing file, or one
+/// that ends inside its header line, holds nothing to resume and passes.
+///
+/// # Errors
+///
+/// The `unsupported checkpoint format` error of any other header.
+pub fn check_checkpoint_format(path: &Path) -> Result<(), DnnError> {
     let mut head = Vec::new();
-    let limit = RETIRED_HEADER.len() as u64 + 1;
-    let read = std::fs::File::open(path).and_then(|f| f.take(limit).read_to_end(&mut head));
-    read.is_ok() && head.strip_suffix(b"\n") == Some(RETIRED_HEADER.as_bytes())
+    let file = std::fs::File::open(path).map(|f| io::BufReader::new(f.take(256)));
+    match file.and_then(|mut f| f.read_until(b'\n', &mut head)) {
+        Ok(_) if head.pop() == Some(b'\n') => check_header(&String::from_utf8_lossy(&head)),
+        _ => Ok(()),
+    }
 }
 
 /// FNV-1a over the campaign identity: everything that determines the cell
@@ -489,6 +513,13 @@ pub(crate) struct WaveLog {
     pub footer: Option<CertFooter>,
 }
 
+/// Appends one record, formatted like `writeln!`.
+macro_rules! record {
+    ($w:expr, $($fmt:tt)*) => {
+        write_record($w, &format!($($fmt)*))
+    };
+}
+
 /// Writes the log preamble: header, fingerprint, plan, and stratum table.
 ///
 /// # Errors
@@ -500,13 +531,34 @@ pub fn write_header<W: Write>(
     plan: &LogPlan,
     strata: &[StratumMeta],
 ) -> io::Result<()> {
-    writeln!(w, "{HEADER}")?;
-    writeln!(w, "fingerprint {fingerprint:016x}")?;
+    record_log::write_header(w, HEADER)?;
+    write_preamble(w, fingerprint, plan, strata)
+}
+
+/// Creates (truncating) the log at `path` with its whole preamble.
+pub(crate) fn create_log(
+    path: &Path,
+    fingerprint: u64,
+    plan: &LogPlan,
+    strata: &[StratumMeta],
+) -> io::Result<RecordLog> {
+    let mut log = RecordLog::create(path, HEADER)?;
+    write_preamble(&mut log, fingerprint, plan, strata)?;
+    Ok(log)
+}
+
+fn write_preamble<W: Write>(
+    w: &mut W,
+    fingerprint: u64,
+    plan: &LogPlan,
+    strata: &[StratumMeta],
+) -> io::Result<()> {
+    record!(w, "fingerprint {fingerprint:016x}")?;
     match plan {
         LogPlan::Fixed { samples_per_cell } => {
-            writeln!(w, "plan fixed {samples_per_cell} {}", strata.len())?;
+            record!(w, "plan fixed {samples_per_cell} {}", strata.len())?;
         }
-        LogPlan::Adaptive { plan, floor } => writeln!(
+        LogPlan::Adaptive { plan, floor } => record!(
             w,
             "plan {:016x} {:016x} {} {floor} {}",
             plan.epsilon.to_bits(),
@@ -516,7 +568,7 @@ pub fn write_header<W: Write>(
         )?,
     }
     for (idx, s) in strata.iter().enumerate() {
-        writeln!(
+        record!(
             w,
             "stratum {idx} {} {} {} {:016x} {}",
             s.node,
@@ -535,19 +587,19 @@ pub fn write_header<W: Write>(
 ///
 /// Propagates I/O errors.
 pub fn write_wave_start<W: Write>(w: &mut W, index: usize) -> io::Result<()> {
-    writeln!(w, "wave {index}")
+    record!(w, "wave {index}")
 }
 
 /// Appends one committed row: the stratum's events (when recorded), then
-/// its tally line, which commits them. Events cut off by a kill have no
-/// tally line and are dropped on parse.
+/// its tally record, which commits them. Events cut off by a kill have no
+/// tally record and are dropped on parse.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
 pub fn write_row<W: Write>(w: &mut W, idx: usize, row: &StratumRow) -> io::Result<()> {
     for ev in &row.events {
-        writeln!(
+        record!(
             w,
             "ev {} {:08x} {}",
             ev.faulty_neurons,
@@ -555,10 +607,14 @@ pub fn write_row<W: Write>(w: &mut W, idx: usize, row: &StratumRow) -> io::Resul
             outcome_code(ev.outcome),
         )?;
     }
-    writeln!(
+    record!(
         w,
         "w {idx} {} {} {} {} {:016x}",
-        row.samples, row.masked, row.output_error, row.anomaly, row.rng_state,
+        row.samples,
+        row.masked,
+        row.output_error,
+        row.anomaly,
+        row.rng_state,
     )
 }
 
@@ -572,15 +628,10 @@ pub(crate) fn write_wave_end<W: Write>(
     for f in fails {
         let (FailureReason::Panic(message) | FailureReason::Error(message)) = &f.reason;
         let message = message.replace('\n', " ");
-        writeln!(
-            w,
-            "wfail {} {} {} {message}",
-            f.stratum,
-            f.attempts,
-            f.reason.kind()
-        )?;
+        let kind = f.reason.kind();
+        record!(w, "wfail {} {} {kind} {message}", f.stratum, f.attempts)?;
     }
-    writeln!(w, "wdone {index}")
+    record!(w, "wdone {index}")
 }
 
 /// Writes one whole wave block (the canonical rewrite on resume).
@@ -594,7 +645,7 @@ pub(crate) fn write_wave<W: Write>(w: &mut W, wave: &WaveBlock) -> io::Result<()
 
 /// Appends the certificate footer, terminated by its `done cert` marker.
 pub(crate) fn write_cert_footer<W: Write>(w: &mut W, footer: &CertFooter) -> io::Result<()> {
-    writeln!(
+    record!(
         w,
         "cert {:016x} {} {} {}",
         footer.total_bound.to_bits(),
@@ -602,188 +653,121 @@ pub(crate) fn write_cert_footer<W: Write>(w: &mut W, footer: &CertFooter) -> io:
         footer.waves,
         u8::from(footer.converged),
     )?;
-    writeln!(w, "done cert")
+    record!(w, "done cert")
 }
 
-/// A heuristic for the final, torn line of a killed writer: any prefix of a
-/// valid record keyword. Full garbage elsewhere in the file still errors.
-fn line_is_torn_tail(line: &str) -> bool {
-    [
-        "fingerprint",
-        "plan",
-        "stratum",
-        "wave",
-        "w",
-        "ev",
-        "wfail",
-        "wdone",
-        "cert",
-        "done",
-    ]
-    .iter()
-    .any(|kw| kw.starts_with(line.split_whitespace().next().unwrap_or("")))
-}
-
-/// Parses a wave log. A torn tail from a killed writer is dropped: the
-/// rows a wave committed before the kill survive in [`WaveLog::open`], so
-/// a resumed campaign reruns only the strata without a row. `None` means
-/// the file ends inside its preamble: the writer was killed before it
-/// committed anything.
+/// Parses a wave log. The record log drops the torn tail of a killed
+/// writer; the rows a wave committed before the kill survive in
+/// [`WaveLog::open`], so a resumed campaign reruns only the strata without
+/// a row. `None` means the file ends inside its preamble: the writer was
+/// killed before it committed anything.
 ///
 /// # Errors
 ///
-/// Returns [`DnnError::Campaign`] on I/O errors, a retired or unknown
-/// header, or a structurally malformed record (corruption rather than a
-/// torn tail).
-pub(crate) fn parse_log<R: BufRead>(r: R) -> Result<Option<WaveLog>, DnnError> {
-    let corrupt = |what: &str| DnnError::Campaign {
+/// Returns [`DnnError::Campaign`] on I/O errors and an unsupported header,
+/// and a `corrupt checkpoint` error naming the line of a record that fails
+/// its checksum, does not parse, or is out of place.
+pub(crate) fn parse_log<R: BufRead>(mut r: R) -> Result<Option<WaveLog>, DnnError> {
+    let corrupt = |what: String| DnnError::Campaign {
         message: format!("corrupt checkpoint: {what}"),
     };
-    let mut lines = r.lines().peekable();
-    // The next preamble line and whether it is the file's last; the end of
-    // the file reads as an empty last line.
-    let mut preamble_line = || -> Result<(String, bool), DnnError> {
-        let line = lines.next().transpose();
-        let line = line.map_err(|e| corrupt(&format!("read failed: {e}")))?;
-        Ok((line.unwrap_or_default(), lines.peek().is_none()))
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)
+        .map_err(|e| corrupt(format!("read failed: {e}")))?;
+    // A file without its header line holds nothing committed.
+    let Some((header, mut records)) = record_log::read(&bytes) else {
+        return Ok(None);
     };
-    // A writer killed before its preamble was whole committed nothing: a
-    // file that ends inside the preamble, perhaps mid-line, is no log yet.
-    let torn_or_bad = |what: &str, line: &str, torn: bool| {
-        if torn {
-            Ok(None)
-        } else {
-            Err(corrupt(&format!("bad {what} `{line}`")))
-        }
+    check_header(&header)?;
+    let mut next = || records.next().transpose().map_err(corrupt);
+    let bad = |what: &str, line: usize, record: &str| {
+        corrupt(format!("bad {what} record `{record}` at line {line}"))
     };
-    let (header, last) = preamble_line()?;
-    if header == RETIRED_HEADER {
-        return Err(DnnError::Campaign {
-            message: format!(
-                "unsupported checkpoint format `{RETIRED_HEADER}`: per-cell checkpoints \
-                 cannot be resumed by the wave executor; delete the file and rerun"
-            ),
-        });
-    }
-    if header != HEADER {
-        return torn_or_bad("header", &header, last && HEADER.starts_with(&header));
-    }
-    let (line, last) = preamble_line()?;
-    let fingerprint = line.strip_prefix("fingerprint ");
-    let Some(fingerprint) = fingerprint.and_then(|s| u64::from_str_radix(s, 16).ok()) else {
-        return torn_or_bad("fingerprint line", &line, last && line_is_torn_tail(&line));
+
+    // A log that ends inside its preamble committed nothing.
+    let Some((line, record)) = next()? else {
+        return Ok(None);
     };
-    let (line, last) = preamble_line()?;
-    let Some((plan, nstrata)) = line.strip_prefix("plan ").and_then(parse_plan) else {
-        return torn_or_bad("plan line", &line, last && line_is_torn_tail(&line));
+    let fingerprint = record
+        .strip_prefix("fingerprint ")
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| bad("fingerprint", line, record))?;
+    let Some((line, record)) = next()? else {
+        return Ok(None);
     };
+    let (plan, nstrata) = record
+        .strip_prefix("plan ")
+        .and_then(parse_plan)
+        .ok_or_else(|| bad("plan", line, record))?;
     let mut strata = Vec::with_capacity(nstrata.min(4096));
     for expect in 0..nstrata {
-        let (line, last) = preamble_line()?;
-        let parsed = line.strip_prefix("stratum ").and_then(|rest| {
-            // stratum <idx> <node> <cat> <model> <weight_bits> <layer...>
-            let mut it = rest.splitn(6, ' ');
-            let idx: usize = it.next()?.parse().ok()?;
-            let meta = StratumMeta {
-                node: it.next()?.parse().ok()?,
-                category: parse_cat(it.next()?)?,
-                model: parse_model(it.next()?)?,
-                weight: f64::from_bits(u64::from_str_radix(it.next()?, 16).ok()?),
-                layer: it.next()?.to_owned(),
-            };
-            (idx == expect).then_some(meta)
-        });
-        let Some(meta) = parsed else {
-            return torn_or_bad("stratum line", &line, last && line_is_torn_tail(&line));
+        let Some((line, record)) = next()? else {
+            return Ok(None);
         };
+        let meta = record
+            .strip_prefix("stratum ")
+            .and_then(|rest| parse_stratum_line(rest, expect))
+            .ok_or_else(|| bad("stratum", line, record))?;
         strata.push(meta);
     }
 
-    let mut next_line = || lines.next().and_then(Result::ok);
     let mut waves: Vec<WaveBlock> = Vec::new();
     let mut open: Option<WaveBlock> = None;
-    // Events parsed since the last row: committed by the next `w` line.
+    // Events parsed since the last row: committed by the next `w` record,
+    // dropped with the open wave's tail when none follows.
     let mut events: Vec<InjectionEvent> = Vec::new();
     let mut pending_footer: Option<CertFooter> = None;
     let mut footer = None;
-    while let Some(line) = next_line() {
-        // A malformed record inside an open wave is the torn tail of a
-        // killed writer; it and everything after it are dropped.
-        if let Some(rest) = line.strip_prefix("wave ") {
-            // A kill can only leave the *last* wave open, so a new wave
-            // while one is open is corruption.
-            if open.is_some() {
-                return Err(corrupt(&format!(
-                    "wave block without wdone before `{line}`"
+    while let Some((line, record)) = next()? {
+        let (kind, rest) = record.split_once(' ').unwrap_or((record, ""));
+        let bad = |what: &str| bad(what, line, record);
+        if footer.is_some() {
+            return Err(corrupt(format!(
+                "record `{record}` after the certificate footer at line {line}"
+            )));
+        }
+        match (kind, open.as_mut(), &pending_footer) {
+            ("wave", None, None) => {
+                let index = rest.parse::<usize>().map_err(|_| bad("wave"))?;
+                if index != waves.len() {
+                    return Err(corrupt(format!(
+                        "wave {index} out of order (expected {}) at line {line}",
+                        waves.len()
+                    )));
+                }
+                open = Some(WaveBlock {
+                    index,
+                    ..WaveBlock::default()
+                });
+            }
+            ("ev", Some(_), _) => events.push(parse_event_line(rest).ok_or_else(|| bad("ev"))?),
+            ("w", Some(block), _) => {
+                let (idx, mut row) = parse_row_line(rest).ok_or_else(|| bad("w"))?;
+                row.events = std::mem::take(&mut events);
+                block.rows.push((idx, row));
+            }
+            ("wfail", Some(block), _) => block
+                .fails
+                .push(parse_fail_line(rest).ok_or_else(|| bad("wfail"))?),
+            ("wdone", Some(block), _)
+                if events.is_empty() && rest.parse::<usize>().ok() == Some(block.index) =>
+            {
+                waves.extend(open.take());
+            }
+            ("cert", None, None) => {
+                pending_footer = Some(parse_footer_line(rest).ok_or_else(|| bad("cert"))?);
+            }
+            ("done", None, Some(_)) if rest == "cert" => footer = pending_footer.take(),
+            ("wave" | "ev" | "w" | "wfail" | "wdone" | "cert" | "done", ..) => {
+                return Err(corrupt(format!(
+                    "record `{record}` out of place at line {line}"
                 )));
             }
-            let Some(index) = rest.trim().parse::<usize>().ok() else {
-                if line_is_torn_tail(&line) {
-                    break;
-                }
-                return Err(corrupt(&format!("bad wave line `{line}`")));
-            };
-            if index != waves.len() {
-                return Err(corrupt(&format!(
-                    "wave {index} out of order (expected {})",
-                    waves.len()
-                )));
+            _ => {
+                return Err(corrupt(format!(
+                    "unrecognized record `{record}` at line {line}"
+                )))
             }
-            open = Some(WaveBlock {
-                index,
-                ..WaveBlock::default()
-            });
-        } else if let Some(rest) = line.strip_prefix("ev ") {
-            match (&open, parse_event_line(rest)) {
-                (Some(_), Some(ev)) => events.push(ev),
-                _ => break,
-            }
-        } else if let Some(rest) = line.strip_prefix("w ") {
-            match (open.as_mut(), parse_row_line(rest)) {
-                (Some(block), Some((idx, mut row))) => {
-                    row.events = std::mem::take(&mut events);
-                    block.rows.push((idx, row));
-                }
-                _ => break,
-            }
-        } else if let Some(rest) = line.strip_prefix("wfail ") {
-            match (open.as_mut(), parse_fail_line(rest)) {
-                (Some(block), Some(f)) => block.fails.push(f),
-                _ => break,
-            }
-        } else if let Some(rest) = line.strip_prefix("wdone ") {
-            match open.take() {
-                Some(block)
-                    if events.is_empty()
-                        && rest.trim().parse::<usize>().ok() == Some(block.index) =>
-                {
-                    waves.push(block);
-                }
-                // A torn marker: the wave stays open.
-                block => {
-                    open = block;
-                    break;
-                }
-            }
-        } else if let Some(rest) = line.strip_prefix("cert ") {
-            if open.is_some() {
-                return Err(corrupt("cert line inside an open wave block"));
-            }
-            pending_footer = parse_footer_line(rest);
-            if pending_footer.is_none() {
-                if line_is_torn_tail(&line) {
-                    break;
-                }
-                return Err(corrupt(&format!("bad cert line `{line}`")));
-            }
-        } else if line == "done cert" {
-            footer = pending_footer.take();
-        } else if line.trim().is_empty() {
-            // Blank line: ignore.
-        } else if line_is_torn_tail(&line) {
-            break;
-        } else {
-            return Err(corrupt(&format!("unrecognized line `{line}`")));
         }
     }
     Ok(Some(WaveLog {
@@ -794,6 +778,20 @@ pub(crate) fn parse_log<R: BufRead>(r: R) -> Result<Option<WaveLog>, DnnError> {
         open,
         footer,
     }))
+}
+
+fn parse_stratum_line(rest: &str, expect: usize) -> Option<StratumMeta> {
+    // stratum <idx> <node> <cat> <model> <weight_bits> <layer...>
+    let mut it = rest.splitn(6, ' ');
+    let idx: usize = it.next()?.parse().ok()?;
+    let meta = StratumMeta {
+        node: it.next()?.parse().ok()?,
+        category: parse_cat(it.next()?)?,
+        model: parse_model(it.next()?)?,
+        weight: f64::from_bits(u64::from_str_radix(it.next()?, 16).ok()?),
+        layer: it.next()?.to_owned(),
+    };
+    (idx == expect).then_some(meta)
 }
 
 fn parse_plan(rest: &str) -> Option<(LogPlan, usize)> {
@@ -828,7 +826,7 @@ fn parse_row_line(rest: &str) -> Option<(usize, StratumRow)> {
     let masked = it.next()?.parse().ok()?;
     let output_error = it.next()?.parse().ok()?;
     let anomaly = it.next()?.parse().ok()?;
-    // Fixed width: a row cut short inside its last field never parses.
+    // Fixed width, as written.
     let rng = it.next().filter(|s| s.len() == 16)?;
     let rng_state = u64::from_str_radix(rng, 16).ok()?;
     it.next().is_none().then_some((
@@ -1266,24 +1264,19 @@ mod tests {
         assert_rows_eq(&open.rows[1].1, &row_of(&sample_cell(), 0xCD));
     }
 
-    /// A log cut at any byte parses: rows whose tally line is whole are
+    /// A log cut at any byte parses: rows whose tally record is whole are
     /// kept exactly, a row cut anywhere (events included) is dropped.
     #[test]
     fn log_cut_at_any_byte_keeps_whole_rows_only() {
         let full = two_row_log();
-        let header_end = String::from_utf8(full.clone())
-            .unwrap()
-            .find("wave 0")
-            .unwrap();
+        let text = String::from_utf8(full.clone()).unwrap();
+        let header_end = text.find(" wave 0").unwrap() - 16;
         for cut in header_end..=full.len() {
             let log = parse_log(&full[..cut]).unwrap().unwrap();
             let rows = log.open.map(|b| b.rows).unwrap_or_default();
-            let whole = String::from_utf8(full[..cut].to_vec())
-                .unwrap()
-                .lines()
-                .filter(|l| {
-                    l.starts_with("w ") && l.len() == "w 0 100 60 30 10 00000000000000ab".len()
-                })
+            let whole = text[..cut]
+                .split_inclusive('\n')
+                .filter(|l| l.ends_with('\n') && l[17..].starts_with("w "))
                 .count();
             assert_eq!(rows.len(), whole, "cut {cut}");
             for (idx, row) in &rows {
@@ -1294,13 +1287,53 @@ mod tests {
     }
 
     #[test]
-    fn retired_per_cell_format_is_rejected_by_name() {
-        let old = b"fidelity-ckpt v1\nfingerprint 00000000deadbeef\n";
-        let err = parse_checkpoint(&old[..]).unwrap_err().to_string();
-        assert!(
-            err.contains("unsupported checkpoint format `fidelity-ckpt v1`"),
-            "{err}"
-        );
+    fn retired_formats_are_rejected_by_name() {
+        for old in [
+            &b"fidelity-ckpt v1\nfingerprint 00000000deadbeef\n"[..],
+            b"fidelity-ackpt v1\nfingerprint 00000000deadbeef\nplan fixed 2 0\n",
+        ] {
+            let header =
+                std::str::from_utf8(&old[..old.iter().position(|&b| b == b'\n').unwrap()]).unwrap();
+            let err = parse_checkpoint(old).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unsupported checkpoint format `{header}`")),
+                "{err}"
+            );
+        }
+    }
+
+    /// Every record out of place is a named error with its line.
+    #[test]
+    fn out_of_place_records_name_their_line() {
+        let row = "w 0 100 60 30 10 00000000000000ab";
+        for (tail, line) in [
+            (&["ev 1 00000000 m"][..], 5),
+            (&[row], 5),
+            (&["wfail 0 2 panic boom"], 5),
+            (&["wdone 0"], 5),
+            (&["wave 0", "wave 1"], 6),
+            (&["wave 0", "wdone 1"], 6),
+            (&["wave 0", "cert 0 0 0 0"], 6),
+            (&["wave 0", "ev 1 00000000 m", "wdone 0"], 7),
+            (&["done cert"], 5),
+            (&["cert 0 0 0 0", "done cert", "wave 0"], 7),
+            (&["wave 1"], 5),
+            (&["wave x"], 5),
+        ] {
+            let mut log = Vec::new();
+            let plan = LogPlan::Fixed {
+                samples_per_cell: 100,
+            };
+            write_header(&mut log, 1, &plan, &[meta_of(&sample_cell())]).unwrap();
+            for payload in tail {
+                write_record(&mut log, payload).unwrap();
+            }
+            let err = parse_log(&log[..]).unwrap_err().to_string();
+            assert!(
+                err.contains("corrupt checkpoint") && err.ends_with(&format!("line {line}")),
+                "{tail:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1411,10 +1444,18 @@ mod tests {
     fn bad_header_is_an_error() {
         assert!(parse_checkpoint(&b"not a checkpoint\n"[..]).is_err());
         assert!(parse_checkpoint(&b""[..]).is_err());
-        assert!(parse_checkpoint(&b"fidelity-ackpt v1\nfingerprint zz\n"[..]).is_err());
-        assert!(
-            parse_checkpoint(&b"fidelity-ackpt v1\nfingerprint 01\nplan fixed x 1\n"[..]).is_err()
-        );
+        for preamble in [
+            &["fingerprint zz"][..],
+            &["fingerprint 01", "plan fixed x 1"],
+        ] {
+            let mut log = Vec::new();
+            record_log::write_header(&mut log, HEADER).unwrap();
+            for payload in preamble {
+                write_record(&mut log, payload).unwrap();
+            }
+            let err = parse_checkpoint(&log[..]).unwrap_err().to_string();
+            assert!(err.contains("bad"), "{err}");
+        }
     }
 
     #[test]

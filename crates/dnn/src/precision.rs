@@ -56,6 +56,25 @@ impl Precision {
         Precision::Int16,
         Precision::Int8,
     ];
+
+    /// The names `fidelity analyze --precision` and job specs accept
+    /// (see [`str::parse`]), the default first.
+    pub const NAMES: [&'static str; 4] = ["fp16", "fp32", "int16", "int8"];
+}
+
+impl std::str::FromStr for Precision {
+    type Err = String;
+
+    /// Parses one of [`Precision::NAMES`].
+    fn from_str(name: &str) -> Result<Precision, String> {
+        Ok(match name {
+            "fp16" => Precision::Fp16,
+            "fp32" => Precision::Fp32,
+            "int16" => Precision::Int16,
+            "int8" => Precision::Int8,
+            other => return Err(format!("unknown precision `{other}`")),
+        })
+    }
 }
 
 impl fmt::Display for Precision {
@@ -272,6 +291,20 @@ pub fn calibrate_scale(precision: Precision, max_abs: f32) -> f32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn every_name_parses_and_the_default_comes_first() {
+        let parsed: Vec<Precision> = Precision::NAMES
+            .iter()
+            .map(|n| n.parse().unwrap())
+            .collect();
+        assert_eq!(parsed[0], Precision::default());
+        for p in Precision::ALL {
+            assert!(parsed.contains(&p), "{p} has no name");
+        }
+        let err = "fp8".parse::<Precision>().unwrap_err();
+        assert_eq!(err, "unknown precision `fp8`");
+    }
 
     #[test]
     fn int8_round_trip_on_grid() {

@@ -1,6 +1,6 @@
 //! 64-bit FNV-1a: the workspace's one non-cryptographic hash.
 //!
-//! Campaign and job fingerprints, journal line checksums, trace ids, golden
+//! Campaign and job fingerprints, record-log checksums, trace ids, golden
 //! snapshot keys and the weight-initialization shape mix all use it. What
 //! matters there is determinism and collisions against random corruption,
 //! not resistance to adversaries.

@@ -27,6 +27,8 @@
 //! - [`report`] — trace summarization for `fidelity report --trace`.
 //! - [`stats`] — the canonical Wilson-interval implementation.
 //! - [`fnv`] — the workspace's one FNV-1a hasher.
+//! - [`record_log`] — the checksummed append-only log under the campaign
+//!   wave log and the serve journal.
 
 pub mod clock;
 pub mod fnv;
@@ -37,6 +39,7 @@ pub mod modelcheck;
 pub mod prof;
 pub mod progress;
 pub mod prom;
+pub mod record_log;
 pub mod report;
 pub mod stats;
 pub mod trace;

@@ -15,15 +15,10 @@
 
 use fidelity_core::adaptive::AdaptivePlan;
 use fidelity_core::campaign::CampaignSpec;
-use fidelity_core::outcome::{CorrectnessMetric, TopOneMatch};
-use fidelity_dnn::graph::{Engine, Trace};
 use fidelity_dnn::precision::Precision;
 use fidelity_obs::fnv::Fnv64;
 use fidelity_obs::json::{escape_into, number_into, Json};
-use fidelity_workloads::{
-    classification_suite, lstm_workload, transformer_workload, yolo_workload, BleuThreshold,
-    DetectionThreshold, Workload, WorkloadKind,
-};
+use fidelity_workloads::{deploy, Deployment, NETWORKS};
 
 /// Workload seed `fidelity analyze` uses when `--seed` is absent.
 const DEFAULT_WORKLOAD_SEED: u64 = 42;
@@ -96,16 +91,6 @@ impl Default for JobSpec {
         }
     }
 }
-
-const NETWORKS: &[&str] = &[
-    "inception",
-    "resnet",
-    "mobilenet",
-    "yolo",
-    "transformer",
-    "lstm",
-];
-const PRECISIONS: &[&str] = &["fp16", "fp32", "int16", "int8"];
 
 /// Fields earlier versions accepted and this one no longer does, each with
 /// the value, if any, under which it meant what this version always does:
@@ -215,18 +200,18 @@ impl JobSpec {
         if self.network.is_empty() {
             return Err("`network` is required".to_owned());
         }
-        if !NETWORKS.contains(&self.network.as_str()) {
+        if !NETWORKS.iter().any(|(name, _)| *name == self.network) {
+            let names: Vec<&str> = NETWORKS.iter().map(|(name, _)| *name).collect();
             return Err(format!(
                 "unknown network `{}` (expected one of {})",
                 self.network,
-                NETWORKS.join(", ")
+                names.join(", ")
             ));
         }
-        if !PRECISIONS.contains(&self.precision.as_str()) {
+        if let Err(e) = self.precision.parse::<Precision>() {
             return Err(format!(
-                "unknown precision `{}` (expected one of {})",
-                self.precision,
-                PRECISIONS.join(", ")
+                "{e} (expected one of {})",
+                Precision::NAMES.join(", ")
             ));
         }
         if self.samples == 0 {
@@ -345,49 +330,20 @@ impl JobSpec {
         self.seed.unwrap_or(DEFAULT_CAMPAIGN_SEED)
     }
 
-    /// Deploys the workload exactly as `fidelity analyze` does: same
-    /// constructors, same precision mapping, same optional range bounding.
+    /// Deploys the workload exactly as `fidelity analyze` does, through
+    /// [`fidelity_workloads::deploy`].
     ///
     /// # Errors
     ///
     /// Returns deployment errors as text.
-    pub fn deploy(&self) -> Result<(Engine, Trace, Box<dyn CorrectnessMetric>), String> {
-        let seed = self.workload_seed();
-        let w = self.workload(seed)?;
-        let metric = metric_for(&w);
-        let p = self.parse_precision()?;
-        let inputs = w.inputs.clone();
-        let mut engine =
-            Engine::new(w.network, p, std::slice::from_ref(&inputs)).map_err(|e| e.to_string())?;
-        if let Some(slack) = self.bounding {
-            engine
-                .enable_range_bounding(&inputs, slack)
-                .map_err(|e| e.to_string())?;
-        }
-        let trace = engine.trace(&inputs).map_err(|e| e.to_string())?;
-        Ok((engine, trace, metric))
-    }
-
-    fn workload(&self, seed: u64) -> Result<Workload, String> {
-        Ok(match self.network.as_str() {
-            "inception" => classification_suite(seed).remove(0),
-            "resnet" => classification_suite(seed).remove(1),
-            "mobilenet" => classification_suite(seed).remove(2),
-            "yolo" => yolo_workload(seed),
-            "transformer" => transformer_workload(seed),
-            "lstm" => lstm_workload(seed),
-            other => return Err(format!("unknown network `{other}`")),
-        })
-    }
-
-    fn parse_precision(&self) -> Result<Precision, String> {
-        Ok(match self.precision.as_str() {
-            "fp16" => Precision::Fp16,
-            "fp32" => Precision::Fp32,
-            "int16" => Precision::Int16,
-            "int8" => Precision::Int8,
-            other => return Err(format!("unknown precision `{other}`")),
-        })
+    pub fn deploy(&self) -> Result<Deployment, String> {
+        let precision = self.precision.parse()?;
+        deploy(
+            &self.network,
+            self.workload_seed(),
+            precision,
+            self.bounding,
+        )
     }
 
     /// Builds the identity half of a [`CampaignSpec`] — the fields covered
@@ -408,14 +364,6 @@ impl JobSpec {
             batch: self.batch,
             adaptive: self.adaptive_plan(),
         }
-    }
-}
-
-fn metric_for(w: &Workload) -> Box<dyn CorrectnessMetric> {
-    match w.kind {
-        WorkloadKind::Classification => Box::new(TopOneMatch),
-        WorkloadKind::Translation => Box::new(BleuThreshold::ten_percent()),
-        WorkloadKind::Detection => Box::new(DetectionThreshold::ten_percent()),
     }
 }
 

@@ -8,7 +8,9 @@
 //! single-flight registry is rebuilt — zero lost accepted jobs, zero
 //! duplicated results.
 //!
-//! Format (line-oriented, like the campaign checkpoint):
+//! Format: a [`fidelity_obs::record_log`], like the campaign checkpoint, so
+//! a torn final line is dropped and any other damage is refused with its
+//! line number. Each record's payload is one event:
 //!
 //! ```text
 //! fidelity-journal v1
@@ -20,19 +22,10 @@
 //! <fnv64-hex> expire <id>
 //! <fnv64-hex> shed <id>
 //! ```
-//!
-//! Each line carries an FNV-1a checksum of its payload. A final line that is
-//! truncated, checksum-broken, or missing its newline is a *torn tail* from
-//! a killed writer and is dropped; the same damage anywhere earlier means
-//! real corruption and replay refuses with the offending line number rather
-//! than recovering wrong state.
 
-use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use fidelity_obs::fnv::fnv64;
+use fidelity_obs::record_log::{self, RecordLog};
 
 /// Journal format magic + version line.
 pub const HEADER: &str = "fidelity-journal v1";
@@ -169,13 +162,11 @@ fn word_only(rest: &str) -> Option<String> {
     }
 }
 
-/// Append-only journal writer. Every append flushes, so an accepted job's
-/// `submit` record is on disk before the client sees 202.
+/// Append-only journal writer: the typed [`JournalEvent`] encoder over a
+/// [`RecordLog`]. Every append flushes, so an accepted job's `submit` record
+/// is with the OS before the client sees 202.
 #[derive(Debug)]
-pub struct Journal {
-    writer: BufWriter<File>,
-    path: PathBuf,
-}
+pub struct Journal(RecordLog);
 
 impl Journal {
     /// Creates a fresh journal at `path` (truncating), writing the header.
@@ -184,14 +175,7 @@ impl Journal {
     ///
     /// Propagates I/O errors as text.
     pub fn create(path: &Path) -> Result<Journal, String> {
-        let file = File::create(path).map_err(|e| io_err(path, "create", &e))?;
-        let mut writer = BufWriter::new(file);
-        writeln!(writer, "{HEADER}").map_err(|e| io_err(path, "header write", &e))?;
-        writer.flush().map_err(|e| io_err(path, "flush", &e))?;
-        Ok(Journal {
-            writer,
-            path: path.to_owned(),
-        })
+        RecordLog::create(path, HEADER).map(Journal).map_err(io_err)
     }
 
     /// Opens `path` for appending (the recovery path: replay first, then
@@ -201,37 +185,17 @@ impl Journal {
     ///
     /// Propagates I/O errors as text.
     pub fn append_to(path: &Path) -> Result<Journal, String> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err(path, "open", &e))?;
-        Ok(Journal {
-            writer: BufWriter::new(file),
-            path: path.to_owned(),
-        })
+        RecordLog::append_to(path).map(Journal).map_err(io_err)
     }
 
-    /// Durably installs this journal at `dest`: flushes and syncs the file,
-    /// then atomically renames it into place. The boot-time compaction path
-    /// uses this so a crash mid-rewrite can never leave a half-written
-    /// journal — until the rename lands, the old file at `dest` is
-    /// untouched. Appends continue on the same handle afterwards (the
-    /// rename moves the file, not its descriptor).
+    /// Durably installs this journal at `dest`: the boot-time compaction's
+    /// [`RecordLog::commit_rename`].
     ///
     /// # Errors
     ///
     /// Propagates I/O errors as text; on error `dest` is left as it was.
     pub fn commit_rename(&mut self, dest: &Path) -> Result<(), String> {
-        self.writer
-            .flush()
-            .map_err(|e| io_err(&self.path, "flush", &e))?;
-        self.writer
-            .get_ref()
-            .sync_all()
-            .map_err(|e| io_err(&self.path, "sync", &e))?;
-        std::fs::rename(&self.path, dest).map_err(|e| io_err(&self.path, "rename", &e))?;
-        self.path = dest.to_owned();
-        Ok(())
+        self.0.commit_rename(dest).map_err(io_err)
     }
 
     /// Appends one event and flushes it to the OS.
@@ -240,71 +204,39 @@ impl Journal {
     ///
     /// Propagates I/O errors as text.
     pub fn append(&mut self, ev: &JournalEvent) -> Result<(), String> {
-        let payload = ev.payload();
-        let mut line = String::with_capacity(payload.len() + 20);
-        let _ = write!(line, "{:016x} {payload}", fnv64(payload.as_bytes()));
-        writeln!(self.writer, "{line}").map_err(|e| io_err(&self.path, "append", &e))?;
-        self.writer
-            .flush()
-            .map_err(|e| io_err(&self.path, "flush", &e))
+        self.0.append(&ev.payload()).map_err(io_err)
     }
 }
 
-fn io_err(path: &Path, what: &str, e: &std::io::Error) -> String {
-    format!("journal {what} failed for {}: {e}", path.display())
+fn io_err(e: std::io::Error) -> String {
+    format!("journal {e}")
 }
 
-/// Replays a journal from raw bytes.
-///
-/// A final fragment without its newline is the torn tail of a killed writer
-/// and is dropped — the transition it recorded never took effect anywhere
-/// else, so dropping it costs nothing. Every newline-terminated line must
-/// verify; damage there is corruption, and replay refuses with the 1-based
-/// line number rather than recovering wrong state. (The supervisor rewrites
-/// the journal on boot, so a dropped tail is physically truncated before
-/// any new record is appended.)
+/// Replays a journal from raw bytes. A torn tail is dropped: the
+/// transition it recorded never took effect anywhere else. Every other
+/// record must verify and parse. (The supervisor rewrites the journal on
+/// boot, so a dropped tail is physically truncated before any new record
+/// is appended.)
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending line on corruption.
+/// Returns a message naming the offending line on corruption, and a
+/// missing or damaged header.
 pub fn replay_bytes(bytes: &[u8]) -> Result<Vec<JournalEvent>, String> {
-    // Split into newline-terminated lines; a final fragment without `\n`
-    // is torn by construction (the writer always appends whole lines).
-    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-    // The popped final piece is either the empty slice after a clean
-    // trailing newline or a torn fragment; both are dropped unparsed.
-    lines.pop();
-    if lines.is_empty() {
-        return Err("corrupt journal: empty file".to_owned());
-    }
-    if lines[0] != HEADER.as_bytes() {
+    let corrupt = |e: String| format!("corrupt journal: {e}");
+    let (header, records) = record_log::read(bytes).ok_or_else(|| corrupt("no header".into()))?;
+    if header != HEADER {
         // A header cut short is still a bad journal: nothing was recovered
         // from it, so refusing is safe and honest.
-        return Err("corrupt journal: bad header".to_owned());
+        return Err(corrupt("bad header".into()));
     }
-    let mut events = Vec::new();
-    for (i, raw) in lines[1..].iter().enumerate() {
-        let lineno = i + 2;
-        match parse_line(raw) {
-            Ok(ev) => events.push(ev),
-            Err(why) => {
-                return Err(format!("corrupt journal: {why} at line {lineno}"));
-            }
-        }
-    }
-    Ok(events)
-}
-
-fn parse_line(raw: &[u8]) -> Result<JournalEvent, String> {
-    let text = std::str::from_utf8(raw).map_err(|_| "invalid UTF-8".to_owned())?;
-    let (crc_hex, payload) = text
-        .split_once(' ')
-        .ok_or_else(|| "missing checksum column".to_owned())?;
-    let crc = u64::from_str_radix(crc_hex, 16).map_err(|_| "bad checksum field".to_owned())?;
-    if crc != fnv64(payload.as_bytes()) {
-        return Err("checksum mismatch".to_owned());
-    }
-    JournalEvent::parse_payload(payload).ok_or_else(|| "unparseable event".to_owned())
+    records
+        .map(|record| {
+            let (line, payload) = record.map_err(corrupt)?;
+            JournalEvent::parse_payload(payload)
+                .ok_or_else(|| corrupt(format!("unparseable event at line {line}")))
+        })
+        .collect()
 }
 
 /// Replays the journal at `path`. A missing file is an empty journal (first
@@ -314,16 +246,11 @@ fn parse_line(raw: &[u8]) -> Result<JournalEvent, String> {
 ///
 /// Propagates I/O errors and corruption as text.
 pub fn replay_file(path: &Path) -> Result<Vec<JournalEvent>, String> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)
-                .map_err(|e| io_err(path, "read", &e))?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(io_err(path, "open", &e)),
+    match std::fs::read(path) {
+        Ok(bytes) => replay_bytes(&bytes),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(format!("journal read failed for {}: {e}", path.display())),
     }
-    replay_bytes(&bytes)
 }
 
 #[cfg(test)]

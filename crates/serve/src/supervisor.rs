@@ -952,10 +952,10 @@ impl Supervisor {
         // a previous attempt, lifetime, or daemon process) are restored, so
         // retries and restarts never redo or alter finished work.
         let checkpoint = self.checkpoint_path(entry);
-        // A checkpoint in the retired per-cell format (written by an older
-        // daemon) cannot be resumed; the job is deterministic, so it
-        // simply reruns from scratch.
-        if resilience::is_retired_checkpoint(&checkpoint) {
+        // A checkpoint in a format this version cannot read (a retired one,
+        // written by an older daemon) cannot be resumed; the job is
+        // deterministic, so it simply reruns from scratch.
+        if resilience::check_checkpoint_format(&checkpoint).is_err() {
             let _ = std::fs::remove_file(&checkpoint);
         }
         spec.resilience.checkpoint = Some(CheckpointSpec::resuming(checkpoint));
@@ -1129,7 +1129,9 @@ mod tests {
     /// `target_ci` or `mac_tier` and wrote per-cell checkpoints recovers:
     /// finished jobs naming either field keep their records, unfinished
     /// ones fail by name, and a job journaled with `"mac_tier":"bitwise"`
-    /// whose checkpoint is in the retired format reruns fresh under its id.
+    /// whose checkpoint is in the retired per-cell format reruns fresh
+    /// under its id, as does a job whose checkpoint is an unframed
+    /// `fidelity-ackpt v1` wave log.
     #[test]
     fn recovers_a_state_dir_from_earlier_versions() {
         let dir = scratch_dir("earlier-versions");
@@ -1145,6 +1147,11 @@ mod tests {
             ..JobSpec::default()
         };
         let fresh_id = fresh.job_id();
+        let unframed = JobSpec {
+            seed: Some(4),
+            ..fresh.clone()
+        };
+        let unframed_id = unframed.job_id();
         // `fresh` as the previous version journaled it.
         let fresh_json = r#"{"network":"lstm","precision":"fp16","samples":1,"seed":3,"record_events":false,"threads":1,"priority":0,"retries":2,"batch":0,"mac_tier":"bitwise"}"#;
         {
@@ -1181,6 +1188,10 @@ mod tests {
                     id: fresh_id.clone(),
                     spec_json: fresh_json.to_owned(),
                 },
+                JournalEvent::Submit {
+                    id: unframed_id.clone(),
+                    spec_json: unframed.to_canonical_json(),
+                },
             ] {
                 journal.append(&ev).unwrap();
             }
@@ -1189,6 +1200,12 @@ mod tests {
         std::fs::write(
             &ckpt,
             "fidelity-ckpt v1\nfingerprint 0000000000000000\ndone 0\n",
+        )
+        .unwrap();
+        let unframed_ckpt = dir.join(format!("job-{unframed_id}.ckpt"));
+        std::fs::write(
+            &unframed_ckpt,
+            "fidelity-ackpt v1\nfingerprint 0000000000000000\nplan fixed 1 0\nwave 0\n",
         )
         .unwrap();
 
@@ -1207,13 +1224,15 @@ mod tests {
         let failed = sup.status_json("00000000000000f1").unwrap();
         assert!(failed.contains("retired field `mac_tier`"), "{failed}");
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while sup.is_terminal(&fresh_id) != Some(true) {
-            assert!(std::time::Instant::now() < deadline, "job never finished");
-            std::thread::sleep(Duration::from_millis(20));
+        for (id, ckpt) in [(&fresh_id, &ckpt), (&unframed_id, &unframed_ckpt)] {
+            while sup.is_terminal(id) != Some(true) {
+                assert!(std::time::Instant::now() < deadline, "job never finished");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            assert_eq!(state(id), JobState::Done);
+            let rewritten = std::fs::read_to_string(ckpt).unwrap();
+            assert!(rewritten.starts_with("fidelity-ackpt v2\n"), "{rewritten}");
         }
-        assert_eq!(state(&fresh_id), JobState::Done);
-        let rewritten = std::fs::read_to_string(&ckpt).unwrap();
-        assert!(rewritten.starts_with("fidelity-ackpt v1\n"), "{rewritten}");
         sup.shutdown_and_drain();
         let _ = std::fs::remove_dir_all(&dir);
     }

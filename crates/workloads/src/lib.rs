@@ -29,6 +29,6 @@ pub mod nets;
 
 pub use metrics::{BleuThreshold, DetectionThreshold};
 pub use nets::{
-    classification_suite, lstm_workload, transformer_workload, yolo_workload, Workload,
-    WorkloadKind,
+    classification_suite, deploy, lstm_workload, transformer_workload, workload, yolo_workload,
+    Deployment, Workload, WorkloadKind, NETWORKS,
 };

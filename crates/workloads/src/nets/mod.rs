@@ -20,12 +20,15 @@ pub use resnet::resnet_lite;
 pub use transformer::transformer_lite;
 pub use yolo::yolo_lite;
 
-use fidelity_dnn::graph::Network;
+use fidelity_core::outcome::{CorrectnessMetric, TopOneMatch};
+use fidelity_dnn::graph::{Engine, Network, Trace};
 use fidelity_dnn::init::kaiming_tensor;
 use fidelity_dnn::layers::Conv2d;
+use fidelity_dnn::precision::Precision;
 use fidelity_dnn::tensor::Tensor;
 
 use crate::data;
+use crate::metrics::{BleuThreshold, DetectionThreshold};
 
 /// Task family of a workload (decides its correctness metric).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,28 +54,90 @@ pub struct Workload {
     pub inputs: Vec<Tensor>,
 }
 
+/// A workload builder, deterministic in its seed.
+pub type Builder = fn(u64) -> Workload;
+
+/// The one network-name table: each workload's builder under the name
+/// `fidelity analyze --network` and job specs use.
+pub const NETWORKS: [(&str, Builder); 6] = [
+    ("inception", |seed| {
+        classifier("inception", inception_lite(seed), seed ^ 1)
+    }),
+    ("resnet", |seed| {
+        classifier("resnet", resnet_lite(seed), seed ^ 2)
+    }),
+    ("mobilenet", |seed| {
+        classifier("mobilenet", mobilenet_lite(seed), seed ^ 3)
+    }),
+    ("yolo", yolo_workload),
+    ("transformer", transformer_workload),
+    ("lstm", lstm_workload),
+];
+
+/// Builds the workload named `name` in [`NETWORKS`], and only that one.
+///
+/// # Errors
+///
+/// Names an unknown network.
+pub fn workload(name: &str, seed: u64) -> Result<Workload, String> {
+    let (_, build) = NETWORKS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .ok_or_else(|| format!("unknown network `{name}`"))?;
+    Ok(build(seed))
+}
+
+/// A deployed workload: the engine, its fault-free trace and the task's
+/// correctness metric.
+pub type Deployment = (Engine, Trace, Box<dyn CorrectnessMetric>);
+
+/// Deploys the workload named `name` at `precision`, range-bounded at
+/// `bounding` slack when set: the one deployment path of `fidelity
+/// analyze` and of `fidelity serve` jobs.
+///
+/// # Errors
+///
+/// Names an unknown network; returns engine errors as text.
+pub fn deploy(
+    name: &str,
+    seed: u64,
+    precision: Precision,
+    bounding: Option<f32>,
+) -> Result<Deployment, String> {
+    let w = workload(name, seed)?;
+    let inputs = std::slice::from_ref(&w.inputs);
+    let mut engine = Engine::new(w.network, precision, inputs).map_err(|e| e.to_string())?;
+    if let Some(slack) = bounding {
+        let bounded = engine.enable_range_bounding(&w.inputs, slack);
+        bounded.map_err(|e| e.to_string())?;
+    }
+    let trace = engine.trace(&w.inputs).map_err(|e| e.to_string())?;
+    Ok((engine, trace, w.kind.metric()))
+}
+
+impl WorkloadKind {
+    /// The application-level correctness metric of the task family.
+    pub fn metric(self) -> Box<dyn CorrectnessMetric> {
+        match self {
+            WorkloadKind::Classification => Box::new(TopOneMatch),
+            WorkloadKind::Translation => Box::new(BleuThreshold::ten_percent()),
+            WorkloadKind::Detection => Box::new(DetectionThreshold::ten_percent()),
+        }
+    }
+}
+
 /// Builds the classification suite of Fig. 4: Inception, ResNet, MobileNet.
 pub fn classification_suite(seed: u64) -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "inception".into(),
-            kind: WorkloadKind::Classification,
-            network: inception_lite(seed),
-            inputs: vec![data::synthetic_image(seed ^ 1, 3, 16)],
-        },
-        Workload {
-            name: "resnet".into(),
-            kind: WorkloadKind::Classification,
-            network: resnet_lite(seed),
-            inputs: vec![data::synthetic_image(seed ^ 2, 3, 16)],
-        },
-        Workload {
-            name: "mobilenet".into(),
-            kind: WorkloadKind::Classification,
-            network: mobilenet_lite(seed),
-            inputs: vec![data::synthetic_image(seed ^ 3, 3, 16)],
-        },
-    ]
+    NETWORKS[..3].iter().map(|(_, build)| build(seed)).collect()
+}
+
+fn classifier(name: &str, network: Network, image_seed: u64) -> Workload {
+    Workload {
+        name: name.into(),
+        kind: WorkloadKind::Classification,
+        network,
+        inputs: vec![data::synthetic_image(image_seed, 3, 16)],
+    }
 }
 
 /// Builds the Yolo detection workload of Fig. 5(b).
@@ -178,6 +243,15 @@ mod tests {
                 w.name
             );
         }
+    }
+
+    #[test]
+    fn every_network_name_builds_its_own_workload() {
+        for (name, _) in NETWORKS {
+            assert_eq!(workload(name, 1).unwrap().name, name);
+        }
+        let err = workload("vgg", 1).unwrap_err();
+        assert_eq!(err, "unknown network `vgg`");
     }
 
     #[test]

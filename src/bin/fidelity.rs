@@ -33,19 +33,14 @@ use fidelity::core::campaign::CampaignSpec;
 use fidelity::core::fit::{
     ff_fit_budget, ASIL_D_CHIPSET_FIT, NVDLA_FF_AREA_FRACTION, PAPER_RAW_FIT_PER_MB,
 };
-use fidelity::core::outcome::{CorrectnessMetric, TopOneMatch};
 use fidelity::core::protect::{default_costs, plan_selective_protection};
 use fidelity::core::resilience::CheckpointSpec;
 use fidelity::core::rfa::reuse_factor_analysis;
 use fidelity::core::validate::{random_sites, rtl_layer_for, validate_many};
-use fidelity::dnn::graph::Engine;
 use fidelity::dnn::init::SplitMix64;
 use fidelity::dnn::precision::Precision;
 use fidelity::rtl::RtlEngine;
-use fidelity::workloads::metrics::{BleuThreshold, DetectionThreshold};
-use fidelity::workloads::{
-    classification_suite, lstm_workload, transformer_workload, yolo_workload, Workload,
-};
+use fidelity::workloads::Deployment;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -255,39 +250,6 @@ fn get<T: std::str::FromStr>(
     }
 }
 
-fn workload(opts: &HashMap<String, String>, seed: u64) -> Result<Workload, String> {
-    let name = opts
-        .get("network")
-        .ok_or_else(|| "--network is required".to_owned())?;
-    Ok(match name.as_str() {
-        "inception" => classification_suite(seed).remove(0),
-        "resnet" => classification_suite(seed).remove(1),
-        "mobilenet" => classification_suite(seed).remove(2),
-        "yolo" => yolo_workload(seed),
-        "transformer" => transformer_workload(seed),
-        "lstm" => lstm_workload(seed),
-        other => return Err(format!("unknown network `{other}`")),
-    })
-}
-
-fn precision(opts: &HashMap<String, String>) -> Result<Precision, String> {
-    Ok(match opts.get("precision").map(String::as_str) {
-        None | Some("fp16") => Precision::Fp16,
-        Some("fp32") => Precision::Fp32,
-        Some("int16") => Precision::Int16,
-        Some("int8") => Precision::Int8,
-        Some(other) => return Err(format!("unknown precision `{other}`")),
-    })
-}
-
-fn metric_for(w: &Workload) -> Box<dyn CorrectnessMetric> {
-    match w.kind {
-        fidelity::workloads::WorkloadKind::Classification => Box::new(TopOneMatch),
-        fidelity::workloads::WorkloadKind::Translation => Box::new(BleuThreshold::ten_percent()),
-        fidelity::workloads::WorkloadKind::Detection => Box::new(DetectionThreshold::ten_percent()),
-    }
-}
-
 fn cmd_rfa(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(spec) = opts.get("eyeriss") {
         let (k, t) = spec
@@ -325,33 +287,22 @@ fn cmd_rfa(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn deploy(
-    opts: &HashMap<String, String>,
-    seed: u64,
-) -> Result<
-    (
-        Engine,
-        fidelity::dnn::graph::Trace,
-        Box<dyn CorrectnessMetric>,
-    ),
-    String,
-> {
-    let w = workload(opts, seed)?;
-    let metric = metric_for(&w);
-    let p = precision(opts)?;
-    let inputs = w.inputs.clone();
-    let mut engine =
-        Engine::new(w.network, p, std::slice::from_ref(&inputs)).map_err(|e| e.to_string())?;
-    if let Some(slack) = opts.get("bounding") {
-        let slack: f32 = slack
-            .parse()
-            .map_err(|_| "--bounding: bad slack".to_owned())?;
-        engine
-            .enable_range_bounding(&inputs, slack)
-            .map_err(|e| e.to_string())?;
-    }
-    let trace = engine.trace(&inputs).map_err(|e| e.to_string())?;
-    Ok((engine, trace, metric))
+fn deploy(opts: &HashMap<String, String>, seed: u64) -> Result<Deployment, String> {
+    let name = opts
+        .get("network")
+        .ok_or_else(|| "--network is required".to_owned())?;
+    let precision = opts
+        .get("precision")
+        .map_or(Ok(Precision::default()), |p| p.parse())?;
+    let bounding = opts
+        .get("bounding")
+        .map(|slack| {
+            slack
+                .parse()
+                .map_err(|_| "--bounding: bad slack".to_owned())
+        })
+        .transpose()?;
+    fidelity::workloads::deploy(name, seed, precision, bounding)
 }
 
 fn spec_from(opts: &HashMap<String, String>) -> Result<CampaignSpec, String> {

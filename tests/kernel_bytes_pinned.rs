@@ -14,6 +14,7 @@ use fidelity::core::resilience::CheckpointSpec;
 use fidelity::dnn::graph::Engine;
 use fidelity::dnn::precision::Precision;
 use fidelity::obs::fnv::{fnv64, Fnv64};
+use fidelity::obs::record_log;
 use fidelity::serve::JobSpec;
 use fidelity::workloads::{lstm_workload, transformer_workload, Workload};
 
@@ -73,9 +74,21 @@ fn transformer_wave_log_is_pinned() {
     run_campaign(&engine, &trace, &accel, metric.as_ref(), &spec).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+    // The records' payloads, each with its newline, are the lines of the
+    // unframed `fidelity-ackpt v1` log after its header: same content.
+    let (_, records) = record_log::read(&bytes).unwrap();
+    let mut payloads = Fnv64::new();
+    for record in records {
+        payloads.bytes(record.unwrap().1.as_bytes()).bytes(b"\n");
+    }
+    assert_eq!(
+        payloads.finish(),
+        0xa11f_0fb4_cb3a_cde2,
+        "transformer wave log content moved"
+    );
     assert_eq!(
         (bytes.len(), fnv64(&bytes)),
-        (23_186, 0xc4ab_7171_56ed_ad51),
+        (32_298, 0xf0d6_3887_7ea0_ebac),
         "transformer wave log moved"
     );
 }

@@ -298,14 +298,14 @@ fn adaptive_kill_mid_wave_then_resume_is_identical() {
     let spec = adaptive_spec(7, 0);
     let reference = run_adaptive_at(&engine, &trace, &spec, 1, "killref");
 
-    // Cut the file mid-way through the second wave block and append a torn
-    // partial row — exactly what a kill during a block write leaves behind.
+    // Cut the file mid-way through the record after the second wave's
+    // `wave` record: a torn partial row, exactly what a kill during a block
+    // write leaves behind.
     let text = String::from_utf8(reference.2.clone()).unwrap();
-    let second_wave = text.match_indices("\nwave ").nth(1).map(|(i, _)| i + 1);
+    let second_wave = text.match_indices(" wave ").nth(1).map(|(i, _)| i + 1);
     let cut = second_wave.expect("reference has at least two waves");
     let torn_end = text[cut..].find('\n').map(|i| cut + i + 30).unwrap();
-    let mut torn = text.as_bytes()[..torn_end].to_vec();
-    torn.extend_from_slice(b"\nw 3 1");
+    let torn = text.as_bytes()[..torn_end].to_vec();
 
     for jobs in [1usize, 4] {
         let ckpt = ScratchCkpt::new(&format!("killresume_{jobs}"));

@@ -73,9 +73,11 @@ fn id_of(body: &str) -> String {
     body[start..].split('"').next().unwrap().to_owned()
 }
 
-/// Rows committed to the job's wave log (one per finished stratum).
+/// Rows committed to the job's wave log (one per finished stratum): its
+/// `w` records, each after a 16-digit checksum and a space.
 fn committed_cells(ckpt: &std::path::Path) -> usize {
-    std::fs::read_to_string(ckpt).map_or(0, |s| s.lines().filter(|l| l.starts_with("w ")).count())
+    let is_row = |l: &str| l.get(17..).is_some_and(|p| p.starts_with("w "));
+    std::fs::read_to_string(ckpt).map_or(0, |s| s.lines().filter(|l| is_row(l)).count())
 }
 
 #[test]
