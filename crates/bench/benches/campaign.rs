@@ -9,10 +9,10 @@ use fidelity_core::adaptive::AdaptivePlan;
 use fidelity_core::campaign::{run_campaign, CampaignSpec};
 use fidelity_core::outcome::TopOneMatch;
 use fidelity_dnn::precision::Precision;
-use fidelity_workloads::classification_suite;
+use fidelity_workloads::workload;
 
 fn bench_campaign(c: &mut Criterion) {
-    let workload = classification_suite(42).remove(2); // mobilenet: smallest
+    let workload = workload("mobilenet", 42).expect("known network"); // the smallest
     let (engine, trace) = fidelity_bench::deploy(workload, Precision::Fp16);
     let accel = fidelity_accel::presets::nvdla_like();
 

@@ -13,11 +13,11 @@ use fidelity_bench::report;
 use fidelity_dnn::precision::Precision;
 use fidelity_dnn::workspace::Workspace;
 use fidelity_obs::json::Json;
-use fidelity_workloads::{classification_suite, transformer_workload, Workload};
+use fidelity_workloads::{transformer_workload, workload, Workload};
 
 fn suite() -> Vec<(&'static str, Workload)> {
     vec![
-        ("resnet", classification_suite(42).remove(1)),
+        ("resnet", workload("resnet", 42).expect("known network")),
         ("transformer", transformer_workload(42)),
     ]
 }

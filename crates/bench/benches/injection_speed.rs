@@ -27,10 +27,10 @@ use fidelity_dnn::graph::{golden_key, Engine, Trace};
 use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::macspec::{MacSpec, OperandKind, Operands, Substitution};
 use fidelity_dnn::precision::Precision;
-use fidelity_dnn::workspace::Workspace;
+use fidelity_dnn::workspace::{Region, Workspace};
 use fidelity_obs::json::Json;
 use fidelity_rtl::{Disturbance, RtlEngine};
-use fidelity_workloads::{classification_suite, transformer_workload};
+use fidelity_workloads::{transformer_workload, workload};
 
 /// The largest MAC layer: the representative injection target.
 fn target_node(engine: &Engine, trace: &Trace) -> usize {
@@ -158,8 +158,12 @@ fn row_window_self_check(engine: &Engine, trace: &Trace) -> usize {
             let h1 = h0 + 1 + rng.next_below((rows - h0) as u64) as usize;
             let sentinel = f32::from_bits(0x7FC0_5A5A);
             let mut out = fidelity_dnn::tensor::Tensor::full(vec![rows, cols], sentinel);
+            let band = Region::Window {
+                h: (h0, h1),
+                w: (0, cols),
+            };
             let windowed = layer
-                .forward_region(&inputs, (h0, h1), (0, cols), &mut out, &mut ws)
+                .forward_region(&inputs, band, &mut out, &mut ws)
                 .expect("layer forward_region");
             assert!(windowed, "node {node} ({}) has no row path", layer.name());
             for (off, (&got, &want)) in out.data().iter().zip(full.data()).enumerate() {
@@ -339,7 +343,7 @@ fn measure_injections(
 }
 
 fn bench_injection(c: &mut Criterion) {
-    let workload = classification_suite(42).remove(0);
+    let workload = workload("inception", 42).expect("known network");
     let (engine, trace) = fidelity_bench::deploy(workload, Precision::Fp16);
     let node = target_node(&engine, &trace);
     let rtl = RtlEngine::new(
@@ -443,7 +447,7 @@ impl fidelity_obs::trace::TraceSink for NullSink {
 /// campaign runner does (stopwatch read, histogram record, counter
 /// increment), bounding the fully-enabled cost.
 fn bench_telemetry_overhead(c: &mut Criterion) {
-    let workload = classification_suite(42).remove(0);
+    let workload = workload("inception", 42).expect("known network");
     let (engine, trace) = fidelity_bench::deploy(workload, Precision::Fp16);
     let node = target_node(&engine, &trace);
 
@@ -497,7 +501,7 @@ fn main() {
         return;
     }
     let quick = report::quick();
-    let workload = classification_suite(42).remove(0);
+    let workload = workload("inception", 42).expect("known network");
     let network = workload.name.clone();
     let (engine, trace) = fidelity_bench::deploy(workload, Precision::Fp16);
 

@@ -7,12 +7,12 @@
 use fidelity_accel::perf::{extract_work, LayerTiming};
 use fidelity_core::activeness::prob_inactive;
 use fidelity_dnn::precision::Precision;
-use fidelity_workloads::classification_suite;
+use fidelity_workloads::workload;
 
 fn main() {
     let cfg = fidelity_accel::presets::nvdla_like();
     let precision = Precision::Fp16;
-    let workload = classification_suite(42).remove(1); // resnet
+    let workload = workload("resnet", 42).expect("known network");
     let name = workload.name.clone();
     let (engine, trace) = fidelity_bench::deploy(workload, precision);
     let work = extract_work(&engine, &trace);

@@ -16,9 +16,7 @@ use fidelity_core::validate::{random_sites, rtl_layer_for, validate_many, Valida
 use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::precision::Precision;
 use fidelity_rtl::RtlEngine;
-use fidelity_workloads::{
-    classification_suite, lstm_workload, transformer_workload, yolo_workload, Workload,
-};
+use fidelity_workloads::{lstm_workload, transformer_workload, workload, yolo_workload, Workload};
 
 struct Case {
     name: &'static str,
@@ -28,16 +26,15 @@ struct Case {
 
 fn main() {
     let sites_per_case = fidelity_bench::validation_sites();
-    let mut classification = classification_suite(42);
     let cases = vec![
         Case {
             name: "inception 3x3 conv",
-            workload: classification.remove(0),
+            workload: workload("inception", 42).expect("known network"),
             layer: "m0_b1b",
         },
         Case {
             name: "resnet 3x3 conv",
-            workload: classification.remove(0),
+            workload: workload("resnet", 42).expect("known network"),
             layer: "r1_c1",
         },
         Case {
@@ -96,7 +93,7 @@ fn main() {
         let sites = random_sites(&rtl, sites_per_case, &mut rng);
         let report = validate_many(&rtl, &sites);
         print_row(case.name, &report);
-        merge(&mut total, &report);
+        total.merge(&report);
     }
 
     fidelity_bench::rule(118);
@@ -109,7 +106,7 @@ fn main() {
     {
         use fidelity_core::validate_systolic::{random_systolic_sites, validate_systolic_many};
         use fidelity_rtl::SystolicEngine;
-        let w = classification_suite(42).remove(1);
+        let w = workload("resnet", 42).expect("known network");
         let (engine, trace) = fidelity_bench::deploy(w, Precision::Fp16);
         let node = engine.network().node_index("r1_c1").expect("resnet conv");
         let layer = rtl_layer_for(&engine, &trace, node).expect("conv lifts");
@@ -117,7 +114,7 @@ fn main() {
         let sites = random_systolic_sites(&sys, sites_per_case, &mut rng);
         let report = validate_systolic_many(&sys, &sites);
         print_row("resnet conv (systolic)", &report);
-        merge(&mut total, &report);
+        total.merge(&report);
         if !report.mismatches.is_empty() {
             println!("  SYSTOLIC MISMATCHES: {}", report.mismatches.len());
         }
@@ -171,18 +168,4 @@ fn print_row(name: &str, r: &ValidationReport) {
         r.global_masked,
         r.timeouts
     );
-}
-
-fn merge(total: &mut ValidationReport, r: &ValidationReport) {
-    total.total += r.total;
-    total.masked_agreed += r.masked_agreed;
-    total.datapath_cases += r.datapath_cases;
-    total.datapath_exact += r.datapath_exact;
-    total.local_cases += r.local_cases;
-    total.local_match += r.local_match;
-    total.global_cases += r.global_cases;
-    total.global_failure += r.global_failure;
-    total.global_masked += r.global_masked;
-    total.timeouts += r.timeouts;
-    total.mismatches.extend(r.mismatches.iter().cloned());
 }

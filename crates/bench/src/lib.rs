@@ -410,12 +410,12 @@ pub fn fit(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fidelity_workloads::classification_suite;
+    use fidelity_workloads::workload;
 
     #[test]
     fn deploy_all_precisions() {
         for precision in [Precision::Fp16, Precision::Int8] {
-            let w = classification_suite(1).remove(0);
+            let w = workload("inception", 1).expect("known network");
             let (engine, trace) = deploy(w, precision);
             assert_eq!(engine.precision(), precision);
             assert!(!trace.output.is_empty());

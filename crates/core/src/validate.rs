@@ -18,7 +18,8 @@
 use fidelity_accel::ff::FfCategory;
 use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::macspec::{OperandKind, Operands, Substitution};
-use fidelity_rtl::{Disturbance, FaultSite, FfId, ObservedFault, RtlEngine, SchedPoint};
+use fidelity_dnn::tensor::Tensor;
+use fidelity_rtl::{Disturbance, FaultSite, FfId, ObservedFault, RtlEngine, RtlLayer, SchedPoint};
 
 /// The software fault model's prediction for one concrete fault site.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,19 +53,20 @@ pub fn predict(engine: &RtlEngine, site: FaultSite) -> Prediction {
         codec.decode(codec.encode(v) ^ (1u32 << site.bit.min(31)))
     };
     let sched = engine.schedule_at(site.cycle);
+    let clean = engine.clean_output();
 
     match site.ff {
         FfId::FetchInput => match sched {
             SchedPoint::FetchInput { index } => {
                 let faulty = flip(layer.input_codec, layer.input.data()[index]);
-                operand_prediction(engine, OperandKind::Input, index, faulty, None)
+                operand_prediction(layer, clean, OperandKind::Input, index, faulty)
             }
             _ => Prediction::Masked,
         },
         FfId::FetchWeight => match sched {
             SchedPoint::FetchWeight { index } => {
                 let faulty = flip(layer.weight_codec, layer.weight.data()[index]);
-                operand_prediction(engine, OperandKind::Weight, index, faulty, None)
+                operand_prediction(layer, clean, OperandKind::Weight, index, faulty)
             }
             _ => Prediction::Masked,
         },
@@ -87,14 +89,8 @@ pub fn predict(engine: &RtlEngine, site: FaultSite) -> Prediction {
                     .filter(|&c| c < channels)
                     .map(|c| spec.offset_of(p as usize, c as usize))
                     .collect();
-                operand_prediction_for(
-                    engine,
-                    OperandKind::Input,
-                    addr as usize,
-                    faulty,
-                    neurons,
-                    &operands,
-                )
+                let addr = addr as usize;
+                operand_prediction_for(layer, clean, OperandKind::Input, addr, faulty, neurons)
             }
             _ => Prediction::Masked,
         },
@@ -119,14 +115,8 @@ pub fn predict(engine: &RtlEngine, site: FaultSite) -> Prediction {
                 let neurons: Vec<usize> = (y..t_eff)
                     .map(|yy| spec.offset_of((s_base + yy) as usize, c as usize))
                     .collect();
-                operand_prediction_for(
-                    engine,
-                    OperandKind::Weight,
-                    addr as usize,
-                    faulty,
-                    neurons,
-                    &operands,
-                )
+                let addr = addr as usize;
+                operand_prediction_for(layer, clean, OperandKind::Weight, addr, faulty, neurons)
             }
             _ => Prediction::Masked,
         },
@@ -178,7 +168,7 @@ pub fn predict(engine: &RtlEngine, site: FaultSite) -> Prediction {
             let value = layer
                 .output_codec
                 .quantize(spec.compute_at_acc_flip(&operands, off, flip));
-            finish_neurons(engine, vec![off], vec![Some(value)])
+            finish_neurons(clean, vec![off], vec![Some(value)])
         }
         FfId::OutputReg { lane } => match sched {
             SchedPoint::Writeback {
@@ -189,9 +179,8 @@ pub fn predict(engine: &RtlEngine, site: FaultSite) -> Prediction {
                     return Prediction::Masked;
                 }
                 let off = spec.offset_of((s_base + y) as usize, c as usize);
-                let clean = engine.clean_output().data()[off];
-                let value = flip(layer.output_codec, clean);
-                finish_neurons(engine, vec![off], vec![Some(value)])
+                let value = flip(layer.output_codec, clean.data()[off]);
+                finish_neurons(clean, vec![off], vec![Some(value)])
             }
             _ => Prediction::Masked,
         },
@@ -216,59 +205,57 @@ pub fn predict(engine: &RtlEngine, site: FaultSite) -> Prediction {
 }
 
 /// Before-buffer prediction: all users of the corrupted stored value.
-fn operand_prediction(
-    engine: &RtlEngine,
+pub(crate) fn operand_prediction(
+    layer: &RtlLayer,
+    clean: &Tensor,
     kind: OperandKind,
     elem: usize,
     faulty: f32,
-    _unused: Option<()>,
 ) -> Prediction {
-    let layer = engine.layer();
-    let spec = &layer.spec;
     let users = match kind {
-        OperandKind::Input => spec.neurons_using_input(elem),
-        OperandKind::Weight => spec.neurons_using_weight(elem),
+        OperandKind::Input => layer.spec.neurons_using_input(elem),
+        OperandKind::Weight => layer.spec.neurons_using_weight(elem),
     };
-    let operands = Operands {
-        input: &layer.input,
-        weight: &layer.weight,
-    };
-    operand_prediction_for(engine, kind, elem, faulty, users, &operands)
+    operand_prediction_for(layer, clean, kind, elem, faulty, users)
 }
 
 /// Computes the predicted values for a given neuron window under a
 /// single-element substitution, dropping neurons whose value is unchanged.
-fn operand_prediction_for(
-    engine: &RtlEngine,
+pub(crate) fn operand_prediction_for(
+    layer: &RtlLayer,
+    clean: &Tensor,
     kind: OperandKind,
     elem: usize,
     faulty: f32,
     neurons: Vec<usize>,
-    operands: &Operands<'_>,
 ) -> Prediction {
-    let layer = engine.layer();
+    let operands = Operands {
+        input: &layer.input,
+        weight: &layer.weight,
+    };
     let subst = Substitution {
         kind,
         offset: elem,
         value: faulty,
     };
-    let mut offsets = Vec::new();
-    let mut values = Vec::new();
-    for off in neurons {
-        let v = layer
-            .output_codec
-            .quantize(layer.spec.compute_at(operands, off, Some(&subst)));
-        offsets.push(off);
-        values.push(Some(v));
-    }
-    finish_neurons(engine, offsets, values)
+    let values = neurons
+        .iter()
+        .map(|&off| {
+            let v = layer.spec.compute_at(&operands, off, Some(&subst));
+            Some(layer.output_codec.quantize(v))
+        })
+        .collect();
+    finish_neurons(clean, neurons, values)
 }
 
-/// Filters out neurons whose predicted value equals the clean value (those
-/// are invisible in an output diff) and collapses to `Masked` when nothing
-/// remains.
-fn finish_neurons(engine: &RtlEngine, offsets: Vec<usize>, values: Vec<Option<f32>>) -> Prediction {
-    let clean = engine.clean_output();
+/// Filters out neurons whose predicted value equals the `clean` output's
+/// (those are invisible in an output diff) and collapses to `Masked` when
+/// nothing remains.
+pub(crate) fn finish_neurons(
+    clean: &Tensor,
+    offsets: Vec<usize>,
+    values: Vec<Option<f32>>,
+) -> Prediction {
     let mut out_offsets = Vec::new();
     let mut out_values = Vec::new();
     for (off, val) in offsets.into_iter().zip(values) {
@@ -367,11 +354,12 @@ pub enum Agreement {
     Mismatch(String),
 }
 
-/// One validated fault site.
+/// One validated fault site of either register-level dataflow: `S` is the
+/// engine's site type.
 #[derive(Debug, Clone)]
-pub struct SiteOutcome {
+pub struct SiteOutcome<S = FaultSite> {
     /// The injected site.
-    pub site: FaultSite,
+    pub site: S,
     /// Its FF category.
     pub category: FfCategory,
     /// Whether the RTL run timed out.
@@ -386,8 +374,28 @@ pub fn validate_site(engine: &RtlEngine, site: FaultSite) -> SiteOutcome {
     let result = engine.run(Disturbance::Ff(site));
     let observed = ObservedFault::from_run(engine.clean_output(), &result);
     let prediction = predict(engine, site);
+    let agreement = agreement(&prediction, category, &observed, || {
+        format!("site {} cycle {} bit {}", site.ff, site.cycle, site.bit)
+    });
+    SiteOutcome {
+        site,
+        category,
+        timed_out: observed.timed_out,
+        agreement,
+    }
+}
 
-    let agreement = match (&prediction, category) {
+/// The agreement rule of both register-level dataflows: how the software
+/// model's `prediction` for a site of `category` compares with what the
+/// register-level run `observed`. `site` names the site (its FF, cycle
+/// and bit) in a mismatch message.
+pub(crate) fn agreement(
+    prediction: &Prediction,
+    category: FfCategory,
+    observed: &ObservedFault,
+    site: impl FnOnce() -> String,
+) -> Agreement {
+    match (prediction, category) {
         (Prediction::SystemFailure, _) => {
             if observed.is_masked() {
                 Agreement::GlobalMasked
@@ -400,33 +408,34 @@ pub fn validate_site(engine: &RtlEngine, site: FaultSite) -> SiteOutcome {
                 Agreement::MaskedAgreed
             } else {
                 Agreement::Mismatch(format!(
-                    "predicted masked, rtl saw {} faulty neurons (site {} cycle {})",
+                    "predicted masked, rtl saw {} faulty neurons ({})",
                     observed.reuse_factor(),
-                    site.ff,
-                    site.cycle
+                    site()
                 ))
             }
         }
-        (Prediction::Neurons { offsets, values }, FfCategory::LocalControl) => {
+        (Prediction::Neurons { offsets, .. }, FfCategory::LocalControl) => {
             if observed.reuse_factor() <= 1
                 && observed.faulty_neurons.iter().all(|n| offsets.contains(n))
             {
-                // The RTL engine writes a literal zero on a local-control
-                // drop, so the bit-exact comparison is the correct test.
+                // The register-level engines write a literal zero on a
+                // local-control drop, so the bit-exact comparison is the
+                // correct test.
                 // statcheck:allow(float-eq)
                 let value_was_zero = observed.faulty_values.first().is_some_and(|v| *v == 0.0);
-                let _ = values;
                 Agreement::LocalNeuronMatch { value_was_zero }
             } else {
                 Agreement::Mismatch(format!(
-                    "local control: predicted {:?}, rtl {:?}",
-                    offsets, observed.faulty_neurons
+                    "local control {}: predicted {:?}, rtl {:?}",
+                    site(),
+                    offsets,
+                    observed.faulty_neurons
                 ))
             }
         }
         (Prediction::Neurons { offsets, values }, _) => {
             if observed.timed_out {
-                Agreement::Mismatch("datapath fault caused a time-out".into())
+                Agreement::Mismatch(format!("datapath {}: fault caused a time-out", site()))
             } else if observed.faulty_neurons == *offsets
                 && observed
                     .faulty_values
@@ -437,10 +446,8 @@ pub fn validate_site(engine: &RtlEngine, site: FaultSite) -> SiteOutcome {
                 Agreement::DatapathExact
             } else {
                 Agreement::Mismatch(format!(
-                    "datapath {} cycle {} bit {}: predicted {:?} rtl {:?} (values {:?} vs {:?})",
-                    site.ff,
-                    site.cycle,
-                    site.bit,
+                    "datapath {}: predicted {:?} rtl {:?} (values {:?} vs {:?})",
+                    site(),
                     offsets,
                     observed.faulty_neurons,
                     values,
@@ -448,13 +455,6 @@ pub fn validate_site(engine: &RtlEngine, site: FaultSite) -> SiteOutcome {
                 ))
             }
         }
-    };
-
-    SiteOutcome {
-        site,
-        category,
-        timed_out: observed.timed_out,
-        agreement,
     }
 }
 
@@ -486,8 +486,8 @@ pub struct ValidationReport {
 }
 
 impl ValidationReport {
-    /// Folds one site outcome into the report.
-    pub fn add(&mut self, outcome: &SiteOutcome) {
+    /// Folds one site outcome, of either dataflow, into the report.
+    pub fn add<S>(&mut self, outcome: &SiteOutcome<S>) {
         self.total += 1;
         if outcome.timed_out {
             self.timeouts += 1;
@@ -519,6 +519,21 @@ impl ValidationReport {
                 self.mismatches.push(m.clone());
             }
         }
+    }
+
+    /// Folds another report's counts and mismatches into this one.
+    pub fn merge(&mut self, other: &ValidationReport) {
+        self.total += other.total;
+        self.masked_agreed += other.masked_agreed;
+        self.datapath_cases += other.datapath_cases;
+        self.datapath_exact += other.datapath_exact;
+        self.local_cases += other.local_cases;
+        self.local_match += other.local_match;
+        self.global_cases += other.global_cases;
+        self.global_failure += other.global_failure;
+        self.global_masked += other.global_masked;
+        self.timeouts += other.timeouts;
+        self.mismatches.extend(other.mismatches.iter().cloned());
     }
 }
 

@@ -4,12 +4,14 @@
 //! framework's portability claim made executable: only the schedule
 //! interpretation changes; the comparison criteria are identical.
 
-use fidelity_accel::ff::FfCategory;
 use fidelity_dnn::init::SplitMix64;
-use fidelity_dnn::macspec::{OperandKind, Operands, Substitution};
+use fidelity_dnn::macspec::{OperandKind, Operands};
 use fidelity_rtl::{ObservedFault, SysFaultSite, SysFfId, SysSchedPoint, SystolicEngine};
 
-use crate::validate::{Agreement, Prediction, ValidationReport};
+use crate::validate::{
+    agreement, finish_neurons, operand_prediction, operand_prediction_for, Prediction, SiteOutcome,
+    ValidationReport,
+};
 
 /// Derives the software-model prediction for a systolic fault site.
 pub fn predict_systolic(engine: &SystolicEngine, site: SysFaultSite) -> Prediction {
@@ -31,80 +33,20 @@ pub fn predict_systolic(engine: &SystolicEngine, site: SysFaultSite) -> Predicti
         codec.decode(codec.encode(v) ^ (1u32 << site.bit.min(31)))
     };
     let sched = engine.schedule_at(site.cycle);
-
-    let finish = |offsets: Vec<usize>, values: Vec<Option<f32>>| -> Prediction {
-        let clean = engine.clean_output();
-        let mut o = Vec::new();
-        let mut v = Vec::new();
-        for (off, val) in offsets.into_iter().zip(values) {
-            match val {
-                Some(p) => {
-                    let c = clean.data()[off];
-                    if p.is_nan() || c.is_nan() || (p - c).abs() > 0.0 {
-                        o.push(off);
-                        v.push(Some(p));
-                    }
-                }
-                None => {
-                    o.push(off);
-                    v.push(None);
-                }
-            }
-        }
-        if o.is_empty() {
-            Prediction::Masked
-        } else {
-            Prediction::Neurons {
-                offsets: o,
-                values: v,
-            }
-        }
-    };
+    let clean = engine.clean_output();
 
     match site.ff {
         SysFfId::FetchInput => match sched {
             SysSchedPoint::FetchInput { index } => {
                 let faulty = flip(layer.input_codec, layer.input.data()[index]);
-                let subst = Substitution {
-                    kind: OperandKind::Input,
-                    offset: index,
-                    value: faulty,
-                };
-                let users = spec.neurons_using_input(index);
-                let values = users
-                    .iter()
-                    .map(|&off| {
-                        Some(layer.output_codec.quantize(spec.compute_at(
-                            &operands,
-                            off,
-                            Some(&subst),
-                        )))
-                    })
-                    .collect();
-                finish(users, values)
+                operand_prediction(layer, clean, OperandKind::Input, index, faulty)
             }
             _ => Prediction::Masked,
         },
         SysFfId::FetchWeight => match sched {
             SysSchedPoint::FetchWeight { index } => {
                 let faulty = flip(layer.weight_codec, layer.weight.data()[index]);
-                let subst = Substitution {
-                    kind: OperandKind::Weight,
-                    offset: index,
-                    value: faulty,
-                };
-                let users = spec.neurons_using_weight(index);
-                let values = users
-                    .iter()
-                    .map(|&off| {
-                        Some(layer.output_codec.quantize(spec.compute_at(
-                            &operands,
-                            off,
-                            Some(&subst),
-                        )))
-                    })
-                    .collect();
-                finish(users, values)
+                operand_prediction(layer, clean, OperandKind::Weight, index, faulty)
             }
             _ => Prediction::Masked,
         },
@@ -126,30 +68,16 @@ pub fn predict_systolic(engine: &SystolicEngine, site: SysFaultSite) -> Predicti
                 else {
                     return Prediction::Masked;
                 };
-                let faulty = flip(layer.input_codec, layer.input.data()[addr as usize]);
-                let subst = Substitution {
-                    kind: OperandKind::Input,
-                    offset: addr as usize,
-                    value: faulty,
-                };
+                let addr = addr as usize;
+                let faulty = flip(layer.input_codec, layer.input.data()[addr]);
                 // The register holds this value for the remaining channel
                 // slots of the current kernel step.
-                let mut offsets = Vec::new();
-                let mut values = Vec::new();
-                for tcc in tc..t_eff {
-                    let c = chan_block * t + tcc;
-                    if c >= out_c {
-                        continue;
-                    }
-                    let off = spec.offset_of(p as usize, c as usize);
-                    offsets.push(off);
-                    values.push(Some(layer.output_codec.quantize(spec.compute_at(
-                        &operands,
-                        off,
-                        Some(&subst),
-                    ))));
-                }
-                finish(offsets, values)
+                let neurons = (tc..t_eff)
+                    .map(|tcc| chan_block * t + tcc)
+                    .filter(|&c| c < out_c)
+                    .map(|c| spec.offset_of(p as usize, c as usize))
+                    .collect();
+                operand_prediction_for(layer, clean, OperandKind::Input, addr, faulty, neurons)
             }
             _ => Prediction::Masked,
         },
@@ -170,15 +98,10 @@ pub fn predict_systolic(engine: &SystolicEngine, site: SysFaultSite) -> Predicti
                 else {
                     return Prediction::Masked;
                 };
-                let faulty = flip(layer.weight_codec, layer.weight.data()[addr as usize]);
-                let subst = Substitution {
-                    kind: OperandKind::Weight,
-                    offset: addr as usize,
-                    value: faulty,
-                };
+                let addr = addr as usize;
+                let faulty = flip(layer.weight_codec, layer.weight.data()[addr]);
                 // Broadcast: all PEs whose input is live this cycle.
-                let mut offsets = Vec::new();
-                let mut values = Vec::new();
+                let mut neurons = Vec::new();
                 for pe in 0..k {
                     let row = row_block * k + pe;
                     if row >= out_h {
@@ -188,15 +111,9 @@ pub fn predict_systolic(engine: &SystolicEngine, site: SysFaultSite) -> Predicti
                     if crate::rtl_addr::input_addr(&cfgw, p, kstep, layer.input.len()).is_none() {
                         continue; // that PE's MAC is gated (padding)
                     }
-                    let off = spec.offset_of(p as usize, c as usize);
-                    offsets.push(off);
-                    values.push(Some(layer.output_codec.quantize(spec.compute_at(
-                        &operands,
-                        off,
-                        Some(&subst),
-                    ))));
+                    neurons.push(spec.offset_of(p as usize, c as usize));
                 }
-                finish(offsets, values)
+                operand_prediction_for(layer, clean, OperandKind::Weight, addr, faulty, neurons)
             }
             _ => Prediction::Masked,
         },
@@ -252,7 +169,7 @@ pub fn predict_systolic(engine: &SystolicEngine, site: SysFaultSite) -> Predicti
             let value = layer
                 .output_codec
                 .quantize(spec.compute_at_acc_flip(&operands, off, flip));
-            finish(vec![off], vec![Some(value)])
+            finish_neurons(clean, vec![off], vec![Some(value)])
         }
         SysFfId::OutputReg { pe } => match sched {
             SysSchedPoint::Writeback {
@@ -269,8 +186,8 @@ pub fn predict_systolic(engine: &SystolicEngine, site: SysFaultSite) -> Predicti
                 }
                 let p = row * out_w + column;
                 let off = spec.offset_of(p as usize, c as usize);
-                let clean = engine.clean_output().data()[off];
-                finish(vec![off], vec![Some(flip(layer.output_codec, clean))])
+                let value = flip(layer.output_codec, clean.data()[off]);
+                finish_neurons(clean, vec![off], vec![Some(value)])
             }
             _ => Prediction::Masked,
         },
@@ -306,119 +223,45 @@ fn spec_out_w(spec: &fidelity_dnn::macspec::MacSpec) -> u64 {
     }
 }
 
-/// Validates one systolic fault site.
+/// Validates one systolic fault site by the rule of [`crate::validate`].
 pub fn validate_systolic_site(
     engine: &SystolicEngine,
     site: SysFaultSite,
-) -> (FfCategory, bool, Agreement) {
+) -> SiteOutcome<SysFaultSite> {
     let category = site.ff.category();
     let result = engine.run(site);
+    let faulty_neurons = engine
+        .clean_output()
+        .diff_indices(&result.output, 0.0)
+        .expect("same shape");
     let observed = ObservedFault {
-        faulty_neurons: engine
-            .clean_output()
-            .diff_indices(&result.output, 0.0)
-            .expect("same shape"),
-        faulty_values: Vec::new(),
+        faulty_values: faulty_neurons
+            .iter()
+            .map(|&i| result.output.data()[i])
+            .collect(),
+        faulty_neurons,
         timed_out: result.timed_out,
     };
-    let observed_values: Vec<f32> = observed
-        .faulty_neurons
-        .iter()
-        .map(|&i| result.output.data()[i])
-        .collect();
     let prediction = predict_systolic(engine, site);
-
-    let agreement = match (&prediction, category) {
-        (Prediction::SystemFailure, _) => {
-            if observed.is_masked() {
-                Agreement::GlobalMasked
-            } else {
-                Agreement::GlobalFailureConfirmed
-            }
-        }
-        (Prediction::Masked, _) => {
-            if observed.is_masked() {
-                Agreement::MaskedAgreed
-            } else {
-                Agreement::Mismatch(format!(
-                    "systolic: predicted masked, rtl saw {} faulty ({:?} cycle {})",
-                    observed.reuse_factor(),
-                    site.ff,
-                    site.cycle
-                ))
-            }
-        }
-        (Prediction::Neurons { offsets, .. }, FfCategory::LocalControl) => {
-            if observed.reuse_factor() <= 1
-                && observed.faulty_neurons.iter().all(|n| offsets.contains(n))
-            {
-                Agreement::LocalNeuronMatch {
-                    // Bit-exact: the engine writes a literal zero on drop.
-                    // statcheck:allow(float-eq)
-                    value_was_zero: observed_values.first().is_some_and(|v| *v == 0.0),
-                }
-            } else {
-                Agreement::Mismatch(format!(
-                    "systolic local control: predicted {:?}, rtl {:?}",
-                    offsets, observed.faulty_neurons
-                ))
-            }
-        }
-        (Prediction::Neurons { offsets, values }, _) => {
-            let values_match = observed_values.iter().zip(values).all(|(rv, pv)| {
-                pv.is_some_and(|p| {
-                    (rv.is_nan() && p.is_nan()) || rv.to_bits() == p.to_bits() || *rv == p
-                })
-            });
-            if !observed.timed_out && observed.faulty_neurons == *offsets && values_match {
-                Agreement::DatapathExact
-            } else {
-                Agreement::Mismatch(format!(
-                    "systolic datapath {:?} cycle {} bit {}: predicted {:?} rtl {:?}",
-                    site.ff, site.cycle, site.bit, offsets, observed.faulty_neurons
-                ))
-            }
-        }
-    };
-    (category, observed.timed_out, agreement)
+    let agreement = agreement(&prediction, category, &observed, || {
+        format!(
+            "systolic site {:?} cycle {} bit {}",
+            site.ff, site.cycle, site.bit
+        )
+    });
+    SiteOutcome {
+        site,
+        category,
+        timed_out: observed.timed_out,
+        agreement,
+    }
 }
 
 /// Validates a batch of systolic sites into the shared report format.
 pub fn validate_systolic_many(engine: &SystolicEngine, sites: &[SysFaultSite]) -> ValidationReport {
     let mut report = ValidationReport::default();
     for &site in sites {
-        let (category, timed_out, agreement) = validate_systolic_site(engine, site);
-        report.total += 1;
-        if timed_out {
-            report.timeouts += 1;
-        }
-        match agreement {
-            Agreement::MaskedAgreed => report.masked_agreed += 1,
-            Agreement::DatapathExact => {
-                report.datapath_cases += 1;
-                report.datapath_exact += 1;
-            }
-            Agreement::LocalNeuronMatch { .. } => {
-                report.local_cases += 1;
-                report.local_match += 1;
-            }
-            Agreement::GlobalFailureConfirmed => {
-                report.global_cases += 1;
-                report.global_failure += 1;
-            }
-            Agreement::GlobalMasked => {
-                report.global_cases += 1;
-                report.global_masked += 1;
-            }
-            Agreement::Mismatch(m) => {
-                match category {
-                    FfCategory::Datapath { .. } => report.datapath_cases += 1,
-                    FfCategory::LocalControl => report.local_cases += 1,
-                    FfCategory::GlobalControl => report.global_cases += 1,
-                }
-                report.mismatches.push(m);
-            }
-        }
+        report.add(&validate_systolic_site(engine, site));
     }
     report
 }

@@ -889,10 +889,11 @@ impl Engine {
     /// as "offset `neurons[i]` holds `values[i]` instead of its clean
     /// value". The engine patches the overlay's copy of that node, walks the
     /// downstream cone recomputing each affected node — restricted to the
-    /// window wherever the layer's [`Layer::region_map`] provides one, a
-    /// full forward otherwise — calls `judge` on the resulting network
-    /// output, then repairs every touched overlay region back to golden
-    /// bits and returns the judge's verdict. Windows exist on rank-4 NCHW
+    /// window wherever the layer's [`Layer::region_map`] provides one, over
+    /// the whole output otherwise (in place, through the same window
+    /// kernel; a layer without one runs its forward) — calls `judge` on
+    /// the resulting network output, then repairs every touched overlay
+    /// region back to golden bits and returns the judge's verdict. Windows exist on rank-4 NCHW
     /// tensors (spatial rows × columns) and on rank-2 `[tokens, features]`
     /// tensors, viewed as one plane (token rows × feature columns). Conv
     /// and pool windows are exact; every other windowed layer is handed the
@@ -1117,32 +1118,16 @@ impl Engine {
             };
 
             // The rows to settle: the window's, or all of them after a full
-            // forward.
-            let rows = match out_region {
-                Region::Window { h, w } => {
-                    match node.layer.forward_region(in_refs, h, w, out_t, ws) {
-                        Ok(true) => Some(h),
-                        Ok(false) => None, // no windowed path: full forward
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
+            // recompute.
+            let rows = match recompute(node.layer.as_ref(), in_refs, out_region, out_t, ws) {
+                Ok(rows) => rows,
+                Err(e) => {
+                    failure = Some(e);
+                    break;
                 }
-                Region::All => None,
             };
             if rows.is_none() {
-                match node.layer.forward(in_refs, ws) {
-                    Ok(raw) => {
-                        let old = std::mem::replace(out_t, raw);
-                        ws.recycle(old);
-                        metrics.dense_fallback.inc();
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
+                metrics.dense_fallback.inc();
             }
             // Quantize, clamp and diff the recomputed rows in one pass: the
             // node diverges exactly where its bits differ from golden, and
@@ -1360,6 +1345,31 @@ fn build_downstream(network: &Network) -> Vec<Vec<u64>> {
         }
     }
     down
+}
+
+/// Recomputes one node of the delta walk into its overlay slot `out` over
+/// `region`: the layer's window kernel on the window, or over the whole
+/// output, in place, when the window has no view (or the region is
+/// [`Region::All`]). Only a layer with no window kernel runs its
+/// [`Layer::forward`], whose output replaces the slot's tensor. Returns the
+/// rows written when only a window's were, `None` after a full recompute.
+fn recompute(
+    layer: &dyn Layer,
+    inputs: &[&Tensor],
+    region: Region,
+    out: &mut Tensor,
+    ws: &mut Workspace,
+) -> Result<Option<(usize, usize)>, DnnError> {
+    if let Region::Window { h, .. } = region {
+        if layer.forward_region(inputs, region, out, ws)? {
+            return Ok(Some(h));
+        }
+    }
+    if !layer.forward_region(inputs, Region::All, out, ws)? {
+        let raw = layer.forward(inputs, ws)?;
+        ws.recycle(std::mem::replace(out, raw));
+    }
+    Ok(None)
 }
 
 /// Clamps a value to `[-bound, bound]`; non-finite values saturate to the

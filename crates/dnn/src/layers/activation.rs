@@ -1,9 +1,12 @@
 //! Pointwise non-linearities and softmax.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, for_each_window_row, plane_dims, Layer, LayerKind, ALL_COLUMNS};
+use crate::layers::{
+    check_arity, check_out, for_each_region_row, forward_whole, plane_dims, Layer, LayerKind,
+    ALL_COLUMNS,
+};
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
+use crate::workspace::{Region, Workspace};
 
 /// The supported pointwise non-linearities.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -83,9 +86,7 @@ impl Layer for Activation {
 
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
-        let mut out = ws.clone_of(inputs[0]);
-        out.map_inplace(|v| self.kind.apply(v));
-        Ok(out)
+        forward_whole(self, inputs, inputs[0].shape(), ws)
     }
 
     fn values_preserved(&self) -> bool {
@@ -108,25 +109,21 @@ impl Layer for Activation {
     fn forward_region(
         &self,
         inputs: &[&Tensor],
-        h: (usize, usize),
-        w: (usize, usize),
+        region: Region,
         out: &mut Tensor,
         ws: &mut Workspace,
     ) -> Result<bool, DnnError> {
         let _ = ws;
         check_arity(&self.name, 1, inputs.len())?;
         let x = inputs[0];
-        if plane_dims(x.shape()).is_none() || out.shape() != x.shape() {
-            return Ok(false);
-        }
+        check_out("Activation::forward_region", out, x.shape())?;
         let src = x.data();
         let dst = out.data_mut();
-        for_each_window_row(x.shape(), h, w, |a, b| {
+        Ok(for_each_region_row(x.shape(), region, |a, b| {
             for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
                 *d = self.kind.apply(*s);
             }
-        });
-        Ok(true)
+        }))
     }
 }
 
@@ -155,13 +152,7 @@ impl Layer for Softmax {
 
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
-        let x = inputs[0];
-        let last = *x.shape().last().unwrap_or(&1);
-        let mut out = ws.clone_of(x);
-        if last > 0 {
-            out.data_mut().chunks_exact_mut(last).for_each(softmax_row);
-        }
-        Ok(out)
+        forward_whole(self, inputs, inputs[0].shape(), ws)
     }
 
     fn region_map(
@@ -180,27 +171,24 @@ impl Layer for Softmax {
     fn forward_region(
         &self,
         inputs: &[&Tensor],
-        h: (usize, usize),
-        w: (usize, usize),
+        region: Region,
         out: &mut Tensor,
         ws: &mut Workspace,
     ) -> Result<bool, DnnError> {
-        let _ = (w, ws);
+        let _ = ws;
         check_arity(&self.name, 1, inputs.len())?;
         let x = inputs[0];
-        let Some([_, _, _, cols]) = plane_dims(x.shape()) else {
-            return Ok(false);
-        };
-        if out.shape() != x.shape() {
-            return Ok(false);
-        }
+        check_out("Softmax::forward_region", out, x.shape())?;
+        let cols = *x.shape().last().unwrap_or(&1);
         let src = x.data();
         let dst = out.data_mut();
-        for_each_window_row(x.shape(), h, (0, cols), |a, b| {
+        let rows = region.full_rows();
+        Ok(for_each_region_row(x.shape(), rows, |a, b| {
             dst[a..b].copy_from_slice(&src[a..b]);
-            dst[a..b].chunks_exact_mut(cols).for_each(softmax_row);
-        });
-        Ok(true)
+            if cols > 0 {
+                dst[a..b].chunks_exact_mut(cols).for_each(softmax_row);
+            }
+        }))
     }
 }
 

@@ -1,11 +1,11 @@
 //! 2-D convolution.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind};
+use crate::layers::{check_arity, check_out, forward_whole, Layer, LayerKind};
 use crate::macspec::{conv_out_window, ConvSpec, LanePanel, MacSpec, Operands};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
+use crate::workspace::{Region, Workspace};
 
 /// A 2-D convolution over NCHW input with OIHW weights.
 ///
@@ -172,21 +172,7 @@ impl Layer for Conv2d {
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
         let c = self.spec_for(inputs[0].shape())?;
-        let dims = [c.batch, c.out_c, c.out_h(), c.out_w()];
-        let ops = Operands {
-            input: inputs[0],
-            weight: &self.weight,
-        };
-        let mut out = ws.zeros(&dims);
-        c.forward_window_packed(
-            &ops,
-            &self.panel,
-            out.data_mut(),
-            ws.kernel_scratch(),
-            (0, usize::MAX),
-            (0, usize::MAX),
-        );
-        Ok(out)
+        forward_whole(self, inputs, &[c.batch, c.out_c, c.out_h(), c.out_w()], ws)
     }
 
     fn mac_spec(&self, input_shapes: &[&[usize]]) -> Option<MacSpec> {
@@ -212,13 +198,15 @@ impl Layer for Conv2d {
     fn forward_region(
         &self,
         inputs: &[&Tensor],
-        h: (usize, usize),
-        w: (usize, usize),
+        region: Region,
         out: &mut Tensor,
         ws: &mut Workspace,
     ) -> Result<bool, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
         let c = self.spec_for(inputs[0].shape())?;
+        let dims = [c.batch, c.out_c, c.out_h(), c.out_w()];
+        check_out("Conv2d::forward_region", out, &dims)?;
+        let (h, w) = region.extent();
         let ops = Operands {
             input: inputs[0],
             weight: &self.weight,
@@ -257,8 +245,9 @@ mod tests {
         let (oh, ow) = (out.shape()[2], out.shape()[3]);
         let mut ws = Workspace::default();
         let row = (1, 2);
+        let window = Region::Window { h: row, w: (0, ow) };
         assert!(conv
-            .forward_region(&[input], row, (0, ow), &mut region, &mut ws)
+            .forward_region(&[input], window, &mut region, &mut ws)
             .unwrap());
         for (off, v) in region.data().iter().enumerate() {
             if (off / ow) % oh == row.0 {

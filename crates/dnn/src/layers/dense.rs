@@ -1,11 +1,11 @@
 //! Fully-connected and matrix-multiplication layers.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, Layer, LayerKind, ALL_COLUMNS};
+use crate::layers::{check_arity, check_out, forward_whole, Layer, LayerKind, ALL_COLUMNS};
 use crate::macspec::{DenseSpec, LanePanel, MacSpec, MatMulSpec, Operands};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
+use crate::workspace::{Region, Workspace};
 
 /// A fully-connected layer: `output[b][o] = Σ_i weight[o][i] · input[b][i]`.
 ///
@@ -112,10 +112,7 @@ impl Layer for Dense {
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
         let d = self.spec_for(inputs[0].shape())?;
-        let dims = [d.batch, d.out_features];
-        let mut out = ws.zeros(&dims);
-        d.forward_packed(inputs[0].data(), &self.panel, out.data_mut());
-        Ok(out)
+        forward_whole(self, inputs, &[d.batch, d.out_features], ws)
     }
 
     fn mac_spec(&self, input_shapes: &[&[usize]]) -> Option<MacSpec> {
@@ -145,19 +142,17 @@ impl Layer for Dense {
     fn forward_region(
         &self,
         inputs: &[&Tensor],
-        (h0, h1): (usize, usize),
-        w: (usize, usize),
+        region: Region,
         out: &mut Tensor,
         ws: &mut Workspace,
     ) -> Result<bool, DnnError> {
-        let _ = (w, ws);
+        let _ = ws;
         check_arity(&self.name, 1, inputs.len())?;
         let d = self.spec_for(inputs[0].shape())?;
-        if out.shape() != [d.batch, d.out_features] {
-            return Ok(false);
-        }
+        check_out("Dense::forward_region", out, &[d.batch, d.out_features])?;
         // The band's rows as a batch of their own: a row's outputs do not
         // depend on which rows share its tile, so they keep their bits.
+        let ((h0, h1), _) = region.extent();
         let (h0, h1) = (h0.min(d.batch), h1.min(d.batch));
         if h0 >= h1 {
             return Ok(true);

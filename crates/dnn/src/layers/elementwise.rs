@@ -1,10 +1,13 @@
 //! Element-wise arithmetic, bias addition, and concatenation.
 
 use crate::error::DnnError;
-use crate::layers::{check_arity, for_each_window_row, plane_dims, Layer, LayerKind, ALL_COLUMNS};
+use crate::layers::{
+    check_arity, check_out, for_each_region_row, forward_whole, per_channel_region, plane_dims,
+    Layer, LayerKind, ALL_COLUMNS,
+};
 use crate::precision::ValueCodec;
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
+use crate::workspace::{Region, Workspace};
 
 /// Bias addition.
 ///
@@ -64,47 +67,7 @@ impl Layer for BiasAdd {
 
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
-        let x = inputs[0];
-        let n = self.bias.len();
-        let mut out = ws.clone_of(x);
-        match x.rank() {
-            4 => {
-                let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
-                if c != n {
-                    return Err(DnnError::ShapeMismatch {
-                        context: "BiasAdd::forward",
-                        expected: format!("{n} channels"),
-                        actual: format!("{c}"),
-                    });
-                }
-                let hw = h * w;
-                for (off, v) in out.data_mut().iter_mut().enumerate() {
-                    let ch = (off / hw) % c;
-                    *v += self.bias.data()[ch];
-                }
-            }
-            2 | 3 => {
-                let last = *x.shape().last().expect("rank >= 2");
-                if last != n {
-                    return Err(DnnError::ShapeMismatch {
-                        context: "BiasAdd::forward",
-                        expected: format!("{n} features"),
-                        actual: format!("{last}"),
-                    });
-                }
-                for (off, v) in out.data_mut().iter_mut().enumerate() {
-                    *v += self.bias.data()[off % last];
-                }
-            }
-            r => {
-                return Err(DnnError::ShapeMismatch {
-                    context: "BiasAdd::forward",
-                    expected: "rank 2, 3 or 4 input".into(),
-                    actual: format!("rank {r}"),
-                })
-            }
-        }
-        Ok(out)
+        forward_whole(self, inputs, inputs[0].shape(), ws)
     }
 
     fn quantize_weights(&mut self, codec: &ValueCodec) {
@@ -123,30 +86,18 @@ impl Layer for BiasAdd {
     fn forward_region(
         &self,
         inputs: &[&Tensor],
-        h: (usize, usize),
-        w: (usize, usize),
+        region: Region,
         out: &mut Tensor,
         ws: &mut Workspace,
     ) -> Result<bool, DnnError> {
         let _ = ws;
         check_arity(&self.name, 1, inputs.len())?;
         let x = inputs[0];
-        if x.rank() != 4 || out.shape() != x.shape() || x.shape()[1] != self.bias.len() {
-            return Ok(false);
-        }
-        let hw = x.shape()[2] * x.shape()[3];
-        let c = x.shape()[1];
-        let src = x.data();
         let bias = self.bias.data();
-        let dst = out.data_mut();
-        for_each_window_row(x.shape(), h, w, |a, b| {
-            let ch = (a / hw) % c;
-            let bv = bias[ch];
-            for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
-                *d = s + bv;
-            }
-        });
-        Ok(true)
+        let params = (bias.len(), &[2, 3][..]);
+        per_channel_region("BiasAdd::forward", params, x, region, out, |s, i| {
+            s + bias[i]
+        })
     }
 }
 
@@ -178,7 +129,7 @@ impl Layer for Add {
 
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 2, inputs.len())?;
-        binary_elementwise(inputs[0], inputs[1], "Add::forward", ws, |a, b| a + b)
+        forward_whole(self, inputs, inputs[0].shape(), ws)
     }
 
     fn region_map(
@@ -193,14 +144,13 @@ impl Layer for Add {
     fn forward_region(
         &self,
         inputs: &[&Tensor],
-        h: (usize, usize),
-        w: (usize, usize),
+        region: Region,
         out: &mut Tensor,
         ws: &mut Workspace,
     ) -> Result<bool, DnnError> {
         let _ = ws;
         check_arity(&self.name, 2, inputs.len())?;
-        binary_elementwise_region(inputs[0], inputs[1], h, w, out, |a, b| a + b)
+        binary_region(inputs, region, out, "Add::forward", |a, b| a + b)
     }
 }
 
@@ -232,7 +182,7 @@ impl Layer for Mul {
 
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 2, inputs.len())?;
-        binary_elementwise(inputs[0], inputs[1], "Mul::forward", ws, |a, b| a * b)
+        forward_whole(self, inputs, inputs[0].shape(), ws)
     }
 
     fn region_map(
@@ -247,48 +197,26 @@ impl Layer for Mul {
     fn forward_region(
         &self,
         inputs: &[&Tensor],
-        h: (usize, usize),
-        w: (usize, usize),
+        region: Region,
         out: &mut Tensor,
         ws: &mut Workspace,
     ) -> Result<bool, DnnError> {
         let _ = ws;
         check_arity(&self.name, 2, inputs.len())?;
-        binary_elementwise_region(inputs[0], inputs[1], h, w, out, |a, b| a * b)
+        binary_region(inputs, region, out, "Mul::forward", |a, b| a * b)
     }
 }
 
-/// Windowed counterpart of [`binary_elementwise`] for rank-4 and rank-2
-/// operands.
-fn binary_elementwise_region(
-    a: &Tensor,
-    b: &Tensor,
-    h: (usize, usize),
-    w: (usize, usize),
+/// The window kernel of the binary element-wise layers: `f(a, b)` over
+/// `region` of two equal-shaped operands.
+fn binary_region(
+    inputs: &[&Tensor],
+    region: Region,
     out: &mut Tensor,
+    context: &'static str,
     f: impl Fn(f32, f32) -> f32,
 ) -> Result<bool, DnnError> {
-    if plane_dims(a.shape()).is_none() || a.shape() != b.shape() || out.shape() != a.shape() {
-        return Ok(false);
-    }
-    let ad = a.data();
-    let bd = b.data();
-    let dst = out.data_mut();
-    for_each_window_row(a.shape(), h, w, |lo, hi| {
-        for i in lo..hi {
-            dst[i] = f(ad[i], bd[i]);
-        }
-    });
-    Ok(true)
-}
-
-fn binary_elementwise(
-    a: &Tensor,
-    b: &Tensor,
-    context: &'static str,
-    ws: &mut Workspace,
-    f: impl Fn(f32, f32) -> f32,
-) -> Result<Tensor, DnnError> {
+    let (a, b) = (inputs[0], inputs[1]);
     if a.shape() != b.shape() {
         return Err(DnnError::ShapeMismatch {
             context,
@@ -296,11 +224,14 @@ fn binary_elementwise(
             actual: format!("{:?}", b.shape()),
         });
     }
-    let mut out = ws.clone_of(a);
-    for (v, &bv) in out.data_mut().iter_mut().zip(b.data()) {
-        *v = f(*v, bv);
-    }
-    Ok(out)
+    check_out(context, out, a.shape())?;
+    let (ad, bd) = (a.data(), b.data());
+    let dst = out.data_mut();
+    Ok(for_each_region_row(a.shape(), region, |lo, hi| {
+        for i in lo..hi {
+            dst[i] = f(ad[i], bd[i]);
+        }
+    }))
 }
 
 /// Multiplication by a compile-time constant (attention `1/√d` scaling).
@@ -331,9 +262,7 @@ impl Layer for Scale {
 
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
-        let mut out = ws.clone_of(inputs[0]);
-        out.map_inplace(|v| v * self.factor);
-        Ok(out)
+        forward_whole(self, inputs, inputs[0].shape(), ws)
     }
 
     fn region_map(
@@ -348,29 +277,26 @@ impl Layer for Scale {
     fn forward_region(
         &self,
         inputs: &[&Tensor],
-        h: (usize, usize),
-        w: (usize, usize),
+        region: Region,
         out: &mut Tensor,
         ws: &mut Workspace,
     ) -> Result<bool, DnnError> {
         let _ = ws;
         check_arity(&self.name, 1, inputs.len())?;
         let x = inputs[0];
-        if plane_dims(x.shape()).is_none() || out.shape() != x.shape() {
-            return Ok(false);
-        }
+        check_out("Scale::forward_region", out, x.shape())?;
         let src = x.data();
         let dst = out.data_mut();
-        for_each_window_row(x.shape(), h, w, |a, b| {
+        Ok(for_each_region_row(x.shape(), region, |a, b| {
             for (d, s) in dst[a..b].iter_mut().zip(&src[a..b]) {
                 *d = s * self.factor;
             }
-        });
-        Ok(true)
+        }))
     }
 }
 
-/// Concatenation along a given axis (inception modules, Yolo routes).
+/// Concatenation along axis 1: the channels of NCHW tensors (inception
+/// modules) or the features of `[tokens, features]` rows (attention heads).
 #[derive(Debug, Clone)]
 pub struct Concat {
     name: String,
@@ -378,12 +304,58 @@ pub struct Concat {
 }
 
 impl Concat {
-    /// Creates a concatenation layer along `axis`.
+    /// Creates a concatenation layer along `axis`. Only axis 1 runs: its
+    /// forward rejects every other axis by name.
     pub fn new(name: impl Into<String>, axis: usize) -> Self {
         Concat {
             name: name.into(),
             axis,
         }
+    }
+
+    /// The output shape, in the first `rank` entries of the array: the one
+    /// shape check of the forward and the window kernel. Rank-2 and rank-4
+    /// inputs joined on axis 1 pass; every other axis and rank is rejected
+    /// by name.
+    fn out_dims(&self, inputs: &[&Tensor]) -> Result<([usize; 4], usize), DnnError> {
+        let Some(first) = inputs.first() else {
+            return Err(DnnError::ArityMismatch {
+                layer: self.name.clone(),
+                expected: 1,
+                actual: 0,
+            });
+        };
+        let rank = first.rank();
+        if self.axis != 1 || !matches!(rank, 2 | 4) {
+            return Err(DnnError::InvalidConfig {
+                message: format!(
+                    "concat joins axis 1 of rank-2 or rank-4 inputs, got axis {} of rank {rank}",
+                    self.axis
+                ),
+            });
+        }
+        let mut dims = [0; 4];
+        dims[..rank].copy_from_slice(first.shape());
+        for t in &inputs[1..] {
+            if t.rank() != rank {
+                return Err(DnnError::ShapeMismatch {
+                    context: "Concat::forward",
+                    expected: format!("rank {rank}"),
+                    actual: format!("rank {}", t.rank()),
+                });
+            }
+            for (d, (&a, &b)) in dims.iter().zip(t.shape()).enumerate() {
+                if d != 1 && a != b {
+                    return Err(DnnError::ShapeMismatch {
+                        context: "Concat::forward",
+                        expected: format!("dim {d} = {a}"),
+                        actual: format!("{b}"),
+                    });
+                }
+            }
+            dims[1] += t.shape()[1];
+        }
+        Ok((dims, rank))
     }
 }
 
@@ -401,55 +373,8 @@ impl Layer for Concat {
     }
 
     fn forward(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Result<Tensor, DnnError> {
-        if inputs.is_empty() {
-            return Err(DnnError::ArityMismatch {
-                layer: self.name.clone(),
-                expected: 1,
-                actual: 0,
-            });
-        }
-        let rank = inputs[0].rank();
-        if self.axis >= rank {
-            return Err(DnnError::InvalidConfig {
-                message: format!("concat axis {} out of range for rank {rank}", self.axis),
-            });
-        }
-        let mut out_shape = ws.shape_vec(inputs[0].shape());
-        for t in &inputs[1..] {
-            if t.rank() != rank {
-                return Err(DnnError::ShapeMismatch {
-                    context: "Concat::forward",
-                    expected: format!("rank {rank}"),
-                    actual: format!("rank {}", t.rank()),
-                });
-            }
-            for (d, (&a, &b)) in out_shape.iter().zip(t.shape()).enumerate() {
-                if d != self.axis && a != b {
-                    return Err(DnnError::ShapeMismatch {
-                        context: "Concat::forward",
-                        expected: format!("dim {d} = {a}"),
-                        actual: format!("{b}"),
-                    });
-                }
-            }
-            out_shape[self.axis] += t.shape()[self.axis];
-        }
-
-        let outer: usize = out_shape[..self.axis].iter().product();
-        let inner: usize = out_shape[self.axis + 1..].iter().product();
-        let mut out = ws.zeros(&out_shape);
-        let mut axis_off = 0usize;
-        for t in inputs {
-            let t_axis = t.shape()[self.axis];
-            for o in 0..outer {
-                let src = &t.data()[o * t_axis * inner..(o + 1) * t_axis * inner];
-                let dst_start = (o * out_shape[self.axis] + axis_off) * inner;
-                out.data_mut()[dst_start..dst_start + t_axis * inner].copy_from_slice(src);
-            }
-            axis_off += t_axis;
-        }
-        ws.recycle_shape(out_shape);
-        Ok(out)
+        let (dims, rank) = self.out_dims(inputs)?;
+        forward_whole(self, inputs, &dims[..rank], ws)
     }
 
     fn values_preserved(&self) -> bool {
@@ -464,8 +389,7 @@ impl Layer for Concat {
     ) -> Option<((usize, usize), (usize, usize))> {
         // Channel concat of NCHW tensors preserves spatial coordinates, so
         // the output window is the input window; feature concat of token
-        // rows keeps each row a row, across every input's features. Other
-        // axes reshuffle flat layout and fall back to a full recompute.
+        // rows keeps each row a row, across every input's features.
         match (self.axis, input_shapes.first()?.len()) {
             (1, 4) => Some((h, w)),
             (1, 2) => Some((h, ALL_COLUMNS)),
@@ -476,36 +400,28 @@ impl Layer for Concat {
     fn forward_region(
         &self,
         inputs: &[&Tensor],
-        (h0, h1): (usize, usize),
-        (w0, w1): (usize, usize),
+        region: Region,
         out: &mut Tensor,
         ws: &mut Workspace,
     ) -> Result<bool, DnnError> {
         let _ = ws;
-        if self.axis != 1 || inputs.is_empty() {
-            return Ok(false);
+        let (dims, rank) = self.out_dims(inputs)?;
+        check_out("Concat::forward_region", out, &dims[..rank])?;
+        let (h, w) = region.extent();
+        if let [rows, total] = *out.shape() {
+            concat_feature_rows(
+                inputs,
+                (h.0.min(rows), h.1.min(rows)),
+                total,
+                out.data_mut(),
+            );
+            return Ok(true);
         }
-        let s0 = inputs[0].shape();
-        if s0.len() == 2 {
-            return Ok(concat_feature_rows(inputs, (h0, h1), out));
-        }
-        if s0.len() != 4 {
-            return Ok(false);
-        }
-        let (bb, hh, ww) = (s0[0], s0[2], s0[3]);
-        let mut total_c = 0usize;
-        for t in inputs {
-            let s = t.shape();
-            if s.len() != 4 || s[0] != bb || s[2] != hh || s[3] != ww {
-                return Ok(false);
-            }
-            total_c += s[1];
-        }
-        if out.shape() != [bb, total_c, hh, ww] {
-            return Ok(false);
-        }
-        let (h0, h1) = (h0.min(hh), h1.min(hh));
-        let (w0, w1) = (w0.min(ww), w1.min(ww));
+        let [bb, total_c, hh, ww] = *out.shape() else {
+            unreachable!("out_shape admits rank 2 or 4");
+        };
+        let (h0, h1) = (h.0.min(hh), h.1.min(hh));
+        let (w0, w1) = (w.0.min(ww), w.1.min(ww));
         if h0 >= h1 || w0 >= w1 {
             return Ok(true); // empty window: nothing to move
         }
@@ -537,25 +453,17 @@ impl Layer for Concat {
     }
 }
 
-/// Windowed feature concat of rank-2 `[tokens, features]` inputs: rows
-/// `h` of each input, copied side by side into the same rows of `out`.
-/// `false`, without writing, when the inputs do not share a row count or
-/// `out` is not their concatenation.
-fn concat_feature_rows(inputs: &[&Tensor], (h0, h1): (usize, usize), out: &mut Tensor) -> bool {
-    let rows = inputs[0].shape()[0];
-    let mut total = 0usize;
-    for t in inputs {
-        match *t.shape() {
-            [r, f] if r == rows => total += f,
-            _ => return false,
-        }
-    }
-    if out.shape() != [rows, total] {
-        return false;
-    }
-    let od = out.data_mut();
-    for r in h0.min(rows)..h1.min(rows) {
-        let mut dst = &mut od[r * total..(r + 1) * total];
+/// Feature concat of rank-2 `[tokens, features]` inputs: rows `h0..h1` of
+/// each input, copied side by side into the same rows of `out`, `total`
+/// features wide.
+fn concat_feature_rows(
+    inputs: &[&Tensor],
+    (h0, h1): (usize, usize),
+    total: usize,
+    out: &mut [f32],
+) {
+    for r in h0..h1 {
+        let mut dst = &mut out[r * total..(r + 1) * total];
         for t in inputs {
             let f = t.shape()[1];
             let (head, rest) = dst.split_at_mut(f);
@@ -563,7 +471,6 @@ fn concat_feature_rows(inputs: &[&Tensor], (h0, h1): (usize, usize), out: &mut T
             dst = rest;
         }
     }
-    true
 }
 
 #[cfg(test)]

@@ -41,6 +41,29 @@ pub enum Region {
     },
 }
 
+impl Region {
+    /// The region's row and column ranges: a window's own, and every row
+    /// and column for [`Region::All`] (consumers clamp to the tensor).
+    pub fn extent(self) -> ((usize, usize), (usize, usize)) {
+        match self {
+            Region::All => ((0, usize::MAX), (0, usize::MAX)),
+            Region::Window { h, w } => (h, w),
+        }
+    }
+
+    /// The region widened to whole rows: a window's rows `h` across every
+    /// column, for layers whose outputs read a whole row.
+    pub fn full_rows(self) -> Region {
+        match self {
+            Region::All => Region::All,
+            Region::Window { h, .. } => Region::Window {
+                h,
+                w: (0, usize::MAX),
+            },
+        }
+    }
+}
+
 /// A per-worker private copy of one golden trace's node outputs, patched in
 /// place by the delta resume path and repaired back to golden after every
 /// injection.

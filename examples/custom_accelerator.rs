@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Step 3 — a small campaign + FIT rate on a CNN.
-    let workload = fidelity::workloads::classification_suite(7).remove(2); // mobilenet
+    let workload = fidelity::workloads::workload("mobilenet", 7).unwrap();
     let engine = Engine::new(
         workload.network,
         Precision::Fp16,

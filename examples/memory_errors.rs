@@ -19,7 +19,7 @@ use fidelity::dnn::precision::Precision;
 use fidelity::rtl::{Disturbance, MemFault, ObservedFault, RtlEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let workload = fidelity::workloads::classification_suite(42).remove(2); // mobilenet
+    let workload = fidelity::workloads::workload("mobilenet", 42).unwrap();
     let engine = Engine::new(
         workload.network,
         Precision::Fp16,

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Deploy a workload at FP16.
-    let workload = fidelity::workloads::classification_suite(42).remove(0);
+    let workload = fidelity::workloads::workload("inception", 42).unwrap();
     println!("workload:    {} (image classification)", workload.name);
     let engine = Engine::new(
         workload.network,

@@ -68,7 +68,7 @@ fn run_once(
     spec: &CampaignSpec,
     raw: f64,
 ) -> Result<f64, Box<dyn std::error::Error>> {
-    let workload = fidelity::workloads::classification_suite(42).remove(1); // resnet
+    let workload = fidelity::workloads::workload("resnet", 42).unwrap();
     let engine = Engine::new(
         workload.network,
         Precision::Fp16,

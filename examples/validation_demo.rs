@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Deploy ResNet-lite at FP16 and lift its first residual conv into the
     // register-level engine (16 lanes, 16-cycle weight hold — the paper's
     // validated NVDLA geometry).
-    let workload = fidelity::workloads::classification_suite(42).remove(1);
+    let workload = fidelity::workloads::workload("resnet", 42).unwrap();
     let engine = Engine::new(
         workload.network,
         Precision::Fp16,

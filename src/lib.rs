@@ -34,7 +34,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let accel = fidelity::accel::presets::nvdla_like();
-//! let w = fidelity::workloads::classification_suite(42).remove(0);
+//! let w = fidelity::workloads::workload("inception", 42).unwrap();
 //! let engine = Engine::new(w.network, Precision::Fp16, &[w.inputs.clone()])?;
 //! let trace = engine.trace(&w.inputs)?;
 //! let spec = CampaignSpec { samples_per_cell: 10, ..CampaignSpec::default() };

@@ -127,20 +127,6 @@ impl MacKind {
     }
 }
 
-fn merge(into: &mut ValidationReport, from: &ValidationReport) {
-    into.total += from.total;
-    into.masked_agreed += from.masked_agreed;
-    into.datapath_cases += from.datapath_cases;
-    into.datapath_exact += from.datapath_exact;
-    into.local_cases += from.local_cases;
-    into.local_match += from.local_match;
-    into.global_cases += from.global_cases;
-    into.global_failure += from.global_failure;
-    into.global_masked += from.global_masked;
-    into.timeouts += from.timeouts;
-    into.mismatches.extend(from.mismatches.iter().cloned());
-}
-
 /// Every claim the differential sweep makes about one preset × kind cell.
 fn assert_agreement(
     preset: &str,
@@ -231,7 +217,7 @@ fn sweep_nvdla(cfg: &AcceleratorConfig, kind: MacKind) {
             }
         }
         covered.extend(sites.iter().map(|s| s.ff.category()));
-        merge(&mut report, &validate_many(&engine, &sites));
+        report.merge(&validate_many(&engine, &sites));
     }
     let engine = RtlEngine::new(kind.layer(golden_seeds()[0]), lanes, hold);
     let sweep: Vec<FaultSite> = (0..engine.clean_cycles())
@@ -241,7 +227,7 @@ fn sweep_nvdla(cfg: &AcceleratorConfig, kind: MacKind) {
             cycle,
         })
         .collect();
-    merge(&mut report, &validate_many(&engine, &sweep));
+    report.merge(&validate_many(&engine, &sweep));
     assert_agreement(&cfg.name, kind.name(), &report, &expected, &covered);
 }
 
@@ -283,7 +269,7 @@ fn sweep_eyeriss(cfg: &AcceleratorConfig) {
             }
         }
         covered.extend(sites.iter().map(|s| s.ff.category()));
-        merge(&mut report, &validate_systolic_many(&engine, &sites));
+        report.merge(&validate_systolic_many(&engine, &sites));
     }
     let engine = SystolicEngine::new(MacKind::Conv.layer(golden_seeds()[0]), k, t);
     let sweep: Vec<SysFaultSite> = (0..engine.clean_cycles())
@@ -293,7 +279,7 @@ fn sweep_eyeriss(cfg: &AcceleratorConfig) {
             cycle,
         })
         .collect();
-    merge(&mut report, &validate_systolic_many(&engine, &sweep));
+    report.merge(&validate_systolic_many(&engine, &sweep));
     assert_agreement(&cfg.name, "conv", &report, &expected, &covered);
 }
 

@@ -9,9 +9,7 @@ use fidelity::core::outcome::{CorrectnessMetric, TopOneMatch};
 use fidelity::dnn::graph::Engine;
 use fidelity::dnn::precision::Precision;
 use fidelity::workloads::metrics::{BleuThreshold, DetectionThreshold};
-use fidelity::workloads::{
-    classification_suite, lstm_workload, transformer_workload, yolo_workload, Workload,
-};
+use fidelity::workloads::{lstm_workload, transformer_workload, workload, yolo_workload, Workload};
 
 fn spec(samples: usize) -> CampaignSpec {
     CampaignSpec {
@@ -49,7 +47,7 @@ fn run(
 #[test]
 fn breakdown_invariants_hold_for_every_family() {
     let cases: Vec<(Workload, Box<dyn CorrectnessMetric>)> = vec![
-        (classification_suite(1).remove(0), Box::new(TopOneMatch)),
+        (workload("inception", 1).unwrap(), Box::new(TopOneMatch)),
         (
             yolo_workload(1),
             Box::new(DetectionThreshold::ten_percent()),
@@ -109,13 +107,13 @@ fn metric_threshold_ordering_transformer() {
 #[test]
 fn analysis_is_reproducible() {
     let a = run(
-        classification_suite(3).remove(1),
+        workload("resnet", 3).unwrap(),
         Precision::Fp16,
         &TopOneMatch,
         30,
     );
     let b = run(
-        classification_suite(3).remove(1),
+        workload("resnet", 3).unwrap(),
         Precision::Fp16,
         &TopOneMatch,
         30,
@@ -127,7 +125,7 @@ fn analysis_is_reproducible() {
 #[test]
 fn exec_time_weights_are_positive() {
     let analysis = run(
-        classification_suite(4).remove(2),
+        workload("mobilenet", 4).unwrap(),
         Precision::Fp16,
         &TopOneMatch,
         20,

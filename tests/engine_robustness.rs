@@ -10,11 +10,11 @@ use fidelity::dnn::precision::Precision;
 use fidelity::rtl::{
     Disturbance, FaultSite, FfId, RtlEngine, SeqCounter, SysFaultSite, SysFfId, SystolicEngine,
 };
-use fidelity::workloads::classification_suite;
+use fidelity::workloads::workload;
 use proptest::prelude::*;
 
 fn nvdla_engine() -> RtlEngine {
-    let w = classification_suite(31).remove(2); // mobilenet
+    let w = workload("mobilenet", 31).unwrap();
     let engine = Engine::new(w.network, Precision::Fp16, std::slice::from_ref(&w.inputs)).unwrap();
     let trace = engine.trace(&w.inputs).unwrap();
     let node = engine.network().node_index("ds0_pw").unwrap();
@@ -22,7 +22,7 @@ fn nvdla_engine() -> RtlEngine {
 }
 
 fn systolic_engine() -> SystolicEngine {
-    let w = classification_suite(31).remove(1); // resnet
+    let w = workload("resnet", 31).unwrap();
     let engine = Engine::new(w.network, Precision::Fp16, std::slice::from_ref(&w.inputs)).unwrap();
     let trace = engine.trace(&w.inputs).unwrap();
     let node = engine.network().node_index("r2_c2").unwrap();

@@ -1,13 +1,18 @@
-//! Byte pins for the MAC kernels on the workloads built from Dense and
-//! MatMul layers.
+//! Byte pins for every layer's forward on the real networks.
 //!
-//! The kernels must stay bit-identical to `MacSpec::compute_at`. The
+//! The MAC kernels must stay bit-identical to `MacSpec::compute_at`. The
 //! property tests check that on random shapes; these pins check it on the
 //! real networks, end to end, through the layers' own forwards (a Dense
 //! layer runs over a weight panel it packs itself, so a stale panel shows
-//! here and not in a raw-operand test). The constants were computed before
-//! Dense and MatMul moved onto the lane kernel and must never move with a
-//! kernel change.
+//! here and not in a raw-operand test). The transformer and LSTM FP16
+//! constants were computed before Dense and MatMul moved onto the lane
+//! kernel and must never move with a kernel change.
+//!
+//! The golden traces of the other networks at FP16, and of all six at
+//! INT8, were pinned at commit 67a3633, where every windowed layer still
+//! had a full-output forward of its own beside its window kernel. Since
+//! each such layer's forward is now its window kernel over the whole
+//! output, these pins are the oracle for each layer's formula.
 
 use fidelity::core::campaign::run_campaign;
 use fidelity::core::resilience::CheckpointSpec;
@@ -16,13 +21,13 @@ use fidelity::dnn::precision::Precision;
 use fidelity::obs::fnv::{fnv64, Fnv64};
 use fidelity::obs::record_log;
 use fidelity::serve::JobSpec;
-use fidelity::workloads::{lstm_workload, transformer_workload, Workload};
+use fidelity::workloads::{lstm_workload, transformer_workload, workload, Workload};
 
-/// FNV-1a over every node output of the FP16 golden trace: per node, its
-/// index, shape and value bits (NaN payloads collapsed to one, since only
-/// which values are NaN is deterministic).
-fn golden_trace_digest(w: Workload) -> (usize, u64) {
-    let engine = Engine::new(w.network, Precision::Fp16, std::slice::from_ref(&w.inputs)).unwrap();
+/// FNV-1a over every node output of the golden trace at `precision`: per
+/// node, its index, shape and value bits (NaN payloads collapsed to one,
+/// since only which values are NaN is deterministic).
+fn golden_trace_digest(w: Workload, precision: Precision) -> (usize, u64) {
+    let engine = Engine::new(w.network, precision, std::slice::from_ref(&w.inputs)).unwrap();
     let trace = engine.trace(&w.inputs).unwrap();
     let mut h = Fnv64::new();
     for (node, out) in trace.node_outputs.iter().enumerate() {
@@ -40,7 +45,7 @@ fn golden_trace_digest(w: Workload) -> (usize, u64) {
 
 #[test]
 fn transformer_golden_trace_is_pinned() {
-    let (nodes, digest) = golden_trace_digest(transformer_workload(42));
+    let (nodes, digest) = golden_trace_digest(transformer_workload(42), Precision::Fp16);
     assert_eq!(
         (nodes, digest),
         (71, 0x8129_9be6_3ee7_db68),
@@ -50,12 +55,37 @@ fn transformer_golden_trace_is_pinned() {
 
 #[test]
 fn lstm_golden_trace_is_pinned() {
-    let (nodes, digest) = golden_trace_digest(lstm_workload(42));
+    let (nodes, digest) = golden_trace_digest(lstm_workload(42), Precision::Fp16);
     assert_eq!(
         (nodes, digest),
         (54, 0x61c2_1ae4_cda5_b08d),
         "lstm golden trace moved"
     );
+}
+
+#[test]
+fn every_golden_trace_is_pinned() {
+    use Precision::{Fp16, Int8};
+    let pins = [
+        ("inception", Fp16, 24, 0xd90e_2bc5_98e5_cdf7),
+        ("resnet", Fp16, 20, 0x64bf_5525_a3fb_69a3),
+        ("mobilenet", Fp16, 13, 0x6469_c0b9_a8b2_b578),
+        ("yolo", Fp16, 9, 0xbecd_efa6_d0ec_b0c9),
+        ("inception", Int8, 24, 0x2a12_5b3e_aa01_6d17),
+        ("resnet", Int8, 20, 0x8134_2ca0_4ddc_b237),
+        ("mobilenet", Int8, 13, 0xd31e_0f5c_429c_71ed),
+        ("yolo", Int8, 9, 0x41a6_0c37_0c17_bf38),
+        ("transformer", Int8, 71, 0x712d_b6a2_81b3_1890),
+        ("lstm", Int8, 54, 0x59f8_86ff_eb24_25b2),
+    ];
+    for (name, precision, nodes, digest) in pins {
+        let w = workload(name, 42).unwrap();
+        assert_eq!(
+            golden_trace_digest(w, precision),
+            (nodes, digest),
+            "{name} {precision:?} golden trace moved"
+        );
+    }
 }
 
 /// The wave log of a small fixed-count transformer campaign: every

@@ -8,10 +8,10 @@ use fidelity::dnn::init::SplitMix64;
 use fidelity::dnn::macspec::{OperandKind, Operands, Substitution};
 use fidelity::dnn::precision::Precision;
 use fidelity::rtl::{Disturbance, MemFault, ObservedFault, RtlEngine};
-use fidelity::workloads::classification_suite;
+use fidelity::workloads::workload;
 
 fn setup() -> RtlEngine {
-    let w = classification_suite(21).remove(1);
+    let w = workload("resnet", 21).unwrap();
     let engine = Engine::new(w.network, Precision::Fp16, std::slice::from_ref(&w.inputs)).unwrap();
     let trace = engine.trace(&w.inputs).unwrap();
     let node = engine.network().node_index("r1_c1").unwrap();

@@ -18,10 +18,10 @@ use fidelity::core::outcome::TopOneMatch;
 use fidelity::core::resilience::ResilienceSpec;
 use fidelity::dnn::graph::{Engine, Trace};
 use fidelity::dnn::precision::Precision;
-use fidelity::workloads::classification_suite;
+use fidelity::workloads::workload;
 
 fn deploy() -> (Engine, Trace) {
-    let w = classification_suite(42).remove(0);
+    let w = workload("inception", 42).unwrap();
     let inputs = w.inputs;
     let engine = Engine::new(w.network, Precision::Fp16, std::slice::from_ref(&inputs)).unwrap();
     let trace = engine.trace(&inputs).unwrap();

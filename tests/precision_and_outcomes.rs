@@ -9,7 +9,7 @@ use fidelity::dnn::graph::Engine;
 use fidelity::dnn::init::SplitMix64;
 use fidelity::dnn::macspec::OperandKind;
 use fidelity::dnn::precision::Precision;
-use fidelity::workloads::classification_suite;
+use fidelity::workloads::{classification_suite, workload};
 
 fn spec(samples: usize, events: bool) -> CampaignSpec {
     CampaignSpec {
@@ -28,7 +28,7 @@ fn fp16_faults_produce_larger_perturbations_than_int8() {
     let mut max_fp16 = 0.0f32;
     let mut max_int8 = 0.0f32;
     for precision in [Precision::Fp16, Precision::Int8] {
-        let w = classification_suite(9).remove(1);
+        let w = workload("resnet", 9).unwrap();
         let engine = Engine::new(w.network, precision, std::slice::from_ref(&w.inputs)).unwrap();
         let trace = engine.trace(&w.inputs).unwrap();
         let campaign =
@@ -93,7 +93,7 @@ fn before_buffer_weight_fault_can_break_top1() {
     // Direct, deterministic-seeded check that the injection plumbing can
     // actually change the application output: keep injecting until a fault
     // flips the label, then verify the outcome classification agrees.
-    let w = classification_suite(5).remove(0);
+    let w = workload("inception", 5).unwrap();
     let engine = Engine::new(w.network, Precision::Fp16, std::slice::from_ref(&w.inputs)).unwrap();
     let trace = engine.trace(&w.inputs).unwrap();
     let node = engine.network().node_index("stem").unwrap();
@@ -125,7 +125,7 @@ fn before_buffer_weight_fault_can_break_top1() {
 fn int8_outcomes_differ_from_fp16_under_same_seed() {
     let accel = fidelity::accel::presets::nvdla_like();
     let masked_frac = |precision| {
-        let w = classification_suite(13).remove(2);
+        let w = workload("mobilenet", 13).unwrap();
         let engine = Engine::new(w.network, precision, std::slice::from_ref(&w.inputs)).unwrap();
         let trace = engine.trace(&w.inputs).unwrap();
         let campaign =

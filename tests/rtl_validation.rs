@@ -7,7 +7,7 @@ use fidelity::dnn::graph::Engine;
 use fidelity::dnn::init::SplitMix64;
 use fidelity::dnn::precision::Precision;
 use fidelity::rtl::RtlEngine;
-use fidelity::workloads::{classification_suite, transformer_workload};
+use fidelity::workloads::{transformer_workload, workload};
 
 fn validate_layer(
     workload: fidelity::workloads::Workload,
@@ -43,19 +43,19 @@ fn validate_layer(
 
 #[test]
 fn conv_fp16_paper_geometry() {
-    let w = classification_suite(42).remove(1); // resnet
+    let w = workload("resnet", 42).unwrap();
     validate_layer(w, "r1_c1", Precision::Fp16, 16, 16, 600, 1);
 }
 
 #[test]
 fn conv_int8() {
-    let w = classification_suite(42).remove(0); // inception
+    let w = workload("inception", 42).unwrap();
     validate_layer(w, "m0_b1b", Precision::Int8, 16, 16, 400, 2);
 }
 
 #[test]
 fn conv_int16_small_geometry() {
-    let w = classification_suite(42).remove(2); // mobilenet (pointwise conv)
+    let w = workload("mobilenet", 42).unwrap(); // pointwise conv
     validate_layer(w, "ds0_pw", Precision::Int16, 4, 8, 400, 3);
 }
 
@@ -73,7 +73,7 @@ fn attention_matmul_fp16() {
 
 #[test]
 fn global_control_failure_rate_is_dominant() {
-    let w = classification_suite(42).remove(1);
+    let w = workload("resnet", 42).unwrap();
     let engine = Engine::new(w.network, Precision::Fp16, std::slice::from_ref(&w.inputs)).unwrap();
     let trace = engine.trace(&w.inputs).unwrap();
     let node = engine.network().node_index("r1_c1").unwrap();
