@@ -8,6 +8,7 @@
 use fidelity_core::analysis::analyze;
 use fidelity_core::fit::PAPER_RAW_FIT_PER_MB;
 use fidelity_core::outcome::TopOneMatch;
+use fidelity_core::report::format_fit;
 use fidelity_dnn::precision::Precision;
 use fidelity_workloads::classification_suite;
 
@@ -60,10 +61,10 @@ fn main() {
             lanes,
             hold,
             cfg.total_ff_bits,
-            fidelity_bench::fit(totals.datapath / n),
-            fidelity_bench::fit(totals.local / n),
-            fidelity_bench::fit(totals.global / n),
-            fidelity_bench::fit(totals.total / n)
+            format_fit(totals.datapath / n),
+            format_fit(totals.local / n),
+            format_fit(totals.global / n),
+            format_fit(totals.total / n)
         );
     }
     fidelity_bench::rule(96);

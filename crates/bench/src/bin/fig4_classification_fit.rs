@@ -7,6 +7,7 @@ use fidelity_core::fit::{
     ff_fit_budget, ASIL_D_CHIPSET_FIT, NVDLA_FF_AREA_FRACTION, PAPER_RAW_FIT_PER_MB,
 };
 use fidelity_core::outcome::TopOneMatch;
+use fidelity_core::report::format_fit;
 use fidelity_dnn::precision::Precision;
 use fidelity_workloads::classification_suite;
 
@@ -50,10 +51,10 @@ fn main() {
                 "{:<12} {:<8} {:>10} {:>10} {:>10} {:>10}   {}",
                 name,
                 precision.to_string(),
-                fidelity_bench::fit(f.datapath),
-                fidelity_bench::fit(f.local),
-                fidelity_bench::fit(f.global),
-                fidelity_bench::fit(f.total),
+                format_fit(f.datapath),
+                format_fit(f.local),
+                format_fit(f.global),
+                format_fit(f.total),
                 if f.total > budget {
                     format!("{}x OVER the 0.2 budget", (f.total / budget).round())
                 } else {

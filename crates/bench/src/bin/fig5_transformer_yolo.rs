@@ -6,6 +6,7 @@
 use fidelity_core::analysis::analyze;
 use fidelity_core::fit::PAPER_RAW_FIT_PER_MB;
 use fidelity_core::outcome::CorrectnessMetric;
+use fidelity_core::report::format_fit;
 use fidelity_dnn::precision::Precision;
 use fidelity_workloads::metrics::{BleuThreshold, DetectionThreshold};
 use fidelity_workloads::{transformer_workload, yolo_workload, Workload};
@@ -62,10 +63,10 @@ fn main() {
             "{:<12} {:<34} {:>10} {:>10} {:>10} {:>10}",
             name,
             metric.name(),
-            fidelity_bench::fit(f.datapath),
-            fidelity_bench::fit(f.local),
-            fidelity_bench::fit(f.global),
-            fidelity_bench::fit(f.total)
+            format_fit(f.datapath),
+            format_fit(f.local),
+            format_fit(f.global),
+            format_fit(f.total)
         );
         totals.push((
             name,
@@ -85,9 +86,9 @@ fn main() {
             println!(
                 "  - {}: datapath+local {} @ \"{}\" vs {} @ \"{}\"",
                 a.0,
-                fidelity_bench::fit(a.3),
+                format_fit(a.3),
                 a.1,
-                fidelity_bench::fit(b.3),
+                format_fit(b.3),
                 b.1
             );
         }

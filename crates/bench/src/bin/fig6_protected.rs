@@ -8,6 +8,7 @@ use fidelity_core::fit::{
     ff_fit_budget, ASIL_D_CHIPSET_FIT, NVDLA_FF_AREA_FRACTION, PAPER_RAW_FIT_PER_MB,
 };
 use fidelity_core::outcome::TopOneMatch;
+use fidelity_core::report::format_fit;
 use fidelity_dnn::precision::Precision;
 use fidelity_workloads::classification_suite;
 
@@ -47,9 +48,9 @@ fn main() {
         println!(
             "{:<12} {:>12} {:>12} {:>12}   {}",
             name,
-            fidelity_bench::fit(f.datapath),
-            fidelity_bench::fit(f.local),
-            fidelity_bench::fit(f.total),
+            format_fit(f.datapath),
+            format_fit(f.local),
+            format_fit(f.total),
             if over {
                 "still OVER budget"
             } else {

@@ -15,6 +15,7 @@ use fidelity_core::fit::{
 };
 use fidelity_core::outcome::TopOneMatch;
 use fidelity_core::protect::{default_costs, plan_selective_protection};
+use fidelity_core::report::format_fit;
 use fidelity_dnn::precision::Precision;
 use fidelity_workloads::classification_suite;
 
@@ -48,8 +49,8 @@ fn main() {
         println!(
             "  {:<12} FIT {:>6} -> {:>6}  (met: {}, area cost {:.1}% of FF area)",
             name,
-            fidelity_bench::fit(analysis.fit.total),
-            fidelity_bench::fit(plan.final_fit),
+            format_fit(analysis.fit.total),
+            format_fit(plan.final_fit),
             plan.met_target,
             plan.total_cost * 100.0
         );
@@ -57,7 +58,7 @@ fn main() {
             println!(
                 "      protect {:<34} -{:>7} FIT  (cost {:.2}%)",
                 step.category.to_string(),
-                fidelity_bench::fit(step.fit_removed),
+                format_fit(step.fit_removed),
                 step.cost * 100.0
             );
         }
@@ -102,8 +103,8 @@ fn main() {
         println!(
             "   {:<12} {:>22} {:>22} {:>11.0}%",
             name,
-            fidelity_bench::fit(b0),
-            fidelity_bench::fit(b1),
+            format_fit(b0),
+            format_fit(b1),
             (1.0 - b1 / b0.max(1e-12)) * 100.0
         );
     }

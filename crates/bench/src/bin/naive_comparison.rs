@@ -9,6 +9,7 @@
 use fidelity_core::analysis::analyze;
 use fidelity_core::fit::PAPER_RAW_FIT_PER_MB;
 use fidelity_core::naive::naive_fit_rate;
+use fidelity_core::report::format_fit;
 use fidelity_dnn::precision::Precision;
 use fidelity_workloads::{classification_suite, yolo_workload};
 
@@ -62,8 +63,8 @@ fn main() {
         println!(
             "{:<12} {:>14} {:>14} {:>15}",
             name,
-            fidelity_bench::fit(analysis.fit.total),
-            fidelity_bench::fit(naive.fit_estimate),
+            format_fit(analysis.fit.total),
+            format_fit(naive.fit_estimate),
             if ratio.is_finite() {
                 format!("{ratio:.1}x")
             } else {

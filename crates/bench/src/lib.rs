@@ -64,9 +64,10 @@ fn flag_or_env(flag: &str, env: &str) -> Option<String> {
         .or_else(|| std::env::var(env).ok())
 }
 
-/// Batched fault-cone evaluation cadence for the regenerators: `--batch N`
-/// on the command line, else `FIDELITY_BATCH`, else 0 (off). Results are
-/// bit-identical for any value — batching only trades memory for speed.
+/// Batched fault-cone evaluation for the regenerators, on for any value
+/// `> 0`: `--batch N` on the command line, else `FIDELITY_BATCH`, else 0
+/// (off). Results are bit-identical for any value — batching only trades
+/// memory for speed.
 pub fn batch() -> usize {
     flag_or_env("batch", "FIDELITY_BATCH")
         .and_then(|v| v.parse().ok())
@@ -396,17 +397,6 @@ pub mod gate {
     }
 }
 
-/// Formats a FIT value with sensible precision.
-pub fn fit(v: f64) -> String {
-    if v >= 100.0 {
-        format!("{v:.0}")
-    } else if v >= 1.0 {
-        format!("{v:.2}")
-    } else {
-        format!("{v:.3}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,13 +410,6 @@ mod tests {
             assert_eq!(engine.precision(), precision);
             assert!(!trace.output.is_empty());
         }
-    }
-
-    #[test]
-    fn fit_formatting() {
-        assert_eq!(fit(123.4), "123");
-        assert_eq!(fit(9.5), "9.50");
-        assert_eq!(fit(0.123), "0.123");
     }
 
     #[test]

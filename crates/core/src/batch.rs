@@ -12,17 +12,19 @@
 //! offsets are patched, only the dirty regions of downstream tensors are
 //! recomputed, and the snapshot is repaired bit-exactly afterwards.
 //!
-//! [`BatchedInjectionRunner`] is the one implementation of that policy: every
-//! campaign worker evaluates its injections through one (the cadence is
-//! [`crate::campaign::CampaignSpec::batch`]), and so do callers that drive
-//! injections directly — differential test sweeps, validation harnesses,
-//! custom samplers. It keys the snapshot by the trace's *golden key* (a
-//! process-local fingerprint of the baseline tensors, see
-//! [`fidelity_dnn::graph::golden_key`]), pays one snapshot installation per
-//! group switch, and re-ensures the snapshot on a configurable cadence so a
-//! panic that lost the loaned overlay degrades to at most `batch - 1` dense
-//! fallback resumes. Its counters expose the batching machinery (group
-//! switches, delta hits, dense fallbacks) to tests.
+//! [`BatchedInjectionRunner`] owns that overlay: it decides, per
+//! injection, between the delta walk and the dense resume. Every campaign
+//! worker evaluates its injections through one
+//! ([`crate::campaign::CampaignSpec::batch`] switches the delta walk on),
+//! and so do callers that drive injections directly: differential test
+//! sweeps, validation harnesses, custom samplers. It keys the overlay by
+//! the trace's *golden key* (a process-local fingerprint of the baseline
+//! tensors, see [`fidelity_dnn::graph::golden_key`]) and compares that key
+//! with the workspace's before every injection. A mismatch means a group
+//! switch or an overlay lost when an injection unwound mid-walk; either
+//! way the runner re-installs the overlay, so every injection of an
+//! enabled runner takes the delta walk. Its counters expose the machinery
+//! (installs, group switches, delta walks) to tests.
 //!
 //! Determinism contract: batching is pure evaluation policy. The runner
 //! never touches the caller's RNG, and the delta path produces bit-identical
@@ -37,7 +39,7 @@ use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::workspace::Workspace;
 use fidelity_dnn::DnnError;
 
-use crate::inject::{inject_once_pooled, Injection};
+use crate::inject::{inject_once_core, Injection, Resume};
 use crate::models::SoftwareFaultModel;
 use crate::outcome::CorrectnessMetric;
 
@@ -47,13 +49,14 @@ use crate::outcome::CorrectnessMetric;
 pub struct BatchStats {
     /// Injections run.
     pub injections: usize,
-    /// Golden-snapshot installations (group switches plus cadence repairs
+    /// Golden-snapshot installations (group switches plus re-installs
     /// after a lost overlay).
     pub installs: usize,
     /// Distinct group switches (the first install for a new golden key).
     pub groups: usize,
-    /// Injections that ran with a matching snapshot installed (the delta
-    /// path). The remainder fell back to the dense resume path.
+    /// Injections that took the delta walk over the installed snapshot.
+    /// The remainder ran the dense resume path (a runner built with
+    /// `batch == 0`).
     pub delta_eligible: usize,
 }
 
@@ -88,27 +91,23 @@ pub struct BatchStats {
 #[derive(Debug)]
 pub struct BatchedInjectionRunner {
     ws: Workspace,
-    /// Re-ensure cadence: every `batch` injections within a group the
-    /// snapshot key is re-checked (and reinstalled if an unwound injection
-    /// lost the overlay). `0` disables batching entirely — every injection
-    /// takes the dense path, which is what campaigns with `batch: 0` do.
-    batch: usize,
-    /// Key of the currently installed snapshot's group.
+    /// Whether injections take the delta walk; `false` sends every one
+    /// through the dense resume, which is what campaigns with `batch: 0` do.
+    delta: bool,
+    /// Key of the trace whose snapshot was installed last.
     current: Option<u64>,
-    /// Injections run since the last group switch.
-    in_group: usize,
     stats: BatchStats,
 }
 
 impl BatchedInjectionRunner {
-    /// Creates a runner with the given re-ensure cadence (`0` disables
-    /// batching; every injection then takes the dense resume path).
+    /// Creates a runner. Any `batch > 0` runs every injection as a delta
+    /// walk over the golden snapshot; `0` runs every injection through the
+    /// dense resume path.
     pub fn new(batch: usize) -> Self {
         BatchedInjectionRunner {
             ws: Workspace::new(),
-            batch,
+            delta: batch > 0,
             current: None,
-            in_group: 0,
             stats: BatchStats::default(),
         }
     }
@@ -118,14 +117,15 @@ impl BatchedInjectionRunner {
         self.stats
     }
 
-    /// Runs one injection, installing or re-ensuring the golden snapshot for
-    /// `trace`'s group as needed. Outcomes, RNG consumption, and statistics
-    /// are bit-identical to [`inject_once_pooled`] on a fresh workspace.
+    /// Runs one injection, installing the golden snapshot for `trace`'s
+    /// group when the workspace does not hold it. Outcomes, RNG
+    /// consumption, and statistics are bit-identical to
+    /// [`crate::inject::inject_once_pooled`] on a fresh workspace.
     ///
     /// # Errors
     ///
-    /// As for [`inject_once_pooled`]: `node` must be a MAC layer and
-    /// propagation must succeed.
+    /// As for [`crate::inject::inject_once_pooled`]: `node` must be a MAC
+    /// layer and propagation must succeed.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -137,18 +137,17 @@ impl BatchedInjectionRunner {
         rng: &mut SplitMix64,
         deadline: Option<Instant>,
     ) -> Result<Injection, DnnError> {
-        let key = (self.batch > 0).then(|| golden_key(trace));
+        let key = golden_key(trace);
         self.run_keyed(key, engine, trace, node, model, metric, rng, deadline)
     }
 
-    /// [`BatchedInjectionRunner::run`] with `trace`'s golden key (`None`
-    /// when batching is off) supplied by a caller that holds one trace for
-    /// many injections: hashing the trace costs 0.3–0.8 µs, a few percent
-    /// of an injection.
+    /// [`BatchedInjectionRunner::run`] with `trace`'s golden key supplied
+    /// by a caller that holds one trace for many injections: hashing the
+    /// trace costs 0.3–0.8 µs, a few percent of an injection.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_keyed(
         &mut self,
-        key: Option<u64>,
+        key: u64,
         engine: &Engine,
         trace: &Trace,
         node: usize,
@@ -157,35 +156,25 @@ impl BatchedInjectionRunner {
         rng: &mut SplitMix64,
         deadline: Option<Instant>,
     ) -> Result<Injection, DnnError> {
-        if let Some(key) = key {
-            if self.current != Some(key) {
-                self.ws.install_golden(key, &trace.node_outputs);
-                self.current = Some(key);
-                self.in_group = 0;
-                self.stats.groups += 1;
-                self.stats.installs += 1;
-            } else if self.in_group.is_multiple_of(self.batch) && self.ws.golden_key() != Some(key)
-            {
-                // The overlay was lost (an injection unwound mid-delta);
-                // reinstall on the batch cadence.
-                self.ws.install_golden(key, &trace.node_outputs);
-                self.stats.installs += 1;
-            }
-            self.in_group += 1;
-            if self.ws.golden_key() == Some(key) {
-                self.stats.delta_eligible += 1;
-            }
-        }
         self.stats.injections += 1;
-        inject_once_pooled(
-            engine,
-            trace,
-            node,
-            model,
-            metric,
-            rng,
-            deadline,
-            &mut self.ws,
+        let resume = if self.delta {
+            if self.ws.golden_key() != Some(key) {
+                // A group switch, or an overlay lost when an injection
+                // unwound mid-walk.
+                self.ws.install_golden(key, &trace.node_outputs);
+                self.stats.installs += 1;
+                if self.current.replace(key) != Some(key) {
+                    self.stats.groups += 1;
+                }
+            }
+            self.stats.delta_eligible += 1;
+            Resume::Delta
+        } else {
+            Resume::Dense
+        };
+        let ws = &mut self.ws;
+        inject_once_core(
+            engine, trace, node, model, metric, rng, deadline, ws, resume,
         )
     }
 }
@@ -193,6 +182,7 @@ impl BatchedInjectionRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inject::inject_once_pooled;
     use crate::models::model_for;
     use crate::outcome::TopOneMatch;
     use fidelity_accel::presets;
@@ -276,6 +266,51 @@ mod tests {
         let stats = runner.stats();
         assert!(stats.groups >= 2, "two traces → at least two groups");
         assert_eq!(stats.delta_eligible, stats.injections);
+    }
+
+    /// An overlay lost between two injections, as when an injection
+    /// unwinds mid-walk, is re-installed before the very next injection,
+    /// which takes the delta walk with the same outcomes as the pooled
+    /// path on a fresh workspace.
+    #[test]
+    fn lost_overlay_is_reinstalled_before_the_next_injection() {
+        let (engine, trace) = tiny(31);
+        let model = SoftwareFaultModel::OutputValue;
+        let mut runner = BatchedInjectionRunner::new(16);
+        let mut rng_b = SplitMix64::new(5);
+        let mut rng_d = SplitMix64::new(5);
+        for i in 0..6 {
+            if i == 3 {
+                // What an unwound `resume_delta` leaves: the loaned overlay
+                // is dropped and the workspace reports no golden key.
+                drop(runner.ws.take_golden());
+                assert_eq!(runner.ws.golden_key(), None);
+            }
+            let b = runner
+                .run(&engine, &trace, 0, model, &TopOneMatch, &mut rng_b, None)
+                .unwrap();
+            let mut fresh = Workspace::new();
+            let d = inject_once_pooled(
+                &engine,
+                &trace,
+                0,
+                model,
+                &TopOneMatch,
+                &mut rng_d,
+                None,
+                &mut fresh,
+            )
+            .unwrap();
+            assert_eq!(b.outcome, d.outcome);
+            assert_eq!(b.faulty_neurons, d.faulty_neurons);
+            assert_eq!(b.max_perturbation.to_bits(), d.max_perturbation.to_bits());
+        }
+        let stats = runner.stats();
+        assert_eq!(stats.injections, 6);
+        assert_eq!(stats.delta_eligible, stats.injections);
+        assert_eq!(stats.groups, 1);
+        assert_eq!(stats.installs, 2, "one group install plus one re-install");
+        assert_eq!(runner.ws.golden_key(), Some(golden_key(&trace)));
     }
 
     /// `batch == 0` disables the snapshot entirely: every injection takes

@@ -78,15 +78,15 @@ pub struct CampaignSpec {
     /// campaign silent. Excluded from the checkpoint fingerprint: reporting
     /// never changes the statistics.
     pub progress: Option<ProgressSpec>,
-    /// Batched fault-cone evaluation (`--batch`). When `> 0`, each worker
-    /// installs a shared read-only golden snapshot of the trace in its
-    /// workspace and every injection is evaluated as a sparse delta over its
-    /// downstream cone ([`Engine::resume_delta`]); the snapshot is
-    /// re-ensured every `batch` samples so a panic that lost the overlay
-    /// falls back to at most `batch - 1` dense resumes. `0` disables
-    /// batching. Pure scheduling/evaluation policy: per-cell RNG streams and
-    /// every produced value are bit-identical either way, so the field is
-    /// excluded from the checkpoint fingerprint.
+    /// Batched fault-cone evaluation (`--batch`), on or off. Any value
+    /// `> 0` has each worker install a read-only golden snapshot of the
+    /// trace in its workspace and evaluate every injection as a sparse
+    /// delta over its downstream cone ([`Engine::resume_delta`]); a
+    /// snapshot lost to a panic is re-installed before the next injection.
+    /// `0` sends every injection through the dense resume. Pure
+    /// evaluation policy: per-cell RNG streams and every produced value
+    /// are bit-identical either way, so the field is excluded from the
+    /// checkpoint fingerprint.
     pub batch: usize,
     /// Confidence-driven adaptive campaign plan (`--adaptive`). When set,
     /// the single fixed wave is replaced by wave-based sequential sampling
@@ -1158,7 +1158,7 @@ impl<'a> CampaignRunner<'a> {
         let mut rng = SplitMix64::new(row.rng_state);
         // Hashed once per task, not per injection: the campaign's trace
         // never changes.
-        let golden = (spec.batch > 0).then(|| golden_key(self.trace));
+        let golden = golden_key(self.trace);
         for _ in 0..quota {
             let i = row.samples;
             // The watchdog clock starts before any chaos delay: a slow

@@ -18,6 +18,19 @@ use crate::models::{apply_model_sparse, SoftwareFaultModel, SparseEffect};
 use crate::outcome::{CorrectnessMetric, Outcome};
 use fidelity_dnn::graph::golden_key;
 
+/// How [`inject_once_core`] carries a sampled fault to the network output.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Resume {
+    /// The delta walk ([`Engine::resume_delta`]) over the golden overlay
+    /// that the workspace holds for this very trace.
+    Delta,
+    /// The dense [`Engine::resume`] of the spliced layer output; the final
+    /// output goes back to the workspace.
+    Dense,
+    /// The dense resume, keeping the final output.
+    DenseKeep,
+}
+
 /// Everything recorded about one injection experiment.
 #[derive(Debug, Clone)]
 pub struct Injection {
@@ -51,7 +64,17 @@ pub fn inject_once(
     rng: &mut SplitMix64,
 ) -> Result<Injection, DnnError> {
     let mut ws = Workspace::new();
-    inject_once_core(engine, trace, node, model, metric, rng, None, &mut ws, true)
+    inject_once_core(
+        engine,
+        trace,
+        node,
+        model,
+        metric,
+        rng,
+        None,
+        &mut ws,
+        Resume::DenseKeep,
+    )
 }
 
 /// [`inject_once`] under a per-injection wall-clock deadline, drawing every
@@ -66,6 +89,12 @@ pub fn inject_once(
 /// is classified as [`Outcome::SystemAnomaly`] rather than surfaced as an
 /// error. The RNG is advanced identically either way, keeping cell streams
 /// deterministic. `None` disables the watchdog.
+///
+/// The fault takes the delta walk exactly when `ws` holds the golden
+/// overlay of this trace ([`Workspace::install_golden`] under
+/// [`golden_key`]), and the dense resume otherwise; outcomes are
+/// bit-identical either way. The trace is hashed only when `ws` holds an
+/// overlay.
 ///
 /// # Errors
 ///
@@ -82,11 +111,19 @@ pub fn inject_once_pooled(
     deadline: Option<Instant>,
     ws: &mut Workspace,
 ) -> Result<Injection, DnnError> {
-    inject_once_core(engine, trace, node, model, metric, rng, deadline, ws, false)
+    let resume = match ws.golden_key() {
+        Some(key) if key == golden_key(trace) => Resume::Delta,
+        _ => Resume::Dense,
+    };
+    inject_once_core(
+        engine, trace, node, model, metric, rng, deadline, ws, resume,
+    )
 }
 
+/// One injection along the path `resume` names. The caller vouches for
+/// [`Resume::Delta`]: `ws` must hold this trace's golden overlay.
 #[allow(clippy::too_many_arguments)]
-fn inject_once_core(
+pub(crate) fn inject_once_core(
     engine: &Engine,
     trace: &Trace,
     node: usize,
@@ -95,7 +132,7 @@ fn inject_once_core(
     rng: &mut SplitMix64,
     deadline: Option<Instant>,
     ws: &mut Workspace,
-    keep_output: bool,
+    resume: Resume,
 ) -> Result<Injection, DnnError> {
     let timeout = |faulty_neurons: usize, max_perturbation: f32| Injection {
         outcome: Outcome::SystemAnomaly,
@@ -123,13 +160,10 @@ fn inject_once_core(
             watchdog: false,
         },
         SparseEffect::Layer(app) => {
-            // Batched fast path: when the workspace carries a golden overlay
-            // for exactly this trace and the caller doesn't need the final
-            // output, propagate the sparse patch as a delta over the
-            // overlay. Outcomes are bit-identical to the dense resume (see
-            // `Engine::resume_delta`); a lost overlay — e.g. after an
-            // injected panic — simply fails the key check and falls back.
-            let delta = if !keep_output && ws.golden_key() == Some(golden_key(trace)) {
+            // The delta walk propagates the sparse patch over the overlay;
+            // outcomes are bit-identical to the dense resume (see
+            // `Engine::resume_delta`).
+            let delta = if resume == Resume::Delta {
                 match engine.resume_delta(
                     trace,
                     node,
@@ -174,7 +208,7 @@ fn inject_once_core(
                     } else {
                         Outcome::OutputError
                     };
-                    let final_output = if keep_output {
+                    let final_output = if resume == Resume::DenseKeep {
                         Some(resumed.into_owned())
                     } else {
                         resumed.recycle_into(ws);

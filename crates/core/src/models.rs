@@ -6,9 +6,10 @@
 //! local control), and which output neurons of the executing MAC layer are
 //! affected (per Reuse Factor Analysis).
 //!
-//! [`apply_model`] executes a sampled instance of a model against one MAC
-//! layer of a deployed network, producing the faulty layer output that the
-//! injection flow then propagates to the application output.
+//! [`apply_model_sparse`] executes a sampled instance of a model against
+//! one MAC layer of a deployed network, producing the faulty neurons of the
+//! layer output that the injection flow then propagates to the application
+//! output.
 
 use fidelity_accel::arch::{AcceleratorConfig, DataflowKind};
 use fidelity_accel::ff::{FfCategory, PipelineStage, VarType};
@@ -17,7 +18,6 @@ use fidelity_dnn::init::SplitMix64;
 use fidelity_dnn::macspec::{MacNode, MacSpec, OperandKind, Substitution};
 use fidelity_dnn::precision::ValueCodec;
 use fidelity_dnn::tensor::Tensor;
-use fidelity_dnn::workspace::Workspace;
 use fidelity_dnn::DnnError;
 
 /// The 2-D extent of the output-neuron window a buffer-to-MAC operand fault
@@ -130,46 +130,17 @@ pub fn model_for(cat: FfCategory, cfg: &AcceleratorConfig) -> Option<SoftwareFau
     }
 }
 
-/// The effect of one sampled model application on the executing layer.
+/// The effect of one sampled model application on the executing layer: the
+/// one form of a sampled fault. A corrupted layer is a sparse (offset,
+/// value) patch of its clean output, which the delta walk consumes as is
+/// and the dense resume splices into a copy of that output.
 #[derive(Debug, Clone)]
-pub enum ModelEffect {
+pub enum SparseEffect {
     /// The sampled fault cannot change any value (e.g. it hit a value whose
     /// flip decodes to the same number).
     Masked,
-    /// The layer finishes with corrupted output neurons.
-    Layer(FaultApplication),
     /// Global control: the framework models this as system failure without
     /// simulating (Prob_SWmask = 0).
-    SystemFailure,
-}
-
-/// A concrete corrupted-layer outcome.
-#[derive(Debug, Clone)]
-pub struct FaultApplication {
-    /// Target node index in the network.
-    pub node: usize,
-    /// Flat offsets of faulty neurons in the layer's output tensor.
-    pub faulty_neurons: Vec<usize>,
-    /// The faulty values, parallel to `faulty_neurons`.
-    pub faulty_values: Vec<f32>,
-    /// The full corrupted layer output (clean output with the faulty values
-    /// spliced in).
-    pub layer_output: Tensor,
-    /// Largest |faulty − clean| over the faulty neurons (infinite when a
-    /// NaN/Inf was produced). Drives the Key-Result-5 analysis.
-    pub max_perturbation: f32,
-}
-
-/// [`ModelEffect`] without the dense corrupted tensor: just the sparse
-/// (offset, value) patch. This is all the batched delta resume path needs —
-/// materializing the dense `layer_output` is deferred to
-/// [`apply_model_pooled`], which splices it on demand for the full-resume
-/// path. Sampling and RNG consumption are identical between the two forms.
-#[derive(Debug, Clone)]
-pub enum SparseEffect {
-    /// The sampled fault cannot change any value.
-    Masked,
-    /// Global control: modeled system failure, no simulation.
     SystemFailure,
     /// The layer finishes with the given sparse corruption.
     Layer(SparseFault),
@@ -184,7 +155,8 @@ pub struct SparseFault {
     pub neurons: Vec<usize>,
     /// The faulty values, parallel to `neurons`.
     pub values: Vec<f32>,
-    /// Largest |faulty − clean| over the faulty neurons.
+    /// Largest |faulty − clean| over the faulty neurons (infinite when a
+    /// NaN/Inf was produced). Drives the Key-Result-5 analysis.
     pub max_perturbation: f32,
 }
 
@@ -212,60 +184,8 @@ fn mac_operands<'a>(engine: &'a Engine, trace: &'a Trace, node: usize) -> Option
 }
 
 /// Applies one sampled instance of `model` to MAC node `node` of a deployed
-/// engine.
-///
-/// # Errors
-///
-/// Returns [`DnnError`] if `node` is not a MAC layer.
-pub fn apply_model(
-    model: SoftwareFaultModel,
-    engine: &Engine,
-    trace: &Trace,
-    node: usize,
-    rng: &mut SplitMix64,
-) -> Result<ModelEffect, DnnError> {
-    let mut ws = Workspace::new();
-    apply_model_pooled(model, engine, trace, node, rng, &mut ws)
-}
-
-/// [`apply_model`] drawing the corrupted layer output from a caller-owned
-/// [`Workspace`] instead of the global allocator — the campaign hot path.
-/// Sampling, RNG consumption, and every produced value are identical to
-/// [`apply_model`]; only the memory source differs.
-///
-/// # Errors
-///
-/// Returns [`DnnError`] if `node` is not a MAC layer.
-pub fn apply_model_pooled(
-    model: SoftwareFaultModel,
-    engine: &Engine,
-    trace: &Trace,
-    node: usize,
-    rng: &mut SplitMix64,
-    ws: &mut Workspace,
-) -> Result<ModelEffect, DnnError> {
-    match apply_model_sparse(model, engine, trace, node, rng)? {
-        SparseEffect::Masked => Ok(ModelEffect::Masked),
-        SparseEffect::SystemFailure => Ok(ModelEffect::SystemFailure),
-        SparseEffect::Layer(sf) => {
-            let mut layer_output = ws.clone_of(&trace.node_outputs[sf.node]);
-            for (&off, &v) in sf.neurons.iter().zip(&sf.values) {
-                layer_output.data_mut()[off] = v;
-            }
-            Ok(ModelEffect::Layer(FaultApplication {
-                node: sf.node,
-                faulty_neurons: sf.neurons,
-                faulty_values: sf.values,
-                layer_output,
-                max_perturbation: sf.max_perturbation,
-            }))
-        }
-    }
-}
-
-/// The sparse core of [`apply_model_pooled`]: samples the model, computes
-/// the changed neurons, but never materializes the dense corrupted tensor.
-/// This is the form the batched delta resume path consumes directly.
+/// engine: samples the model and computes the changed neurons, without
+/// materializing the corrupted layer output.
 ///
 /// # Errors
 ///
@@ -502,7 +422,7 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let mut saw_fault = false;
         for _ in 0..32 {
-            let effect = apply_model(
+            let effect = apply_model_sparse(
                 SoftwareFaultModel::BeforeBuffer {
                     kind: OperandKind::Weight,
                 },
@@ -512,18 +432,18 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-            if let ModelEffect::Layer(app) = effect {
+            if let SparseEffect::Layer(fault) = effect {
                 saw_fault = true;
                 // All faulty neurons share one output channel.
                 let spec = engine.mac_spec(0, &trace).unwrap();
-                let chans: std::collections::HashSet<usize> = app
-                    .faulty_neurons
+                let chans: std::collections::HashSet<usize> = fault
+                    .neurons
                     .iter()
                     .map(|&off| spec.coords_of(off).1)
                     .collect();
                 assert_eq!(chans.len(), 1);
                 // And values can affect up to the whole channel (36 positions).
-                assert!(app.faulty_neurons.len() <= 36);
+                assert!(fault.neurons.len() <= 36);
             }
         }
         assert!(saw_fault);
@@ -544,12 +464,12 @@ mod tests {
         let mut rng = SplitMix64::new(5);
         let spec = engine.mac_spec(0, &trace).unwrap();
         for _ in 0..32 {
-            if let ModelEffect::Layer(app) =
-                apply_model(model, &engine, &trace, 0, &mut rng).unwrap()
+            if let SparseEffect::Layer(fault) =
+                apply_model_sparse(model, &engine, &trace, 0, &mut rng).unwrap()
             {
                 // One spatial position, several consecutive channels.
-                let coords: Vec<(usize, usize)> = app
-                    .faulty_neurons
+                let coords: Vec<(usize, usize)> = fault
+                    .neurons
                     .iter()
                     .map(|&off| spec.coords_of(off))
                     .collect();
@@ -577,17 +497,17 @@ mod tests {
         let spec = engine.mac_spec(0, &trace).unwrap();
         let mut sizes = std::collections::HashSet::new();
         for _ in 0..64 {
-            if let ModelEffect::Layer(app) =
-                apply_model(model, &engine, &trace, 0, &mut rng).unwrap()
+            if let SparseEffect::Layer(fault) =
+                apply_model_sparse(model, &engine, &trace, 0, &mut rng).unwrap()
             {
-                let chans: std::collections::HashSet<usize> = app
-                    .faulty_neurons
+                let chans: std::collections::HashSet<usize> = fault
+                    .neurons
                     .iter()
                     .map(|&off| spec.coords_of(off).1)
                     .collect();
                 assert_eq!(chans.len(), 1, "weight fault stays in one channel");
-                assert!(app.faulty_neurons.len() <= 16);
-                sizes.insert(app.faulty_neurons.len());
+                assert!(fault.neurons.len() <= 16);
+                sizes.insert(fault.neurons.len());
             }
         }
         // The random suffix makes different sizes appear.
@@ -598,7 +518,7 @@ mod tests {
     fn output_value_fault_is_single_neuron() {
         let (engine, trace) = conv_engine();
         let mut rng = SplitMix64::new(8);
-        match apply_model(
+        match apply_model_sparse(
             SoftwareFaultModel::OutputValue,
             &engine,
             &trace,
@@ -607,10 +527,10 @@ mod tests {
         )
         .unwrap()
         {
-            ModelEffect::Layer(app) => {
-                assert_eq!(app.faulty_neurons.len(), 1);
+            SparseEffect::Layer(fault) => {
+                assert_eq!(fault.neurons.len(), 1);
             }
-            ModelEffect::Masked => {}
+            SparseEffect::Masked => {}
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -620,7 +540,7 @@ mod tests {
         let (engine, trace) = conv_engine();
         let mut rng = SplitMix64::new(9);
         assert!(matches!(
-            apply_model(
+            apply_model_sparse(
                 SoftwareFaultModel::GlobalControl,
                 &engine,
                 &trace,
@@ -628,7 +548,7 @@ mod tests {
                 &mut rng
             )
             .unwrap(),
-            ModelEffect::SystemFailure
+            SparseEffect::SystemFailure
         ));
     }
 
@@ -647,7 +567,7 @@ mod tests {
         let engine = Engine::new(net, Precision::Fp16, &[]).unwrap();
         let trace = engine.trace(&[uniform_tensor(2, vec![1, 4], 1.0)]).unwrap();
         let mut rng = SplitMix64::new(3);
-        assert!(apply_model(
+        assert!(apply_model_sparse(
             SoftwareFaultModel::OutputValue,
             &engine,
             &trace,

@@ -712,29 +712,6 @@ impl Engine {
         Ok(self.run(inputs)?.0)
     }
 
-    /// [`Engine::forward`] drawing temporaries from a caller-held
-    /// [`Workspace`], so repeated inference reuses buffers instead of
-    /// allocating. Results are bit-identical to [`Engine::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from layers.
-    pub fn forward_pooled(
-        &self,
-        inputs: &[Tensor],
-        ws: &mut Workspace,
-    ) -> Result<Tensor, DnnError> {
-        Ok(run(
-            &self.network,
-            inputs,
-            Some(&self.input_codecs),
-            Some(&self.node_codecs),
-            self.node_bounds.as_deref(),
-            ws,
-        )?
-        .0)
-    }
-
     /// Runs the network recording all intermediates.
     ///
     /// # Errors

@@ -204,14 +204,15 @@ impl Layer for Conv2d {
     ) -> Result<bool, DnnError> {
         check_arity(&self.name, 1, inputs.len())?;
         let c = self.spec_for(inputs[0].shape())?;
-        let dims = [c.batch, c.out_c, c.out_h(), c.out_w()];
-        check_out("Conv2d::forward_region", out, &dims)?;
+        let (oh, ow) = (c.out_h(), c.out_w());
+        check_out("Conv2d::forward_region", out, &[c.batch, c.out_c, oh, ow])?;
         let (h, w) = region.extent();
         let ops = Operands {
             input: inputs[0],
             weight: &self.weight,
         };
-        c.forward_window_packed(&ops, &self.panel, out.data_mut(), ws.kernel_scratch(), h, w);
+        let scratch = ws.kernel_scratch();
+        c.forward_window_packed(&ops, &self.panel, out.data_mut(), scratch, (oh, ow), h, w);
         Ok(true)
     }
 

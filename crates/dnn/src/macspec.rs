@@ -631,13 +631,9 @@ impl MacSpec {
         match self {
             MacSpec::Conv(c) => {
                 let oc = weight_offset / (c.group_in_c() * c.kh * c.kw);
-                UseWindow::conv(
-                    c,
-                    (0, c.batch),
-                    Axis::all(c.out_h()),
-                    Axis::all(c.out_w()),
-                    (oc, oc + 1),
-                )
+                let (oh, ow) = (c.out_h(), c.out_w());
+                let (rows, cols) = (Axis::all(oh), Axis::all(ow));
+                UseWindow::conv(c, (oh, ow), (0, c.batch), rows, cols, (oc, oc + 1))
             }
             MacSpec::Dense(d) => {
                 let o = weight_offset / d.in_features;
@@ -670,13 +666,13 @@ impl MacSpec {
                 let b = input_offset / (c.in_c * plane);
                 let ic = (input_offset / plane) % c.in_c;
                 let (ih, iw) = ((input_offset % plane) / c.in_w, input_offset % c.in_w);
-                let rows =
-                    Axis::readers(ih, c.kh, c.stride.0, c.padding.0, c.dilation.0, c.out_h());
-                let cols =
-                    Axis::readers(iw, c.kw, c.stride.1, c.padding.1, c.dilation.1, c.out_w());
+                let (oh, ow) = (c.out_h(), c.out_w());
+                let rows = Axis::readers(ih, c.kh, c.stride.0, c.padding.0, c.dilation.0, oh);
+                let cols = Axis::readers(iw, c.kw, c.stride.1, c.padding.1, c.dilation.1, ow);
                 let goc = c.group_out_c();
                 let group = ic / c.group_in_c();
-                UseWindow::conv(c, (b, b + 1), rows, cols, (group * goc, (group + 1) * goc))
+                let channels = (group * goc, (group + 1) * goc);
+                UseWindow::conv(c, (oh, ow), (b, b + 1), rows, cols, channels)
             }
             MacSpec::Dense(d) => {
                 let b = input_offset / d.in_features;
@@ -796,15 +792,16 @@ pub struct UseWindow {
 }
 
 impl UseWindow {
-    /// The conv positions `planes × rows × cols`, × `channels`.
+    /// The conv positions `planes × rows × cols`, × `channels`, of an
+    /// output `oh × ow` per channel plane.
     fn conv(
         c: &ConvSpec,
+        (oh, ow): (usize, usize),
         planes: (usize, usize),
         rows: Axis,
         cols: Axis,
         channels: (usize, usize),
     ) -> UseWindow {
-        let (oh, ow) = (c.out_h(), c.out_w());
         UseWindow {
             plane0: planes.0,
             rows,
@@ -1113,7 +1110,8 @@ impl ConvSpec {
     /// `h = [h0, h1)` × `w = [w0, w1)` (clamped to the output dims; all
     /// batches and channels) from weights already packed into `panel`,
     /// leaving every other element of `out` untouched. `(0, usize::MAX)`
-    /// on both axes is the full forward.
+    /// on both axes is the full forward. `dims` is the output's
+    /// `(out_h, out_w)`, which the caller has at hand.
     ///
     /// This is the kernel behind [`MacSpec::forward_into_scratch`] and
     /// [`MacSpec::forward_region_into_scratch`], minus the packing: a layer
@@ -1126,16 +1124,19 @@ impl ConvSpec {
     ///
     /// Panics if `out.len()` is not this spec's output length, or if
     /// `panel` was packed for a different `(out_c, groups, kernel steps)`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward_window_packed(
         &self,
         operands: &Operands<'_>,
         panel: &LanePanel,
         out: &mut [f32],
         scratch: &mut KernelScratch,
+        dims: (usize, usize),
         h: (usize, usize),
         w: (usize, usize),
     ) {
-        let (oh_dim, ow_dim) = (self.out_h(), self.out_w());
+        debug_assert_eq!(dims, (self.out_h(), self.out_w()));
+        let (oh_dim, ow_dim) = dims;
         let out_plane = oh_dim * ow_dim;
         assert_eq!(
             out.len(),
@@ -1148,12 +1149,13 @@ impl ConvSpec {
         if h.0 >= h.1 || w.0 >= w.1 {
             return;
         }
-        let (x, weight) = (operands.input.data(), operands.weight.data());
         if self.group_out_c() == 1 {
-            return conv_depthwise_window(self, x, weight, out, scratch, h, w);
+            return conv_depthwise_window(self, operands, out, scratch, dims, h, w);
         }
         let all = (0, self.out_c);
-        let win = UseWindow::conv(self, (0, self.batch), Axis::range(h), Axis::range(w), all);
+        let (rows, cols) = (Axis::range(h), Axis::range(w));
+        let win = UseWindow::conv(self, dims, (0, self.batch), rows, cols, all);
+        let x = operands.input.data();
         let put = |a: usize, oc: usize, row: &[f32]| {
             for (k, &v) in row.iter().enumerate() {
                 out[(oc + k) * out_plane + a] = v;
@@ -1192,7 +1194,8 @@ fn conv_forward_window(
 ) {
     let mut panel = std::mem::take(&mut s.panel);
     panel.pack_conv(operands.weight.data(), c.out_c, c.groups);
-    c.forward_window_packed(operands, &panel, out, s, h, w);
+    let dims = (c.out_h(), c.out_w());
+    c.forward_window_packed(operands, &panel, out, s, dims, h, w);
     s.panel = panel;
 }
 
@@ -1766,14 +1769,14 @@ fn tile_blocks<const P: usize, const OCB: usize>(
 /// every neuron adds its non-gated terms in ascending kernel-step order.
 fn conv_depthwise_window(
     c: &ConvSpec,
-    x: &[f32],
-    w: &[f32],
+    operands: &Operands<'_>,
     out: &mut [f32],
     s: &mut KernelScratch,
+    (oh_dim, ow_dim): (usize, usize),
     (h0, h1): (usize, usize),
     (w0, w1): (usize, usize),
 ) {
-    let (oh_dim, ow_dim) = (c.out_h(), c.out_w());
+    let (x, w) = (operands.input.data(), operands.weight.data());
     let gic = c.group_in_c();
     let (s0, s1) = c.stride;
     let (p0, p1) = c.padding;

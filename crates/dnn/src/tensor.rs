@@ -123,11 +123,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat storage.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Consumes the tensor and returns its shape and flat storage, so both
     /// buffers can be recycled (see [`crate::workspace::Workspace`]).
     pub fn into_parts(self) -> (Vec<usize>, Vec<f32>) {
@@ -272,31 +267,6 @@ impl Tensor {
     /// Whether any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
-    }
-
-    /// Element-wise absolute difference with another tensor of equal shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ShapeMismatch`] when shapes differ.
-    pub fn abs_diff(&self, other: &Tensor) -> Result<Tensor, DnnError> {
-        if self.shape != other.shape {
-            return Err(DnnError::ShapeMismatch {
-                context: "Tensor::abs_diff",
-                expected: format!("{:?}", self.shape),
-                actual: format!("{:?}", other.shape),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .collect();
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data,
-        })
     }
 
     /// Flat indices of elements that differ from `other` by more than `tol`.

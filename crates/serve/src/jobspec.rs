@@ -55,8 +55,8 @@ pub struct JobSpec {
     /// Job-level retries after a failed attempt (each resumes from the
     /// job's checkpoint, backing off exponentially).
     pub retries: usize,
-    /// Batched fault-cone evaluation cadence (`0` = off). Policy, not
-    /// identity: the batched and dense paths produce bit-identical results,
+    /// Batched fault-cone evaluation, on for any value `> 0` (`0` = off,
+    /// the dense resume). Policy, not identity: the batched and dense paths produce bit-identical results,
     /// so two submissions differing only here share one execution.
     pub batch: usize,
     /// Adaptive-planner FIT-bound target ε. `Some` switches the campaign

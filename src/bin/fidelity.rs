@@ -136,10 +136,10 @@ adaptive sampling (analyze):
   --max-injections N  total-injection ceiling (default 1000000)
 
 performance (analyze | protect):
-  --batch N         batched fault-cone evaluation: keep a golden snapshot
-                    per worker and evaluate injections as sparse deltas,
-                    re-ensured every N samples (default 0 = off); results
-                    are bit-identical either way
+  --batch N         batched fault-cone evaluation, on for any N > 0: keep a
+                    golden snapshot per worker and evaluate injections as
+                    sparse deltas (default 0 = off, the dense resume);
+                    results are bit-identical either way
 
 networks: inception | resnet | mobilenet | yolo | transformer | lstm";
 
@@ -326,10 +326,10 @@ fn spec_from(opts: &HashMap<String, String>) -> Result<CampaignSpec, String> {
     if opts.contains_key("progress") {
         spec.progress = Some(fidelity::obs::progress::ProgressSpec::default());
     }
-    // `--batch N` turns on batched fault-cone evaluation: workers keep a
-    // shared golden snapshot and evaluate injections as sparse deltas,
-    // re-ensuring the snapshot every N samples. Results are bit-identical
-    // with or without it; the flag only trades memory for speed.
+    // `--batch N` with any N > 0 turns on batched fault-cone evaluation:
+    // workers keep a golden snapshot and evaluate injections as sparse
+    // deltas. Results are bit-identical with or without it; the flag only
+    // trades memory for speed.
     if let Some(batch) = opts.get("batch") {
         spec.batch = batch
             .parse()

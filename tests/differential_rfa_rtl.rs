@@ -435,14 +435,14 @@ fn injection_record(inj: &Injection) -> Vec<u8> {
 }
 
 /// Batched fault-cone sweep over the golden corpus: for every seed, every
-/// census category with a software model, and batch sizes straddling the
-/// re-ensure cadence, injections driven through `BatchedInjectionRunner`
-/// (alternating between two trace groups) must be byte-identical to the
-/// serial pooled oracle on a fresh workspace — at the conv classifier's
-/// first node, and at every MAC node of the attention engine, whose cones
-/// walk rank-2 token-row windows. A mismatch names the group (golden key),
-/// the cell (node, category, sample), and the first divergent byte of the
-/// canonical record.
+/// census category with a software model, and several batch sizes (any
+/// value above 0 runs the same delta walk), injections driven through
+/// `BatchedInjectionRunner` (alternating between two trace groups) must be
+/// byte-identical to the serial pooled oracle on a fresh workspace — at the
+/// conv classifier's first node, and at every MAC node of the attention
+/// engine, whose cones walk rank-2 token-row windows. A mismatch names the
+/// group (golden key), the cell (node, category, sample), and the first
+/// divergent byte of the canonical record.
 #[test]
 fn batched_runner_matches_serial_oracle_over_corpus() {
     for &seed in &golden_seeds() {
