@@ -1,18 +1,18 @@
 //! Model-checker coverage statistics for the concurrency verification
 //! layer (EXPERIMENTS.md, "Concurrency verification" section).
 //!
-//! Runs every protocol model the workspace ships — the four exhaustive
-//! (preemption-bounded) checks plus the random-walk sweep — and prints a
-//! table of interleavings explored, completeness, truncations, and wall
-//! clock. Requires the `loom_model` feature:
+//! Runs every protocol model the workspace ships — four exhaustive checks,
+//! one of them preemption-bounded — and prints a table of interleavings
+//! explored, completeness, truncations, and wall clock. Requires the
+//! `loom_model` feature:
 //!
 //! ```text
 //! cargo run --release -p fidelity-bench --features loom_model --bin model_coverage
 //! ```
 //!
-//! Every run is deterministic (the DFS order is a function of the model,
-//! the random walks are seeded), so the numbers below are reproducible
-//! bit-for-bit and any failure comes with a replayable decision trace.
+//! Every run is deterministic (the DFS order is a function of the model),
+//! so the numbers are reproducible bit-for-bit and any failure comes with a
+//! replayable decision trace.
 
 use std::time::Instant;
 
@@ -32,14 +32,6 @@ fn row(name: &str, bound: &str, run: impl FnOnce() -> loom::Report) {
 fn main() {
     println!("| protocol | bound | interleavings | complete | truncated | time |");
     println!("|---|---|---|---|---|---|");
-    row("work-steal deque (2w/3t funnel)", "3 preemptions", || {
-        fidelity_par::modelcheck::deque_exhaustive()
-    });
-    row(
-        "work-steal deque (3w/6t funnel)",
-        "300 random walks",
-        || fidelity_par::modelcheck::deque_random_walk(0xF1DE_117F, 300),
-    );
     row("ordered checkpoint commit", "unbounded", || {
         fidelity_core::modelcheck::ordered_commit_exhaustive()
     });

@@ -1,4 +1,4 @@
-//! Cooperative cancellation for pool runs and the campaigns built on them.
+//! Cooperative cancellation for campaigns and the serve jobs that run them.
 //!
 //! A [`CancelToken`] is a cloneable flag shared between a supervisor (a
 //! deadline monitor, a service handling `DELETE /campaigns/:id`, a graceful

@@ -1,7 +1,7 @@
 //! The concurrency-discipline pass (`fidelity concheck`).
 //!
 //! The campaign engine's concurrency substrate — the `fidelity-par`
-//! work-stealing pool, the serve supervisor/queue, and the `obs` metrics
+//! claim-counter loop, the serve supervisor/queue, and the `obs` metrics
 //! registry — is hand-rolled, and a single lost or duplicated injection
 //! silently corrupts FIT rates. This pass statically enforces the lock and
 //! atomics discipline those protocols rely on; its dynamic complement is

@@ -26,10 +26,11 @@ use fidelity::dnn::layers::{
 use fidelity::dnn::precision::Precision;
 use proptest::prelude::*;
 
-/// Batch sizes every property is checked against. Any value above 0 runs
-/// the same delta walk (the runner checks the golden snapshot before every
-/// sample), so these only show that the value itself changes nothing.
-const BATCHES: [usize; 3] = [1, 7, 64];
+/// The batch size every property is checked at. Any value above 0 runs the
+/// same delta walk (the runner checks the golden snapshot before every
+/// sample), so one nonzero value covers them all; 16 is the value the
+/// benchmark and CI run.
+const BATCH: usize = 16;
 
 /// Worker counts every batched variant runs at.
 const JOBS: [usize; 2] = [1, 4];
@@ -251,19 +252,10 @@ proptest! {
         let spec = base_spec(seed, samples, record_events);
         let (serial_key, serial_bytes) =
             run_variant(&engine, &trace, &cfg, &spec, 0, 1, "clean");
-        for &batch in &BATCHES {
-            for &jobs in &JOBS {
-                let (key, bytes) =
-                    run_variant(&engine, &trace, &cfg, &spec, batch, jobs, "clean");
-                prop_assert_eq!(
-                    &key, &serial_key,
-                    "results diverge at batch={} jobs={}", batch, jobs
-                );
-                prop_assert_eq!(
-                    &bytes, &serial_bytes,
-                    "checkpoint bytes diverge at batch={} jobs={}", batch, jobs
-                );
-            }
+        for &jobs in &JOBS {
+            let (key, bytes) = run_variant(&engine, &trace, &cfg, &spec, BATCH, jobs, "clean");
+            prop_assert_eq!(&key, &serial_key, "results diverge at jobs={}", jobs);
+            prop_assert_eq!(&bytes, &serial_bytes, "checkpoint bytes diverge at jobs={}", jobs);
         }
     }
 
@@ -294,19 +286,10 @@ proptest! {
         let (serial_key, serial_bytes) =
             run_variant(&engine, &trace, &cfg, &spec, 0, 1, "chaos");
         prop_assert_eq!(serial_key.iter().filter(|k| k.starts_with("FAIL")).count(), 2);
-        for &batch in &BATCHES {
-            for &jobs in &JOBS {
-                let (key, bytes) =
-                    run_variant(&engine, &trace, &cfg, &spec, batch, jobs, "chaos");
-                prop_assert_eq!(
-                    &key, &serial_key,
-                    "results diverge at batch={} jobs={}", batch, jobs
-                );
-                prop_assert_eq!(
-                    &bytes, &serial_bytes,
-                    "checkpoint bytes diverge at batch={} jobs={}", batch, jobs
-                );
-            }
+        for &jobs in &JOBS {
+            let (key, bytes) = run_variant(&engine, &trace, &cfg, &spec, BATCH, jobs, "chaos");
+            prop_assert_eq!(&key, &serial_key, "results diverge at jobs={}", jobs);
+            prop_assert_eq!(&bytes, &serial_bytes, "checkpoint bytes diverge at jobs={}", jobs);
         }
     }
 
@@ -319,8 +302,7 @@ proptest! {
     fn batched_kill_then_resume_matches_unbatched_serial(
         seed in 0u64..10_000,
         samples in 5usize..15,
-        kill_batch in prop_oneof![Just(1usize), Just(7usize), Just(64usize)],
-        resume_batch in prop_oneof![Just(0usize), Just(7usize), Just(64usize)],
+        resume_batch in prop_oneof![Just(0usize), Just(BATCH)],
         resume_jobs in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let (engine, trace) = conv_engine(11);
@@ -331,9 +313,9 @@ proptest! {
 
         // Kill a batched run mid-campaign: chaos panics the last non-global
         // cell with a zero failure budget.
-        let killed_ckpt = ScratchCkpt::new(&format!("kill_{kill_batch}"));
+        let killed_ckpt = ScratchCkpt::new("kill");
         let mut killed = clean.clone();
-        killed.batch = kill_batch;
+        killed.batch = BATCH;
         killed.resilience.failure_budget = 0;
         killed.resilience.max_retries_per_cell = 0;
         killed.resilience.checkpoint = Some(CheckpointSpec::new(&killed_ckpt.0));
@@ -353,7 +335,7 @@ proptest! {
         );
 
         // Resume the partial checkpoint under a different batch policy.
-        let resume_ckpt = ScratchCkpt::new(&format!("resume_{kill_batch}_{resume_batch}"));
+        let resume_ckpt = ScratchCkpt::new(&format!("resume_{resume_batch}"));
         std::fs::write(&resume_ckpt.0, &killed_bytes).unwrap();
         let mut resuming = clean.clone();
         resuming.batch = resume_batch;

@@ -1,36 +1,17 @@
-//! Bounded model checking of the workspace's four concurrency protocols.
+//! Bounded model checking of the workspace's concurrency protocols: the
+//! campaign's ordered checkpoint commit, the serve supervisor's admission
+//! (dedup and shedding) and the histogram snapshot.
 //!
 //! Gated behind the `loom_model` cargo feature (CI runs
 //! `cargo test -p fidelity --features loom_model --test modelcheck`); a
 //! plain `cargo test` compiles none of this. Each test drives one of the
 //! `modelcheck` modules, which re-express a production protocol against
-//! the vendored `loom` shim so every interleaving (or a seeded sample of
-//! them, where the space is too large) is executed and its invariants
+//! the vendored `loom` shim so every interleaving (within a preemption
+//! bound, where the space is too large) is executed and its invariants
 //! asserted. Failures panic with the decision trace that reproduces the
 //! bad schedule.
 
 #![cfg(feature = "loom_model")]
-
-/// Owner-pop vs thief-steal: 2 workers, 3 funneled tasks, exhaustive.
-/// No task lost or duplicated in any schedule.
-#[test]
-fn work_steal_deque_exhaustive() {
-    let report = fidelity_par::modelcheck::deque_exhaustive();
-    assert!(report.complete, "DFS must exhaust the space: {report:?}");
-    assert_eq!(report.truncated, 0, "no schedule may hit the step bound");
-    assert!(
-        report.executions > 1,
-        "the funnel must force at least one real scheduling choice"
-    );
-}
-
-/// The same deque protocol at 3 workers / 6 tasks, seeded random walks.
-#[test]
-fn work_steal_deque_random_walk() {
-    let report = fidelity_par::modelcheck::deque_random_walk(0xF1DE_117F, 300);
-    assert_eq!(report.executions, 300);
-    assert_eq!(report.truncated, 0, "walks must terminate within bounds");
-}
 
 /// OrderedCommit: a wave's out-of-order completions, a restored row and
 /// one failure skip drain to the identical stratum-order wave log under
